@@ -32,7 +32,6 @@ from .model import (
     LinkModel,
     ProtocolConfig,
     SlowChiSquareFading,
-    SoftBit,
     effective_snr_per_bit,
     fixed_rate_window,
     forward_rate,

@@ -5,9 +5,10 @@ as ``N(m, 1)`` with ``m = sqrt(2*snr)``, and after ``d`` retransmissions the
 MRC average of the ``d+1`` copies is ``N(m, 1/(d+1))``.  Reliability
 thresholds live in the same space (see :mod:`bitarq.model`).
 
-Two evaluation routes are provided for every quantity: adaptive quadrature
-of the exact density kernels (the oracle) and closed forms built on a
+Two evaluation routes are provided for the BERs: adaptive quadrature of
+the exact density kernels (the oracle) and closed forms built on a
 two-term exponential fit of the Gaussian tail probability (the fast path).
+Retransmission-band probabilities are evaluated by quadrature only.
 
 The analysis assumes the uniform simplification of one window size and one
 feedback length shared by all rounds; the protocol types themselves also
@@ -310,103 +311,10 @@ def _prob_retx(d: int, snr: float, us: Sequence[float]) -> float:
     return total
 
 
-def _gauss_prony_band(
-    h1: float,
-    h2: float,
-    h3: float,
-    c: float,
-    t: float,
-    a: float,
-    b: float,
-    plus_arg: bool,
-    coeffs: PronyCoefficients,
-) -> float:
-    """integral(h1 * exp(-(x-h2)^2/h3) * sum_k A_k exp(-B_k c^2 (t -+ x)^2),
-    x = a..b), exactly.  The fitted factor is even in its argument, so the
-    same form serves both argument signs."""
-    if a >= b:
-        return 0.0
-    total = 0.0
-    tt = -t if plus_arg else t
-    for a_k, b_k in zip(coeffs.a, coeffs.b):
-        q = b_k * c * c
-        lam = 1.0 / h3 + q
-        mu = (h2 / h3 + q * tt) / lam
-        kexp = q * (h2 - tt) ** 2 / (1.0 + h3 * q)
-        root = math.sqrt(lam)
-        total += (
-            h1
-            * a_k
-            * math.sqrt(math.pi)
-            / (2.0 * root)
-            * math.exp(-kexp)
-            * (math.erf(root * (b - mu)) - math.erf(root * (a - mu)))
-        )
-    return total
-
-
-def _gauss_mass(h1: float, h2: float, h3: float, a: float, b: float) -> float:
-    if a >= b:
-        return 0.0
-    s = math.sqrt(h3)
-    return h1 * math.sqrt(math.pi * h3) / 2.0 * (math.erf((b - h2) / s) - math.erf((a - h2) / s))
-
-
-def _gauss_q_band(
-    h1: float,
-    h2: float,
-    h3: float,
-    c: float,
-    t: float,
-    bound: float,
-    plus_arg: bool,
-    coeffs: PronyCoefficients,
-) -> float:
-    """Closed-form integral(h1 exp(-(x-h2)^2/h3) Q(c(t -+ x)), x = -H..H).
-
-    The tail fit only holds for non-negative arguments, so the range is
-    split where the argument changes sign and the reflection
-    Q(-z) = 1 - Q(z) is applied on the far side.
-    """
-    big_h = bound
-    if not plus_arg:
-        # argument c(t - x): negative for x > t
-        split = min(t, big_h)
-        out = _gauss_prony_band(h1, h2, h3, c, t, -big_h, split, False, coeffs)
-        if big_h > t:
-            out += _gauss_mass(h1, h2, h3, split, big_h)
-            out -= _gauss_prony_band(h1, h2, h3, c, t, split, big_h, False, coeffs)
-        return out
-    # argument c(t + x): negative for x < -t
-    split = max(-t, -big_h)
-    out = _gauss_prony_band(h1, h2, h3, c, t, split, big_h, True, coeffs)
-    if -big_h < -t:
-        out += _gauss_mass(h1, h2, h3, -big_h, split)
-        out -= _gauss_prony_band(h1, h2, h3, c, t, -big_h, split, True, coeffs)
-    return out
-
-
-def _prob_retx_band_approx(snr: float, u0: float, u1: float, coeffs: PronyCoefficients) -> float:
-    """Closed-form approximation of the d = 1 band probability.
-
-    Assembled from the closed Gaussian-times-tail-fit band integrals with
-    the argument ranges split so the fit is only ever evaluated on its
-    valid (non-negative) side.
-    """
-    m = math.sqrt(2.0 * snr)
-    total = _band_prob(m, u0, u1)
-    total += _q(math.sqrt(2.0) * (m - u1)) - _q(math.sqrt(2.0) * (m + u1))
-    h1, h2, h3, c = 1.0 / math.sqrt(math.pi), m, 1.0, math.sqrt(2.0)
-    total -= _gauss_q_band(h1, h2, h3, c, u0, u1, False, coeffs)
-    total -= _gauss_q_band(h1, h2, h3, c, u0, u1, True, coeffs)
-    return total
-
-
 def prob_retx_band(
     d: int,
     config: ProtocolConfig,
     link: LinkModel,
-    method: str = "quadrature",
     u_top: float | None = None,
 ) -> float:
     """Expected fraction of bits retransmitted in round d+1.
@@ -415,8 +323,7 @@ def prob_retx_band(
     the band's upper threshold, fresh bits in (U_{d-1}, U_d] included.  For
     d equal to the total number of retransmissions the upper threshold is
     not part of the config; it defaults to U_{D-1} (the shared-threshold
-    convention) unless ``u_top`` is given.  ``method="approx"`` selects the
-    closed form, available for d = 1 only.
+    convention) unless ``u_top`` is given.
     """
     us = _check_thresholds(config)
     big_d = config.retransmissions
@@ -428,14 +335,7 @@ def prob_retx_band(
         upper = us[-1] if u_top is None else float(u_top)
         if upper < us[-1]:
             raise InvalidParameterError("u_top must be >= U_{D-1}")
-    chain = tuple(us[: d]) + (upper,)
-    if method == "quadrature":
-        return _prob_retx(d, link.snr_per_symbol, chain)
-    if method == "approx":
-        if d != 1:
-            raise InvalidParameterError("closed form is available for d = 1 only")
-        return _prob_retx_band_approx(link.snr_per_symbol, chain[0], chain[1], DEFAULT_PRONY)
-    raise InvalidParameterError(f"unknown method {method!r}")
+    return _prob_retx(d, link.snr_per_symbol, tuple(us[:d]) + (upper,))
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,9 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .analytic import _ber_approx, _ber_exact, DEFAULT_PRONY
-from .errors import BitarqError, NumericFailureError
+from .errors import BitarqError, ConfigurationError, NumericFailureError
 from .feedback import (
     expected_idle_periods,
-    mean_report_delay,
     optimal_c1,
     simulate_permutation_search,
     throughput_one_retx,
@@ -42,14 +41,15 @@ from .model import (
     LinkModel,
     ProtocolConfig,
     fixed_rate_window,
+    round_half_away,
 )
 from .optimize import (
-    equal_probability_thresholds,
-    fixed_threshold_rate,
-    fixed_threshold_windows,
     optimize_rate,
     optimize_threshold,
     optimize_window,
+    resolve_strategy,
+    sweep_grid,
+    threshold_u_max,
 )
 
 _THREADS_ENV = "BITARQ_THREADS"
@@ -60,10 +60,14 @@ def _db_to_linear(db: float) -> float:
 
 
 def _n_jobs() -> int:
+    text = os.environ.get(_THREADS_ENV, "1")
     try:
-        return max(1, int(os.environ.get(_THREADS_ENV, "1")))
+        jobs = int(text)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise ConfigurationError(f"{_THREADS_ENV} must be a positive integer, got {text!r}")
+    return jobs
 
 
 def _positive(kind):
@@ -98,9 +102,6 @@ class _Output:
         resolved = " ".join(f"{k}={v}" for k, v in sorted(items.items()))
         self.lines.append(f"# config: {resolved}")
 
-    def comment(self, text: str) -> None:
-        self.lines.append(f"# {text}")
-
     def row(self, *cells) -> None:
         self.lines.append(",".join("" if c is None else str(c) for c in cells))
 
@@ -134,36 +135,12 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_grid(kind: str, points: int, n: int, d: int, u_max: float):
-    if kind == "rate":
-        lo, hi = 1.0 / (1.0 + d), n / (d + n)
-        return [lo + (hi - lo) * (i + 1) / points for i in range(points)]
-    if kind == "window":
-        return [(i + 1) / points for i in range(points)]
-    return [u_max * (i + 1) / points for i in range(points)]
-
-
-def _sweep_point(kind: str, x: float, n: int, d: int, base_snr: float):
-    """Resolve one sweep cell to (thresholds, effective snr)."""
-    link = LinkModel(base_snr)
-    if kind == "rate":
-        p = min(1.0, (1.0 / x - 1.0) / d)
-        snr_eff = base_snr * x
-        return equal_probability_thresholds(d, p, link.with_snr(snr_eff)), snr_eff
-    if kind == "window":
-        rate = 1.0 / (1.0 + d * x)
-        snr_eff = base_snr * rate
-        return equal_probability_thresholds(d, x, link.with_snr(snr_eff)), snr_eff
-    rate, snr_eff = fixed_threshold_rate(n, d, x, base_snr)
-    return (x,) * d, snr_eff
-
-
 def _run_sweep(kind: str, args) -> _Output:
     out = _Output(f"sweep-{kind}", args.reproducible)
     base_snr = _db_to_linear(args.snr_db)
-    u_max = args.u_max if kind == "threshold" else 0.0
-    if kind == "threshold" and u_max is None:
-        u_max = math.sqrt(2.0 * base_snr) + 4.0
+    u_max = None
+    if kind == "threshold":
+        u_max = args.u_max if args.u_max is not None else threshold_u_max(base_snr)
     out.config(
         snr_db=args.snr_db, n=args.n, d=args.d, points=args.points,
         bits=args.bits, seed=args.seed,
@@ -172,8 +149,8 @@ def _run_sweep(kind: str, args) -> _Output:
     name = {"rate": "rf", "window": "w_over_n", "threshold": "u_norm"}[kind]
     out.row(name, "ber_approx", "ber_exact", "ber_mc", "mc_stderr")
     jobs = _n_jobs()
-    for x in _sweep_grid(kind, args.points, args.n, args.d, u_max):
-        us, snr_eff = _sweep_point(kind, x, args.n, args.d, base_snr)
+    for x in sweep_grid(kind, args.points, args.n, args.d, u_max):
+        us, _, snr_eff = resolve_strategy(kind, x, args.d, base_snr)
         approx = _ber_approx(snr_eff, us, DEFAULT_PRONY)
         exact = _ber_exact(snr_eff, us)
         mc = stderr = None
@@ -218,26 +195,17 @@ def _build_sim_config(args, base_snr: float) -> tuple[ProtocolConfig, float]:
     if sum(given) != 1:
         raise BitarqError("give exactly one of --rate, --window, --threshold")
     if args.threshold is not None:
-        us = (args.threshold,) * d
-        rate, snr_eff = fixed_threshold_rate(n, d, args.threshold, base_snr)
-        windows = fixed_threshold_windows(n, d, args.threshold, snr_eff)
-        windows = tuple(max(1, w) for w in windows)
-        cfg = ProtocolConfig(
-            n, d, strategy=FixedThreshold(args.threshold), thresholds=us, windows=windows
-        )
-        return cfg, snr_eff
+        strategy = FixedThreshold(args.threshold)
+        us, _, snr_eff = resolve_strategy("threshold", args.threshold, d, base_snr)
+        return ProtocolConfig(n, d, strategy=strategy, thresholds=us), snr_eff
     if args.rate is not None:
-        w = fixed_rate_window(n, d, args.rate)
         strategy = FixedRate(args.rate)
-        rate = n / (n + d * w)
+        w = fixed_rate_window(n, d, args.rate)
     else:
-        w = max(1, min(n, round(args.window * n)))
         strategy = FixedWindow(args.window)
-        rate = 1.0 / (1.0 + d * w / n)
-    snr_eff = base_snr * rate
-    us = equal_probability_thresholds(d, w / n, LinkModel(snr_eff))
-    cfg = ProtocolConfig(n, d, strategy=strategy, thresholds=us, windows=(w,) * d)
-    return cfg, snr_eff
+        w = max(1, min(n, round_half_away(args.window * n)))
+    us, _, snr_eff = resolve_strategy("window", w / n, d, base_snr)
+    return ProtocolConfig(n, d, strategy=strategy, thresholds=us, windows=(w,) * d), snr_eff
 
 
 def _run_simulate(args) -> _Output:

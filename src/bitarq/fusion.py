@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from scipy.optimize import brentq
-from scipy.stats import binom as _binom
+from scipy.special import bdtr
 
 from .errors import InvalidParameterError
 from .feedback import feedback_bit_width
@@ -140,7 +140,7 @@ def segment_feasibility(design: SegmentedDesign, per_segment: bool = True) -> tu
     probability over all segments is returned instead.  Reverse:
     probability that at least one of the c_tot feedback bits is hit.
     """
-    ppf = float(_binom.cdf(design.w_seg, design.segment_bits, design.p_f))
+    ppf = float(bdtr(design.w_seg, design.segment_bits, design.p_f))
     if not per_segment:
         ppf = ppf**design.n_seg
     ppr = -math.expm1(design.c_tot * math.log1p(-design.p_r)) if design.p_r > 0 else 0.0

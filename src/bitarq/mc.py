@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigurationError, InvalidParameterError
 from .model import FixedRate, FixedThreshold, FixedWindow, LinkModel, ProtocolConfig
 
-__all__ = ["SCHEMES", "TrialReport", "simulate", "compare_schemes", "ties"]
+__all__ = ["SCHEMES", "TrialReport", "simulate", "compare_schemes"]
 
 SCHEMES = ("sequential", "preassigned", "full_repetition")
 
@@ -51,18 +51,6 @@ class TrialReport:
         """Binomial standard error of the BER estimate."""
         p = self.ber
         return math.sqrt(max(p * (1.0 - p), 1.0 / self.bits_simulated) / self.bits_simulated)
-
-
-def ties(reliabilities, w: int) -> np.ndarray:
-    """Indices of the w smallest reliabilities, ties broken by lowest index.
-
-    Returns the selected indices in ascending order.
-    """
-    rel = np.abs(np.asarray(reliabilities, dtype=float))
-    if not 1 <= w <= rel.size:
-        raise InvalidParameterError("need 1 <= w <= len(reliabilities)")
-    order = np.argsort(rel, kind="stable")
-    return np.sort(order[:w])
 
 
 def _validate(config: ProtocolConfig, scheme: str, bits: int) -> None:

@@ -15,7 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 from .errors import InvalidParameterError
@@ -28,7 +28,6 @@ __all__ = [
     "FixedThreshold",
     "Strategy",
     "ProtocolConfig",
-    "SoftBit",
     "forward_rate",
     "reverse_rate",
     "fixed_rate_window",
@@ -101,20 +100,10 @@ class LinkModel:
                     "snr_per_symbol must equal symbol_energy / noise_density"
                 )
 
-    @classmethod
-    def from_snr(cls, snr: float, fading: SlowChiSquareFading | None = None) -> "LinkModel":
-        return cls(snr_per_symbol=snr, fading=fading)
-
     @property
     def noise_std(self) -> float:
         """Standard deviation of the matched-filter noise, sqrt(N0/2)."""
         return math.sqrt(self.noise_density / 2.0)
-
-    def with_snr(self, snr: float) -> "LinkModel":
-        """Same link at a different SNR (energy rescaled, N0 kept)."""
-        return LinkModel(
-            snr_per_symbol=snr, noise_density=self.noise_density, fading=self.fading
-        )
 
 
 @dataclass(frozen=True)
@@ -186,40 +175,6 @@ class ProtocolConfig:
                 raise InvalidParameterError("need one feedback size per retransmission")
             if any(c < 1 for c in self.feedback_bits):
                 raise InvalidParameterError("feedback sizes must be positive")
-
-    def with_thresholds(self, thresholds) -> "ProtocolConfig":
-        return replace(self, thresholds=tuple(thresholds))
-
-
-@dataclass(frozen=True)
-class SoftBit:
-    """Soft decision state of one bit after MRC combining.
-
-    ``accumulated_sample`` is the running average of all received copies;
-    its magnitude is the bit reliability.  ``transmitted_positive`` records
-    the ground-truth symbol for scoring in simulations.
-    """
-
-    accumulated_sample: float
-    copies: int
-    transmitted_positive: bool
-
-    def __post_init__(self):
-        if self.copies < 1:
-            raise InvalidParameterError("a soft bit holds at least one copy")
-
-    @property
-    def reliability(self) -> float:
-        return abs(self.accumulated_sample)
-
-    def combine(self, sample: float) -> "SoftBit":
-        """Fold one more received copy into the running MRC average."""
-        total = self.accumulated_sample * self.copies + sample
-        return SoftBit(total / (self.copies + 1), self.copies + 1, self.transmitted_positive)
-
-    @property
-    def decided_positive(self) -> bool:
-        return self.accumulated_sample > 0
 
 
 def forward_rate(config: ProtocolConfig) -> float:

@@ -29,6 +29,9 @@ __all__ = [
     "optimize_window",
     "optimize_threshold",
     "is_unimodal",
+    "threshold_u_max",
+    "sweep_grid",
+    "resolve_strategy",
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -152,21 +155,23 @@ def equal_probability_thresholds(d: int, p: float, link: LinkModel) -> tuple[flo
     return tuple(us)
 
 
-def fixed_threshold_windows(n: int, d: int, u: float, snr: float) -> tuple[int, ...]:
-    """Per-round expected windows round(N * P_d) under one shared threshold.
-
-    With every threshold equal the round fractions reduce to the combined
-    reliability staying below the threshold after d rounds.
-    """
+def _shared_threshold_fractions(d: int, u: float, snr: float) -> list[float]:
+    """Expected retransmitted fraction of rounds 1..d under one shared threshold."""
     m = math.sqrt(2.0 * snr)
-    ps = [
+    return [
         _kernel_integral(lambda x, _i=i: _chi(_i, x, u, m), m, i, -u, u)
         for i in range(1, d + 1)
     ]
-    return tuple(min(n, max(0, round_half_away(n * p))) for p in ps)
 
 
-def fixed_threshold_rate(n: int, d: int, u: float, base_snr: float) -> tuple[float, float]:
+def fixed_threshold_windows(n: int, d: int, u: float, snr: float) -> tuple[int, ...]:
+    """Per-round expected windows round(N * P_d) under one shared threshold."""
+    return tuple(
+        min(n, max(0, round_half_away(n * p))) for p in _shared_threshold_fractions(d, u, snr)
+    )
+
+
+def fixed_threshold_rate(d: int, u: float, base_snr: float) -> tuple[float, float]:
     """Forward rate and effective SNR under one shared threshold.
 
     The rate depends on the effective SNR through the round fractions and
@@ -175,12 +180,7 @@ def fixed_threshold_rate(n: int, d: int, u: float, base_snr: float) -> tuple[flo
     """
     rate = 1.0
     for _ in range(200):
-        snr_eff = base_snr * rate
-        m = math.sqrt(2.0 * snr_eff)
-        total = sum(
-            _kernel_integral(lambda x, _i=i: _chi(_i, x, u, m), m, i, -u, u)
-            for i in range(1, d + 1)
-        )
+        total = sum(_shared_threshold_fractions(d, u, base_snr * rate))
         new_rate = 1.0 / (1.0 + total)
         if abs(new_rate - rate) < 1e-10:
             return new_rate, base_snr * new_rate
@@ -190,11 +190,61 @@ def fixed_threshold_rate(n: int, d: int, u: float, base_snr: float) -> tuple[flo
 
 
 # ---------------------------------------------------------------------------
+# strategy resolution
+# ---------------------------------------------------------------------------
+
+
+def threshold_u_max(snr: float) -> float:
+    """Default top of the threshold sweep: the mean sample plus four noise std."""
+    return math.sqrt(2.0 * snr) + 4.0
+
+
+def sweep_grid(kind: str, points: int, n: int, d: int, u_max: float | None = None) -> list[float]:
+    """The ``points`` parameter values swept for strategy ``kind``.
+
+    Rates span (1/(1+d), n/(d+n)], window fractions (0, 1] and shared
+    thresholds (0, u_max]; the open end is excluded.
+    """
+    if kind == "rate":
+        lo, hi = 1.0 / (1.0 + d), n / (d + n)
+        return [lo + (hi - lo) * (i + 1) / points for i in range(points)]
+    if kind == "window":
+        return [(i + 1) / points for i in range(points)]
+    return [u_max * (i + 1) / points for i in range(points)]
+
+
+def _window_fraction(kind: str, x: float, d: int) -> float:
+    return min(1.0, (1.0 / x - 1.0) / d) if kind == "rate" else x
+
+
+def resolve_strategy(
+    kind: str, x: float, d: int, base_snr: float
+) -> tuple[tuple[float, ...], float, float]:
+    """(thresholds, forward rate, effective SNR) of one strategy parameter.
+
+    ``x`` is a forward rate, a window fraction W/N or a shared threshold,
+    as ``kind`` says.  The window fraction stays continuous; a caller that
+    needs an integer window rounds it first.  Rate and window thresholds
+    follow from the equal-probability inversion at the energy-equalized
+    SNR.
+    """
+    if kind not in ("rate", "window", "threshold"):
+        raise InvalidParameterError(f"unknown strategy {kind!r}")
+    if kind == "threshold":
+        rate, snr_eff = fixed_threshold_rate(d, x, base_snr)
+        return (x,) * d, rate, snr_eff
+    p = _window_fraction(kind, x, d)
+    rate = x if kind == "rate" else 1.0 / (1.0 + d * p)
+    snr_eff = base_snr * rate
+    return equal_probability_thresholds(d, p, LinkModel(snr_eff)), rate, snr_eff
+
+
+# ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
 
 
-def _sweep(objective, grid_points, points: int) -> tuple[tuple, int, bool]:
+def _sweep(objective, grid_points) -> tuple[tuple, int, bool]:
     grid = tuple((x, objective(x)) for x in grid_points)
     bers = [b for _, b in grid]
     j = min(range(len(bers)), key=bers.__getitem__)
@@ -218,22 +268,30 @@ def _refine(objective, grid, j: int, uni: bool):
     return grid[j][0], grid[j][1], False, False
 
 
-def _package(
-    n: int,
-    d: int,
-    link: LinkModel,
-    grid,
-    minimizer: float,
-    min_ber: float,
-    refined: bool,
-    boundary: bool,
-    uni: bool,
-    thresholds: tuple[float, ...],
-    rate: float,
-    windows: tuple[int, ...],
+def _optimize(
+    kind: str, n: int, d: int, link: LinkModel, points: int, u_max: float | None = None
 ) -> SweepResult:
-    snr_eff = link.snr_per_symbol * rate
-    exact = _ber_exact(snr_eff, thresholds)
+    """Sweep, refine and package one strategy (see :func:`sweep_grid` and
+    :func:`resolve_strategy`)."""
+    if d < 1:
+        raise InvalidParameterError("need d >= 1")
+    base = link.snr_per_symbol
+    if kind == "threshold" and u_max is None:
+        u_max = threshold_u_max(base)
+
+    def objective(x: float) -> float:
+        us, _, snr_eff = resolve_strategy(kind, x, d, base)
+        return _ber_approx(snr_eff, us, DEFAULT_PRONY)
+
+    grid, j, uni = _sweep(objective, sweep_grid(kind, points, n, d, u_max))
+    minimizer, min_ber, refined, boundary = _refine(objective, grid, j, uni)
+
+    us, rate, snr_eff = resolve_strategy(kind, minimizer, d, base)
+    if kind == "threshold":
+        windows = fixed_threshold_windows(n, d, minimizer, snr_eff)
+    else:
+        p = _window_fraction(kind, minimizer, d)
+        windows = (min(n, max(1, round_half_away(n * p))),) * d
     return SweepResult(
         grid=grid,
         minimizer=minimizer,
@@ -241,8 +299,8 @@ def _package(
         refined=refined,
         boundary=boundary,
         unimodal=uni,
-        min_ber_exact=exact,
-        thresholds=thresholds,
+        min_ber_exact=_ber_exact(snr_eff, us),
+        thresholds=us,
         windows=windows,
         forward_rate=rate,
     )
@@ -254,56 +312,12 @@ def optimize_rate(n: int, d: int, link: LinkModel, points: int = 64) -> SweepRes
     The swept rate fixes the per-round window fraction; thresholds follow
     from the equal-probability inversion at the energy-equalized SNR.
     """
-    if d < 1:
-        raise InvalidParameterError("need d >= 1")
-    lo, hi = 1.0 / (1.0 + d), n / (d + n)
-    base = link.snr_per_symbol
-
-    def objective(rate: float) -> float:
-        p = min(1.0, (1.0 / rate - 1.0) / d)
-        snr_eff = base * rate
-        us = equal_probability_thresholds(d, p, link.with_snr(snr_eff))
-        return _ber_approx(snr_eff, us, DEFAULT_PRONY)
-
-    grid_points = [lo + (hi - lo) * (i + 1) / points for i in range(points)]
-    grid, j, uni = _sweep(objective, grid_points, points)
-    minimizer, min_ber, refined, boundary = _refine(objective, grid, j, uni)
-
-    p = min(1.0, (1.0 / minimizer - 1.0) / d)
-    snr_eff = base * minimizer
-    us = equal_probability_thresholds(d, p, link.with_snr(snr_eff))
-    w = min(n, max(1, round_half_away(n * p)))
-    return _package(
-        n, d, link, grid, minimizer, min_ber, refined, boundary, uni, us,
-        minimizer, (w,) * d,
-    )
+    return _optimize("rate", n, d, link, points)
 
 
 def optimize_window(n: int, d: int, link: LinkModel, points: int = 64) -> SweepResult:
     """Minimize BER over the normalized window size W/N in (0, 1]."""
-    if d < 1:
-        raise InvalidParameterError("need d >= 1")
-    base = link.snr_per_symbol
-
-    def rate_of(p: float) -> float:
-        return 1.0 / (1.0 + d * p)
-
-    def objective(p: float) -> float:
-        snr_eff = base * rate_of(p)
-        us = equal_probability_thresholds(d, p, link.with_snr(snr_eff))
-        return _ber_approx(snr_eff, us, DEFAULT_PRONY)
-
-    grid_points = [(i + 1) / points for i in range(points)]
-    grid, j, uni = _sweep(objective, grid_points, points)
-    minimizer, min_ber, refined, boundary = _refine(objective, grid, j, uni)
-
-    rate = rate_of(minimizer)
-    us = equal_probability_thresholds(d, minimizer, link.with_snr(base * rate))
-    w = min(n, max(1, round_half_away(n * minimizer)))
-    return _package(
-        n, d, link, grid, minimizer, min_ber, refined, boundary, uni, us,
-        rate, (w,) * d,
-    )
+    return _optimize("window", n, d, link, points)
 
 
 def optimize_threshold(
@@ -315,23 +329,4 @@ def optimize_threshold(
     forward rate, which in turn scales the effective SNR; the circular
     dependence is resolved per candidate threshold.
     """
-    if d < 1:
-        raise InvalidParameterError("need d >= 1")
-    base = link.snr_per_symbol
-    if u_max is None:
-        u_max = math.sqrt(2.0 * base) + 4.0
-
-    def objective(u: float) -> float:
-        rate, snr_eff = fixed_threshold_rate(n, d, u, base)
-        return _ber_approx(snr_eff, (u,) * d, DEFAULT_PRONY)
-
-    grid_points = [u_max * (i + 1) / points for i in range(points)]
-    grid, j, uni = _sweep(objective, grid_points, points)
-    minimizer, min_ber, refined, boundary = _refine(objective, grid, j, uni)
-
-    rate, snr_eff = fixed_threshold_rate(n, d, minimizer, base)
-    windows = fixed_threshold_windows(n, d, minimizer, snr_eff)
-    return _package(
-        n, d, link, grid, minimizer, min_ber, refined, boundary, uni,
-        (minimizer,) * d, rate, windows,
-    )
+    return _optimize("threshold", n, d, link, points, u_max)

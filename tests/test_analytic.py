@@ -251,18 +251,6 @@ class TestProbRetxBand:
         assert got == pytest.approx(want, rel=1e-8)
         assert got > 0.0
 
-    def test_closed_form_close_to_quadrature(self):
-        u0, u1 = 1.0 / math.sqrt(2.0), 3.0 / math.sqrt(2.0)
-        cfg = ProtocolConfig(100, 2, thresholds=(u0, u1))
-        quad_val = prob_retx_band(1, cfg, LINK1)
-        approx_val = prob_retx_band(1, cfg, LINK1, method="approx")
-        assert approx_val == pytest.approx(quad_val, rel=0.10)
-
-    def test_approx_only_for_first_band(self):
-        cfg = ProtocolConfig(100, 2, thresholds=(0.5, 1.0))
-        with pytest.raises(InvalidParameterError):
-            prob_retx_band(2, cfg, LINK1, method="approx")
-
     def test_band_index_range(self):
         cfg = ProtocolConfig(100, 2, thresholds=(0.5, 1.0))
         with pytest.raises(InvalidParameterError):

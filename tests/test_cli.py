@@ -1,8 +1,14 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bitarq
+from bitarq import LinkModel
 from bitarq.cli import main
+from bitarq.optimize import optimize_rate, optimize_threshold, optimize_window
 from reference_designs import REFERENCE_SCHEDULE
 
 
@@ -100,6 +106,49 @@ class TestSimulate:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    def test_window_rounds_half_away(self, capsys):
+        # 0.25 * 10 = 2.5 rounds to W = 3: 300 of 1000 bits retransmitted
+        code, out, _ = run(capsys, "simulate", "--scheme", "sequential", "--snr-db", "3",
+                           "--n", "10", "--d", "1", "--bits", "1000", "--window", "0.25",
+                           "--reproducible")
+        assert code == 0
+        rows = body(out).splitlines()
+        row = dict(zip(rows[0].split(","), rows[1].split(",")))
+        assert row["retransmitted"] == "300"
+        assert row["rate_realized"] == "0.76923077"
+
+
+class TestSweepMatchesOptimizer:
+    @pytest.mark.parametrize("kind, optimizer", [
+        ("rate", optimize_rate), ("window", optimize_window), ("threshold", optimize_threshold),
+    ])
+    def test_ber_approx_column_is_optimizer_grid(self, capsys, kind, optimizer):
+        code, out, _ = run(capsys, f"sweep-{kind}", "--snr-db", "5", "--d", "2",
+                           "--n", "256", "--points", "8", "--reproducible")
+        assert code == 0
+        column = [r.split(",")[1] for r in body(out).splitlines()[1:]]
+        res = optimizer(256, 2, LinkModel(10.0 ** (5.0 / 10.0)), points=8)
+        assert column == [f"{b:.10e}" for _, b in res.grid]
+
+
+class TestThreadsVariable:
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_rejects_non_positive_integer(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("BITARQ_THREADS", value)
+        code, _, err = run(capsys, "simulate", "--scheme", "sequential", "--snr-db", "3",
+                           "--n", "100", "--d", "1", "--bits", "1000", "--window", "0.2")
+        assert code == 2
+        assert "BITARQ_THREADS" in err
+
+
+def test_cli_import_skips_scipy_stats():
+    src = str(Path(bitarq.__file__).resolve().parents[1])
+    code = "import sys, bitarq.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestFeedbackSim:

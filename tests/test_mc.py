@@ -13,7 +13,7 @@ from bitarq import (
     q_function,
 )
 from bitarq.analytic import _band_prob, _ber_exact, _prob_retx
-from bitarq.mc import compare_schemes, simulate, ties
+from bitarq.mc import _window_mask, compare_schemes, simulate
 from bitarq.optimize import equal_probability_thresholds
 
 LINK1 = LinkModel(1.0)
@@ -24,25 +24,14 @@ def sigma(p: float, n: int) -> float:
     return math.sqrt(p * (1 - p) / n)
 
 
-class TestTies:
-    def test_example(self):
-        got = ties([0.5, -0.1, 0.9, 0.1], 2)
-        assert list(got) == [1, 3]
-
-    def test_tie_break_by_index(self):
-        got = ties([1.0, 1.0, 1.0, 1.0], 2)
-        assert list(got) == [0, 1]
-
+class TestWindowMask:
     def test_matches_full_sort(self):
         rng = np.random.default_rng(11)
-        rel = rng.normal(size=64)
-        got = set(ties(rel, 16).tolist())
-        want = set(np.argsort(np.abs(rel))[:16].tolist())
-        assert got == want
-
-    def test_bounds(self):
-        with pytest.raises(InvalidParameterError):
-            ties([1.0, 2.0], 3)
+        rel = np.abs(rng.normal(size=(8, 64)))
+        mask = _window_mask(rel, 16)
+        assert (mask.sum(axis=1) == 16).all()
+        for row, picked in zip(rel, mask):
+            assert set(np.flatnonzero(picked)) == set(np.argsort(row)[:16])
 
 
 class TestSimulateBaselines:

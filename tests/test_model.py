@@ -8,7 +8,6 @@ from bitarq import (
     LinkModel,
     ProtocolConfig,
     SlowChiSquareFading,
-    SoftBit,
     effective_snr_per_bit,
     fixed_rate_window,
     forward_rate,
@@ -148,23 +147,6 @@ class TestProtocolConfig:
             ProtocolConfig(100, 2, thresholds=(1.0,))
         with pytest.raises(InvalidParameterError):
             ProtocolConfig(100, 2, feedback_bits=(3,))
-
-
-class TestSoftBit:
-    def test_running_average(self):
-        bit = SoftBit(1.5, 1, True)
-        samples = [0.3, -0.2, 2.0, 0.9]
-        acc = [1.5]
-        for s in samples:
-            bit = bit.combine(s)
-            acc.append(s)
-        assert bit.copies == len(acc)
-        assert bit.accumulated_sample == pytest.approx(sum(acc) / len(acc), abs=1e-12)
-        assert bit.reliability == abs(bit.accumulated_sample)
-
-    def test_needs_one_copy(self):
-        with pytest.raises(InvalidParameterError):
-            SoftBit(0.0, 0, True)
 
 
 def test_round_half_away():

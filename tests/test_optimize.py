@@ -13,6 +13,7 @@ from bitarq.optimize import (
     optimize_rate,
     optimize_threshold,
     optimize_window,
+    resolve_strategy,
 )
 
 LINK5 = LinkModel(10**0.5)
@@ -69,6 +70,21 @@ class TestFixedThresholdWindows:
 
     def test_zero_threshold(self):
         assert fixed_threshold_windows(1024, 2, 0.0, 1.0) == (0, 0)
+
+
+class TestResolveStrategy:
+    def test_rate_and_window_resolve_alike(self):
+        # rate 1/(1 + d p) and window fraction p name the same protocol
+        d, p = 2, 0.25
+        us_w, rate_w, snr_w = resolve_strategy("window", p, d, 3.0)
+        us_r, rate_r, snr_r = resolve_strategy("rate", 1.0 / (1.0 + d * p), d, 3.0)
+        assert rate_w == pytest.approx(rate_r, rel=1e-12)
+        assert snr_w == pytest.approx(snr_r, rel=1e-12)
+        assert us_w == pytest.approx(us_r, rel=1e-9)
+
+    def test_unknown_kind(self):
+        with pytest.raises(InvalidParameterError):
+            resolve_strategy("power", 0.5, 1, 3.0)
 
 
 class TestOptimizers:
