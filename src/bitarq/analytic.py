@@ -5,10 +5,17 @@ as ``N(m, 1)`` with ``m = sqrt(2*snr)``, and after ``d`` retransmissions the
 MRC average of the ``d+1`` copies is ``N(m, 1/(d+1))``.  Reliability
 thresholds live in the same space (see :mod:`bitarq.model`).
 
-Two evaluation routes are provided for the BERs: adaptive quadrature of
-the exact density kernels (the oracle) and closed forms built on a
-two-term exponential fit of the Gaussian tail probability (the fast path).
-Retransmission-band probabilities are evaluated by quadrature only.
+Two evaluation routes are provided for the BERs: the exact evaluator and
+closed forms built on a two-term exponential fit of the Gaussian tail
+probability.  The exact BER and the retransmission-band probabilities are
+sums of bivariate-normal rectangle probabilities (the first-pass sample and
+the MRC sum of later copies are jointly Gaussian), each evaluated as a
+positive integral over the first-pass sample with one fixed Gauss-Legendre
+rule: no adaptive loop, no cancellation in the tails.  Every evaluator
+behind the optimizers accepts NumPy arrays and broadcasts over them, so a
+sweep grid is scored in a few array calls.  Adaptive quadrature survives only
+in the oracle twins ``ber_fading_quadrature`` and
+``appendix_integral_quadrature``.
 
 The analysis assumes the uniform simplification of one window size and one
 feedback length shared by all rounds; the protocol types themselves also
@@ -25,6 +32,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import erf as _np_erf
 from scipy.special import erfc as _np_erfc
+from scipy.special import ndtr
 
 from .errors import InvalidParameterError, NumericFailureError
 from .model import LinkModel, ProtocolConfig
@@ -100,45 +108,10 @@ class ReliabilityBand:
 # ---------------------------------------------------------------------------
 
 
-def _chi(d: int, x: float, u0: float, m: float) -> float:
-    """Sub-density of the (d+1)-copy MRC average at x, for bits whose first
-    sample fell inside [-u0, u0].  Integrates to that band probability."""
-    if u0 <= 0.0:
-        return 0.0
-    beta = math.sqrt((d + 1) / (2.0 * d))
-    norm = math.sqrt((d + 1) / (2.0 * math.pi))
-    env = math.exp(-0.5 * (d + 1) * (x - m) ** 2)
-    window = math.erf(beta * (u0 - x)) + math.erf(beta * (u0 + x))
-    return 0.5 * norm * env * window
-
-
-def _lambda(d: int, x: float, u_hi: float, u_lo: float, m: float) -> float:
-    """Like ``_chi`` but for first samples inside the band (u_lo, u_hi]."""
-    if u_hi <= u_lo:
-        return 0.0
-    beta = math.sqrt((d + 1) / (2.0 * d))
-    norm = math.sqrt((d + 1) / (2.0 * math.pi))
-    env = math.exp(-0.5 * (d + 1) * (x - m) ** 2)
-    window = (
-        math.erf(beta * (u_hi + x))
-        + math.erf(beta * (u_hi - x))
-        - math.erf(beta * (u_lo + x))
-        - math.erf(beta * (u_lo - x))
-    )
-    return 0.5 * norm * env * window
-
-
 def chi_kernel(d: int, r, u0: float, link: LinkModel):
-    """Evaluate the single-band combining kernel at sample value(s) r."""
-    if d < 1:
-        raise InvalidParameterError("kernel order d must be >= 1")
-    m = math.sqrt(2.0 * link.snr_per_symbol)
-    r = np.asarray(r, dtype=float)
-    beta = math.sqrt((d + 1) / (2.0 * d))
-    norm = math.sqrt((d + 1) / (2.0 * math.pi))
-    env = np.exp(-0.5 * (d + 1) * (r - m) ** 2)
-    window = _np_erf(beta * (u0 - r)) + _np_erf(beta * (u0 + r))
-    return 0.5 * norm * env * window
+    """Evaluate the single-band combining kernel at sample value(s) r: the
+    sub-density of the (d+1)-copy MRC average for first samples in [-u0, u0]."""
+    return lambda_kernel(d, r, u0, 0.0, link)
 
 
 def lambda_kernel(d: int, r, u_hi: float, u_lo: float, link: LinkModel):
@@ -178,13 +151,79 @@ def _quad(f, a: float, b: float) -> float:
     return value
 
 
-def _kernel_integral(f, m: float, d: int, lo: float, hi: float) -> float:
-    """Integrate a kernel of order d over [lo, hi] truncated to the support
-    of its Gaussian envelope (mean m, std 1/sqrt(d+1))."""
-    sigma = 1.0 / math.sqrt(d + 1)
-    a = max(lo, m - _ENVELOPE_SIGMAS * sigma)
-    b = min(hi, m + _ENVELOPE_SIGMAS * sigma)
-    return _quad(f, a, b)
+# ---------------------------------------------------------------------------
+# rectangle probabilities
+# ---------------------------------------------------------------------------
+
+# P(lo < r0 <= hi, c < r0 + S <= e) for the first-pass sample r0 ~ N(m, 1)
+# and the sum S ~ N(i m, i) of i further copies, integrated over r0 by a
+# composite Gauss-Legendre rule: _PANELS panels of 16 nodes on the window
+# +-_WINDOW around the integrand's peak.  It agrees with a 40-digit oracle
+# to 1e-9 relative or better for d = 1..4 and -5..15 dB, BERs down to 5e-62
+# included (tests/test_oracle.py).
+_PANELS = 4
+_WINDOW = 10.0
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_NODES = ((np.arange(_PANELS)[:, None] + 0.5 * (_GL_X + 1.0)) / _PANELS).ravel()
+_WEIGHTS = np.tile(_GL_W, _PANELS) / (2.0 * _PANELS * math.sqrt(2.0 * math.pi))
+
+
+def _between(lo, hi):
+    """P(lo < Z <= hi) for standard normal Z, taken in the lower tail so
+    that upper-tail intervals do not cancel."""
+    upper = lo > 0.0
+    return ndtr(np.where(upper, -lo, hi)) - ndtr(np.where(upper, -hi, lo))
+
+
+def _rect_nodes(lo, hi, c, e, m, i):
+    """Quadrature form of the rectangle probabilities
+    P(lo < r0 <= hi, c < r0 + S <= e).
+
+    ``lo``, ``hi``, ``c`` and ``e`` broadcast to shape (..., J), ``m`` to
+    (...) and ``i`` (copies in S) to (J,).  Returns the node weights
+    ``w`` (first-pass density included) and the standardized bounds ``zc``
+    and ``ze`` of S given r0, each of shape (..., J, nodes): the
+    probabilities are ``(w * _between(zc, ze)) @ _WEIGHTS``.  The integrand
+    is log-concave with curvature at least 1 and peaks within about one
+    unit of m clipped to [c, e] / (i+1), so the window around that point
+    leaves out below exp(-40) of its mass.
+    """
+    s = np.sqrt(i)
+    m = np.asarray(m, dtype=float)[..., None]
+    centre = np.minimum(np.maximum(m, c / (i + 1.0)), e / (i + 1.0))
+    start, stop = centre - _WINDOW, centre + _WINDOW
+    a = np.minimum(np.maximum(lo, start), stop)
+    width = (np.minimum(np.maximum(hi, a), stop) - a)[..., None]
+    r = a[..., None] + width * _NODES
+    w = width * np.exp(-0.5 * (r - m[..., None]) ** 2)
+    mean = (r + (i * m)[..., None]) / s[:, None]
+    return w, (c / s)[..., None] - mean, (e / s)[..., None] - mean
+
+
+def _rect(lo, hi, c, e, m, i):
+    """Rectangle probabilities of the first-pass sample r0 ~ N(m, 1) and
+    the sum S ~ N(i m, i) of i further copies (see :func:`_rect_nodes`)."""
+    w, zc, ze = _rect_nodes(lo, hi, c, e, m, i)
+    return (w * _between(zc, ze)) @ _WEIGHTS
+
+
+def _mean_and_ladder(snr, us):
+    """(m, U) with the thresholds stacked on a last axis, broadcast to the
+    shape of ``snr`` and the thresholds."""
+    m = np.sqrt(2.0 * np.asarray(snr, dtype=float))
+    us = np.broadcast_arrays(m, *(np.asarray(u, dtype=float) for u in us))
+    return us[0], np.stack(us[1:], axis=-1)
+
+
+def _bands(u):
+    """First-pass bands of a threshold ladder U_0..U_{D-1} (last axis of
+    ``u``) as signed intervals, with the retransmissions each receives:
+    [-U_0, U_0] gets D, and +-(U_{b-1}, U_b] gets D-b."""
+    big_d = u.shape[-1]
+    lo = np.concatenate([-u[..., :1], u[..., :-1], -u[..., 1:]], axis=-1)
+    hi = np.concatenate([u[..., :1], u[..., 1:], -u[..., :-1]], axis=-1)
+    copies = [big_d] + [big_d - b for b in range(1, big_d)] * 2
+    return lo, hi, np.array(copies, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +248,8 @@ def prob_in_band(link: LinkModel, band: ReliabilityBand) -> float:
     return _band_prob(m, band.lower, band.upper)
 
 
-def _band_prob(m: float, lo: float, hi: float) -> float:
-    return (_q(lo - m) - _q(hi - m)) + (_q(lo + m) - _q(hi + m))
+def _band_prob(m, lo, hi):
+    return (q_function(lo - m) - q_function(hi - m)) + (q_function(lo + m) - q_function(hi + m))
 
 
 # ---------------------------------------------------------------------------
@@ -226,59 +265,52 @@ def _check_thresholds(config: ProtocolConfig) -> tuple[float, ...]:
     return config.thresholds
 
 
-def _ber_exact(snr: float, us: Sequence[float]) -> float:
-    m = math.sqrt(2.0 * snr)
-    d_total = len(us)
-    total = _q(m + us[-1])
-    for i in range(1, d_total):
-        u_hi, u_lo = us[d_total - i], us[d_total - i - 1]
-        total += _kernel_integral(
-            lambda x: _lambda(i, x, u_hi, u_lo, m), m, i, -math.inf, 0.0
-        )
-    total += _kernel_integral(
-        lambda x: _chi(d_total, x, us[0], m), m, d_total, -math.inf, 0.0
-    )
-    return total
+def _ber_exact(snr, us: Sequence):
+    """Exact BER at SNR(s) ``snr`` with threshold ladder ``us`` (entries
+    scalars or arrays; the result has their broadcast shape)."""
+    m, u = _mean_and_ladder(snr, us)
+    lo, hi, copies = _bands(u)
+    errors = _rect(lo, hi, -math.inf, 0.0, m, copies).sum(axis=-1)
+    return (q_function(m + u[..., -1]) + errors)[()]
 
 
 def ber_exact(config: ProtocolConfig, link: LinkModel) -> float:
-    """Overall BER of the quantized retransmission scheme by quadrature.
+    """Overall BER of the quantized retransmission scheme.
 
     Bits are grouped by their first-pass reliability band: band j in
     (U_{j-1}, U_j] receives D-j retransmissions, the lowest band receives
     all D, and bits above U_{D-1} none.
     """
     us = _check_thresholds(config)
-    return _ber_exact(link.snr_per_symbol, us)
+    return float(_ber_exact(link.snr_per_symbol, us))
 
 
-def _prony_tail(d: int, u: float, m: float, coeffs: PronyCoefficients) -> float:
+def _prony_tail(d: int, u, m, coeffs: PronyCoefficients):
     """Closed form of integral(chi_d(x, u), x = -inf..0) minus its
-    Q(m*sqrt(d+1)) offset, i.e. the two Gaussian-times-Q corrections."""
+    Q(m*sqrt(d+1)) offset, i.e. the two Gaussian-times-Q corrections
+    (0 for u = inf)."""
     total = 0.0
     for a_k, b_k in zip(coeffs.a, coeffs.b):
         s2 = 1.0 + 2.0 * b_k / d
         s = math.sqrt(s2)
         scale = math.sqrt(s2 / (d + 1))
-        if math.isinf(u):
-            continue
-        e_minus = math.exp(-b_k * (d + 1) * (m - u) ** 2 / (d * s2))
-        e_plus = math.exp(-b_k * (d + 1) * (m + u) ** 2 / (d * s2))
+        e_minus = np.exp(-b_k * (d + 1) * (m - u) ** 2 / (d * s2))
+        e_plus = np.exp(-b_k * (d + 1) * (m + u) ** 2 / (d * s2))
         arg_plus = (m + 2.0 * b_k * u / d) / scale
         arg_minus = (m - 2.0 * b_k * u / d) / scale
-        total += (a_k / s) * (e_minus * _q(arg_plus) + e_plus * _q(arg_minus))
+        total = total + (a_k / s) * (e_minus * q_function(arg_plus) + e_plus * q_function(arg_minus))
     return total
 
 
-def _ber_approx(snr: float, us: Sequence[float], coeffs: PronyCoefficients) -> float:
-    m = math.sqrt(2.0 * snr)
-    d_total = len(us)
-    total = _q(m + us[-1]) + _q(m * math.sqrt(d_total + 1))
-    total -= _prony_tail(d_total, us[0], m, coeffs)
+def _ber_approx(snr, us: Sequence, coeffs: PronyCoefficients):
+    m, u = _mean_and_ladder(snr, us)
+    d_total = u.shape[-1]
+    total = q_function(m + u[..., -1]) + q_function(m * math.sqrt(d_total + 1))
+    total = total - _prony_tail(d_total, u[..., 0], m, coeffs)
     for i in range(1, d_total):
-        total += _prony_tail(i, us[d_total - i - 1], m, coeffs)
-        total -= _prony_tail(i, us[d_total - i], m, coeffs)
-    return total
+        total = total + _prony_tail(i, u[..., d_total - i - 1], m, coeffs)
+        total = total - _prony_tail(i, u[..., d_total - i], m, coeffs)
+    return total[()]
 
 
 def ber_approx(
@@ -286,7 +318,7 @@ def ber_approx(
 ) -> float:
     """Closed-form counterpart of :func:`ber_exact` (no quadrature)."""
     us = _check_thresholds(config)
-    return _ber_approx(link.snr_per_symbol, us, coeffs)
+    return float(_ber_approx(link.snr_per_symbol, us, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -294,21 +326,36 @@ def ber_approx(
 # ---------------------------------------------------------------------------
 
 
-def _prob_retx(d: int, snr: float, us: Sequence[float]) -> float:
+def _retx_fraction(d: int, snr, us: Sequence):
+    """:func:`_prob_retx` and its derivative with respect to us[d]."""
+    m, u = _mean_and_ladder(snr, us)
+    top = u[..., d:]
+    lo, hi, copies = _bands(u[..., :d])
+    w, zc, ze = _rect_nodes(lo, hi, -(copies + 1.0) * top, (copies + 1.0) * top, m, copies)
+    combined = (w * _between(zc, ze)) @ _WEIGHTS
+    density = (w * (np.exp(-0.5 * zc * zc) + np.exp(-0.5 * ze * ze))) @ _WEIGHTS
+    h = u[..., d]
+    value = _band_prob(m, u[..., d - 1], h) + combined.sum(axis=-1)
+    slope = (np.exp(-0.5 * (h - m) ** 2) + np.exp(-0.5 * (h + m) ** 2)
+             + (density * (copies + 1.0) / np.sqrt(copies)).sum(axis=-1)) / math.sqrt(2.0 * math.pi)
+    return value[()], slope[()]
+
+
+def _prob_retx(d: int, snr, us: Sequence):
     """Probability that a bit's reliability after d rounds is <= us[d],
     excluding fresh bits already below us[d-1]; equivalently the expected
     fraction of the packet retransmitted in round d+1.  ``us`` holds the
-    d+1 thresholds U_0..U_d."""
-    m = math.sqrt(2.0 * snr)
-    total = _band_prob(m, us[d - 1], us[d])
-    hi = us[d]
-    for i in range(1, d):
-        u_hi, u_lo = us[d - i], us[d - i - 1]
-        total += _kernel_integral(
-            lambda x: _lambda(i, x, u_hi, u_lo, m), m, i, -hi, hi
-        )
-    total += _kernel_integral(lambda x: _chi(d, x, us[0], m), m, d, -hi, hi)
-    return total
+    d+1 thresholds U_0..U_d (scalars or arrays)."""
+    return _retx_fraction(d, snr, us)[0]
+
+
+def _shared_threshold_fractions(d: int, u, snr):
+    """Expected retransmitted fraction of rounds 1..d under one shared
+    threshold u (last axis): bits with |r0| <= u whose i+1 copy average is
+    still within u, i = 1..d."""
+    m, u = _mean_and_ladder(snr, (u,))
+    copies = np.arange(1.0, d + 1.0)
+    return _rect(-u, u, -(copies + 1.0) * u, (copies + 1.0) * u, m, copies)
 
 
 def prob_retx_band(
@@ -335,7 +382,7 @@ def prob_retx_band(
         upper = us[-1] if u_top is None else float(u_top)
         if upper < us[-1]:
             raise InvalidParameterError("u_top must be >= U_{D-1}")
-    return _prob_retx(d, link.snr_per_symbol, tuple(us[:d]) + (upper,))
+    return float(_prob_retx(d, link.snr_per_symbol, tuple(us[:d]) + (upper,)))
 
 
 # ---------------------------------------------------------------------------

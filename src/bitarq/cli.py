@@ -15,6 +15,8 @@ import sys
 import tempfile
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .analytic import _ber_approx, _ber_exact, DEFAULT_PRONY
 from .errors import BitarqError, ConfigurationError, NumericFailureError
@@ -44,6 +46,7 @@ from .model import (
     round_half_away,
 )
 from .optimize import (
+    SWEEP_BLOCK,
     optimize_rate,
     optimize_threshold,
     optimize_window,
@@ -149,19 +152,22 @@ def _run_sweep(kind: str, args) -> _Output:
     name = {"rate": "rf", "window": "w_over_n", "threshold": "u_norm"}[kind]
     out.row(name, "ber_approx", "ber_exact", "ber_mc", "mc_stderr")
     jobs = _n_jobs()
-    for x in sweep_grid(kind, args.points, args.n, args.d, u_max):
-        us, _, snr_eff = resolve_strategy(kind, x, args.d, base_snr)
+    xs = sweep_grid(kind, args.points, args.n, args.d, u_max)
+    for start in range(0, len(xs), SWEEP_BLOCK):
+        block = xs[start:start + SWEEP_BLOCK]
+        us, _, snr_eff = resolve_strategy(kind, np.array(block), args.d, base_snr)
         approx = _ber_approx(snr_eff, us, DEFAULT_PRONY)
         exact = _ber_exact(snr_eff, us)
-        mc = stderr = None
-        if args.bits:
-            cfg = ProtocolConfig(args.n, args.d, thresholds=us)
-            rep = simulate(
-                cfg, LinkModel(snr_eff), "preassigned", args.bits, args.seed,
-                n_jobs=jobs,
-            )
-            mc, stderr = _fmt(rep.ber), _fmt(rep.stderr)
-        out.row(f"{x:.8f}", _fmt(approx), _fmt(exact), mc, stderr)
+        for k, x in enumerate(block):
+            mc = stderr = None
+            if args.bits:
+                cfg = ProtocolConfig(args.n, args.d, thresholds=[u[k] for u in us])
+                rep = simulate(
+                    cfg, LinkModel(float(snr_eff[k])), "preassigned", args.bits, args.seed,
+                    n_jobs=jobs,
+                )
+                mc, stderr = _fmt(rep.ber), _fmt(rep.stderr)
+            out.row(f"{x:.8f}", _fmt(approx[k]), _fmt(exact[k]), mc, stderr)
     return out
 
 
@@ -189,11 +195,17 @@ def _run_optimize(args) -> _Output:
 
 def _build_sim_config(args, base_snr: float) -> tuple[ProtocolConfig, float]:
     n, d = args.n, args.d
-    if args.scheme == "full_repetition" or d == 0:
-        return ProtocolConfig(n, d), base_snr / (1.0 + d)
     given = [v is not None for v in (args.rate, args.window, args.threshold)]
+    if args.scheme == "full_repetition" or d == 0:
+        if any(given):
+            raise ConfigurationError(
+                "--rate, --window and --threshold do not apply to full repetition or --d 0"
+            )
+        return ProtocolConfig(n, d), base_snr / (1.0 + d)
     if sum(given) != 1:
         raise BitarqError("give exactly one of --rate, --window, --threshold")
+    if args.window is not None and args.window > 1.0:
+        raise ConfigurationError(f"--window is the fraction W/N in (0, 1], got {args.window}")
     if args.threshold is not None:
         strategy = FixedThreshold(args.threshold)
         us, _, snr_eff = resolve_strategy("threshold", args.threshold, d, base_snr)
@@ -203,7 +215,7 @@ def _build_sim_config(args, base_snr: float) -> tuple[ProtocolConfig, float]:
         w = fixed_rate_window(n, d, args.rate)
     else:
         strategy = FixedWindow(args.window)
-        w = max(1, min(n, round_half_away(args.window * n)))
+        w = max(1, round_half_away(args.window * n))
     us, _, snr_eff = resolve_strategy("window", w / n, d, base_snr)
     return ProtocolConfig(n, d, strategy=strategy, thresholds=us, windows=(w,) * d), snr_eff
 

@@ -2,8 +2,13 @@
 
 Each optimizer sweeps its strategy parameter on a deterministic grid,
 refines the best cell by golden-section search, and reports the minimizer
-together with a quadrature re-evaluation of the minimum (a guard against
+together with an exact re-evaluation of the minimum (a guard against
 optimizing artifacts of the closed-form objective).
+
+Strategy resolution (threshold ladders, the shared-threshold rate) and the
+objective accept NumPy arrays, so the whole grid is resolved and scored in
+a few array calls; golden-section refinement calls the same functions with
+a scalar.
 """
 
 from __future__ import annotations
@@ -12,11 +17,12 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
+import numpy as np
+from scipy.special import ndtri
 
-from .analytic import (DEFAULT_PRONY, _band_prob, _ber_approx, _ber_exact, _chi,
-    _kernel_integral, _prob_retx)
-from .errors import InvalidParameterError
+from .analytic import (DEFAULT_PRONY, _band_prob, _ber_approx, _ber_exact, _retx_fraction,
+    _shared_threshold_fractions)
+from .errors import InvalidParameterError, NumericFailureError
 from .model import LinkModel, round_half_away
 
 __all__ = [
@@ -32,6 +38,7 @@ __all__ = [
     "threshold_u_max",
     "sweep_grid",
     "resolve_strategy",
+    "SWEEP_BLOCK",
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -44,7 +51,7 @@ class SweepResult:
     ``grid`` holds (parameter, BER) pairs from the coarse sweep; the
     minimizer comes from golden-section refinement unless it sits on the
     search boundary.  ``min_ber_exact`` re-evaluates the minimum by
-    quadrature.  ``windows`` and ``forward_rate`` describe the protocol
+    the exact evaluator.  ``windows`` and ``forward_rate`` describe the protocol
     realized at the minimizer.
     """
 
@@ -112,21 +119,115 @@ def is_unimodal(values, atol: float = 0.0) -> bool:
 # threshold derivation
 # ---------------------------------------------------------------------------
 
-_ROOT_XTOL = 1e-9
+_ROOT_XTOL = 1e-12
+_NEWTON_LAST = 1e-7
+_ROOT_MAXITER = 100
 
 
-def _invert_monotone(f, lo: float, hi_start: float) -> float:
-    """Root of an increasing function, clamped to ``lo`` when already
-    non-negative there (the equal-probability ladder saturates near the
-    full-retransmission end of a sweep)."""
-    if f(lo) >= 0.0:
-        return lo
-    hi = hi_start
+def _find_root(f, a, b, fa, fb):
+    """Elementwise root of ``f`` inside brackets [a, b] where fa and fb
+    differ in sign (Chandrupatla's method: inverse quadratic interpolation
+    safeguarded by bisection).  ``f`` maps an array of abscissae to an
+    array of the same shape."""
+    x1, f1, x2, f2 = b, fb, a, fa
+    t, root, found = 0.5, b, False
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_ROOT_MAXITER):
+            best = np.abs(f1) < np.abs(f2)
+            xm, fm = np.where(best, x1, x2), np.where(best, f1, f2)
+            dx = np.abs(x2 - x1)
+            tol = 4.0 * np.finfo(float).eps * np.abs(xm) + _ROOT_XTOL
+            # each element keeps its first converged estimate, whatever its neighbours do
+            root = np.where(found, root, xm)
+            found = found | (fm == 0.0) | (dx < tol)
+            if np.all(found):
+                return root
+            tl = np.minimum(0.5 * tol / dx, 0.5)
+            xt = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
+            ft = f(xt)
+            same = np.sign(ft) == np.sign(f1)
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x1, f1 = xt, ft
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            alpha = (x3 - x1) / (x2 - x1)
+            t = np.where(
+                (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi),
+                f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
+                0.5,
+            )
+    raise NumericFailureError("root solve did not converge", float(np.max(np.abs(fm))))
+
+
+def _invert_monotone(f, lo, hi):
+    """Elementwise root of an increasing function above ``lo``, clamped to
+    ``lo`` where it is already non-negative there (the equal-probability
+    ladder saturates near the full-retransmission end of a sweep).
+
+    ``f`` returns (value, slope).  ``hi`` moves away from ``lo`` until it
+    brackets the root; Newton steps from ``lo`` that leave the bracket
+    become bisections.
+    """
+    (f_lo, f_hi), (slope, _) = f(np.stack([lo, hi]))
+    clamped = f_lo >= 0.0
     for _ in range(80):
-        if f(hi) >= 0.0:
-            return brentq(f, lo, hi, xtol=_ROOT_XTOL)
-        hi = lo + 2.0 * (hi - lo)
-    raise InvalidParameterError("failed to bracket the threshold root")
+        short = (f_hi < 0.0) & ~clamped
+        if not short.any():
+            break
+        hi = np.where(short, lo + 2.0 * (hi - lo), hi)
+        f_hi = f(hi)[0]
+    else:
+        raise InvalidParameterError("failed to bracket the threshold root")
+    x, fx, a, b = lo, f_lo, lo, hi
+    root, found = lo, False
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_ROOT_MAXITER):
+            newton = x - fx / slope
+            inside = (newton >= a) & (newton <= b)
+            new = np.where(clamped | (fx == 0.0), x, np.where(inside, newton, 0.5 * (a + b)))
+            moved = np.abs(new - x)
+            root = np.where(found, root, new)
+            # a Newton step below _NEWTON_LAST leaves an error of the order of its square
+            found = found | (moved <= 4.0 * np.finfo(float).eps * np.abs(x) + _ROOT_XTOL)
+            found = found | (inside & (moved <= _NEWTON_LAST))
+            if np.all(found):
+                return root
+            x = new
+            fx, slope = f(x)
+            a = np.where(fx < 0.0, x, a)
+            b = np.where(fx < 0.0, b, x)
+    raise NumericFailureError("threshold root solve did not converge", float(np.max(np.abs(fx))))
+
+
+def _ladder_thresholds(d: int, p, snr) -> tuple:
+    """Equal-probability ladders U_0..U_{d-1} for arrays of band
+    probabilities ``p`` and SNRs ``snr`` (broadcast together)."""
+    if d < 1:
+        raise InvalidParameterError("need d >= 1")
+    p, snr = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(snr, dtype=float))
+    if not np.all((p > 0.0) & (p <= 1.0)):
+        raise InvalidParameterError("band probability must be in (0, 1]")
+    full = p >= 1.0 - 1e-12
+    p = np.where(full, 0.5, p)  # solved and then discarded: the ladder is all inf
+    m = np.sqrt(2.0 * snr)
+
+    def fresh(u):
+        slope = (np.exp(-0.5 * (u - m) ** 2) + np.exp(-0.5 * (u + m) ** 2)) / math.sqrt(2.0 * math.pi)
+        return _band_prob(m, 0.0, u) - p, slope
+
+    # P(|r0| <= u) lies below both P(r0 <= u) and P(|r0 - m| <= u)
+    lo = np.maximum(m + ndtri(p), ndtri(0.5 + 0.5 * p))
+    us = [_invert_monotone(fresh, lo, lo + m + 4.0)]
+    for j in range(1, d):
+        prefix = tuple(us)
+
+        def later(u, _prefix=prefix, _j=j):
+            value, slope = _retx_fraction(_j, snr, _prefix + (u,))
+            return value - p, slope
+
+        us.append(_invert_monotone(later, us[-1], us[-1] + m + 4.0))
+    return tuple(np.where(full, math.inf, u)[()] for u in us)
 
 
 def equal_probability_thresholds(d: int, p: float, link: LinkModel) -> tuple[float, ...]:
@@ -136,32 +237,7 @@ def equal_probability_thresholds(d: int, p: float, link: LinkModel) -> tuple[flo
     the round-(j+1) fraction equation given the earlier thresholds, so the
     expected window is N*p in every round.
     """
-    if d < 1:
-        raise InvalidParameterError("need d >= 1")
-    if not 0.0 < p <= 1.0:
-        raise InvalidParameterError("band probability must be in (0, 1]")
-    if p >= 1.0 - 1e-12:
-        return (math.inf,) * d
-    snr = link.snr_per_symbol
-    m = math.sqrt(2.0 * snr)
-    us = [_invert_monotone(lambda u: _band_prob(m, 0.0, u) - p, 0.0, m + 4.0)]
-    for j in range(1, d):
-        prefix = tuple(us)
-
-        def f(u, _prefix=prefix, _j=j):
-            return _prob_retx(_j, snr, _prefix + (u,)) - p
-
-        us.append(_invert_monotone(f, us[-1], us[-1] + m + 4.0))
-    return tuple(us)
-
-
-def _shared_threshold_fractions(d: int, u: float, snr: float) -> list[float]:
-    """Expected retransmitted fraction of rounds 1..d under one shared threshold."""
-    m = math.sqrt(2.0 * snr)
-    return [
-        _kernel_integral(lambda x, _i=i: _chi(_i, x, u, m), m, i, -u, u)
-        for i in range(1, d + 1)
-    ]
+    return tuple(float(u) for u in _ladder_thresholds(d, p, link.snr_per_symbol))
 
 
 def fixed_threshold_windows(n: int, d: int, u: float, snr: float) -> tuple[int, ...]:
@@ -171,27 +247,57 @@ def fixed_threshold_windows(n: int, d: int, u: float, snr: float) -> tuple[int, 
     )
 
 
-def fixed_threshold_rate(d: int, u: float, base_snr: float) -> tuple[float, float]:
+def fixed_threshold_rate(d: int, u, base_snr: float):
     """Forward rate and effective SNR under one shared threshold.
 
-    The rate depends on the effective SNR through the round fractions and
-    the effective SNR depends back on the rate; resolved by fixed-point
-    iteration (converges in a handful of steps).
+    The rate r depends on the effective SNR through the round fractions and
+    the effective SNR depends back on the rate: r = G(r) = 1 / (1 + sum of
+    the fractions at base_snr * r), G increasing, with fixed points in
+    [1/(1+d), 1].  Returns the one the plain iteration from r = 1 descends
+    to, the largest.  After one plain step, secant steps on g(r) = r - G(r)
+    descend instead: g is convex above the largest root when G bends down
+    there, so they cannot pass it, and any r with g(r) <= 0 lies below it
+    (iterating G from r climbs to a fixed point), so the first such r
+    brackets it for a root solve.  A secant slope <= 0 means no root lies
+    in that convex stretch; the single root left below is bracketed from
+    1/(1+d).  ``u`` may be an array.
     """
-    rate = 1.0
-    for _ in range(200):
-        total = sum(_shared_threshold_fractions(d, u, base_snr * rate))
-        new_rate = 1.0 / (1.0 + total)
-        if abs(new_rate - rate) < 1e-10:
-            return new_rate, base_snr * new_rate
-        rate = new_rate
-    warnings.warn("fixed-threshold rate iteration did not fully converge")
-    return rate, base_snr * rate
+    floor = 1.0 / (1.0 + d)
+
+    def residual(r):
+        total = np.minimum(_shared_threshold_fractions(d, u, base_snr * r).sum(axis=-1), d)
+        return r - 1.0 / (1.0 + total)
+
+    hi = np.ones(np.shape(u))
+    g_hi = residual(hi)
+    prev, g_prev, lo, g_lo = hi, g_hi, hi, g_hi
+    done = g_hi <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_ROOT_MAXITER):
+            if np.all(done):
+                rate = _find_root(residual, lo, hi, g_lo, g_hi)[()]
+                return rate, base_snr * rate
+            slope = (g_prev - g_hi) / (prev - hi)  # nan on the first, plain step
+            x = hi - g_hi / np.where(np.isnan(slope), 1.0, slope)
+            x = np.where(slope <= 0.0, floor, np.maximum(x, floor))
+            g_x = residual(x)
+            stop = ~done & ((g_x <= 0.0) | (hi - x <= 4.0 * np.finfo(float).eps + _ROOT_XTOL))
+            lo, g_lo = np.where(stop, x, lo), np.where(stop, g_x, g_lo)
+            down = ~done & ~stop
+            prev, g_prev = np.where(down, hi, prev), np.where(down, g_hi, g_prev)
+            hi, g_hi = np.where(down, x, hi), np.where(down, g_x, g_hi)
+            done = done | stop
+    raise NumericFailureError("no shared-threshold rate brackets in [1/(1+d), 1]", float(np.max(g_hi)))
 
 
 # ---------------------------------------------------------------------------
 # strategy resolution
 # ---------------------------------------------------------------------------
+
+
+# Grid points resolved and scored per array call; bounds the memory of
+# long sweeps (about 20 KB per point).
+SWEEP_BLOCK = 512
 
 
 def threshold_u_max(snr: float) -> float:
@@ -213,20 +319,18 @@ def sweep_grid(kind: str, points: int, n: int, d: int, u_max: float | None = Non
     return [u_max * (i + 1) / points for i in range(points)]
 
 
-def _window_fraction(kind: str, x: float, d: int) -> float:
-    return min(1.0, (1.0 / x - 1.0) / d) if kind == "rate" else x
+def _window_fraction(kind: str, x, d: int):
+    return np.minimum(1.0, (1.0 / x - 1.0) / d) if kind == "rate" else x
 
 
-def resolve_strategy(
-    kind: str, x: float, d: int, base_snr: float
-) -> tuple[tuple[float, ...], float, float]:
-    """(thresholds, forward rate, effective SNR) of one strategy parameter.
+def resolve_strategy(kind: str, x, d: int, base_snr: float) -> tuple:
+    """(thresholds, forward rate, effective SNR) of strategy parameter(s) x.
 
     ``x`` is a forward rate, a window fraction W/N or a shared threshold,
-    as ``kind`` says.  The window fraction stays continuous; a caller that
-    needs an integer window rounds it first.  Rate and window thresholds
-    follow from the equal-probability inversion at the energy-equalized
-    SNR.
+    as ``kind`` says; a scalar or an array, which the results follow
+    elementwise.  The window fraction stays continuous; a caller that needs
+    an integer window rounds it first.  Rate and window thresholds follow
+    from the equal-probability inversion at the energy-equalized SNR.
     """
     if kind not in ("rate", "window", "threshold"):
         raise InvalidParameterError(f"unknown strategy {kind!r}")
@@ -236,7 +340,7 @@ def resolve_strategy(
     p = _window_fraction(kind, x, d)
     rate = x if kind == "rate" else 1.0 / (1.0 + d * p)
     snr_eff = base_snr * rate
-    return equal_probability_thresholds(d, p, LinkModel(snr_eff)), rate, snr_eff
+    return _ladder_thresholds(d, p, snr_eff), rate, snr_eff
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +349,12 @@ def resolve_strategy(
 
 
 def _sweep(objective, grid_points) -> tuple[tuple, int, bool]:
-    grid = tuple((x, objective(x)) for x in grid_points)
-    bers = [b for _, b in grid]
+    bers = [
+        float(b)
+        for start in range(0, len(grid_points), SWEEP_BLOCK)
+        for b in objective(np.array(grid_points[start:start + SWEEP_BLOCK]))
+    ]
+    grid = tuple(zip(grid_points, bers))
     j = min(range(len(bers)), key=bers.__getitem__)
     atol = 1e-12 * max(bers)
     uni = is_unimodal(bers, atol)
@@ -279,7 +387,7 @@ def _optimize(
     if kind == "threshold" and u_max is None:
         u_max = threshold_u_max(base)
 
-    def objective(x: float) -> float:
+    def objective(x):
         us, _, snr_eff = resolve_strategy(kind, x, d, base)
         return _ber_approx(snr_eff, us, DEFAULT_PRONY)
 
@@ -287,6 +395,7 @@ def _optimize(
     minimizer, min_ber, refined, boundary = _refine(objective, grid, j, uni)
 
     us, rate, snr_eff = resolve_strategy(kind, minimizer, d, base)
+    us, rate, snr_eff = tuple(float(u) for u in us), float(rate), float(snr_eff)
     if kind == "threshold":
         windows = fixed_threshold_windows(n, d, minimizer, snr_eff)
     else:
@@ -295,11 +404,11 @@ def _optimize(
     return SweepResult(
         grid=grid,
         minimizer=minimizer,
-        min_ber=min_ber,
+        min_ber=float(min_ber),
         refined=refined,
         boundary=boundary,
         unimodal=uni,
-        min_ber_exact=_ber_exact(snr_eff, us),
+        min_ber_exact=float(_ber_exact(snr_eff, us)),
         thresholds=us,
         windows=windows,
         forward_rate=rate,

@@ -107,6 +107,25 @@ class TestSimulate:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    def test_window_above_one_rejected(self, capsys):
+        code, out, err = run(capsys, "simulate", "--scheme", "sequential", "--snr-db", "3",
+                             "--n", "10", "--d", "1", "--bits", "1000", "--window", "1.5")
+        assert code == 2
+        assert out == ""
+        assert "--window" in err
+
+    @pytest.mark.parametrize("scheme, d, flags", [
+        ("full_repetition", "1", ("--threshold", "1", "--rate", "0.7")),
+        ("full_repetition", "2", ("--window", "0.2")),
+        ("sequential", "0", ("--rate", "0.7")),
+    ])
+    def test_strategy_flags_rejected_under_full_repetition(self, capsys, scheme, d, flags):
+        code, out, err = run(capsys, "simulate", "--scheme", scheme, "--snr-db", "0",
+                             "--n", "100", "--d", d, "--bits", "1000", *flags)
+        assert code == 2
+        assert out == ""
+        assert "full repetition" in err
+
     def test_window_rounds_half_away(self, capsys):
         # 0.25 * 10 = 2.5 rounds to W = 3: 300 of 1000 bits retransmitted
         code, out, _ = run(capsys, "simulate", "--scheme", "sequential", "--snr-db", "3",

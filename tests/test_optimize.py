@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from bitarq import InvalidParameterError, LinkModel, q_function
-from bitarq.analytic import _band_prob, _ber_approx, _prob_retx, DEFAULT_PRONY
+from bitarq import InvalidParameterError, LinkModel, ProtocolConfig, prob_retx_band, q_function
+from bitarq.analytic import (_band_prob, _ber_approx, _ber_exact, _prob_retx,
+    _shared_threshold_fractions, DEFAULT_PRONY)
 from bitarq.optimize import (
     equal_probability_thresholds,
+    fixed_threshold_rate,
     fixed_threshold_windows,
     golden_section,
     is_unimodal,
@@ -140,3 +142,53 @@ class TestTrends:
         assert all(a < b for a, b in zip(rates, rates[1:]))
         assert all(a > b for a, b in zip(windows, windows[1:]))
         assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
+
+
+class TestFixedThresholdRate:
+    def test_slow_fixed_point_is_solved(self, recwarn):
+        # the plain iteration from r = 1 crawls past a near-tangency here and
+        # stopped at 0.76627 after 200 steps; the only root in (1/3, 1] is 0.48350
+        d, u, base = 2, 3.4476, 10**1.00275
+        rate, snr_eff = fixed_threshold_rate(d, u, base)
+        fractions = _shared_threshold_fractions(d, u, base * rate)
+        assert abs(rate - 1.0 / (1.0 + fractions.sum())) <= 1e-12
+        assert rate == pytest.approx(0.48350, abs=1e-5)
+        assert snr_eff == pytest.approx(base * rate, rel=1e-15)
+        assert len(recwarn) == 0
+
+    def test_largest_of_three_fixed_points(self, recwarn):
+        # roots near 0.48, 0.761 and 0.781: the plain iteration from r = 1
+        # creeps down onto 0.781 (200 steps leave a residual of 7.6e-6)
+        d, u, base = 2, 3.44794419, 10**1.00293
+        rate, _ = fixed_threshold_rate(d, u, base)
+        fractions = _shared_threshold_fractions(d, u, base * rate)
+        assert abs(rate - 1.0 / (1.0 + fractions.sum())) <= 1e-12
+        assert rate == pytest.approx(0.78050, abs=1e-5)
+        assert len(recwarn) == 0
+
+    def test_array_matches_scalar(self):
+        us = np.array([0.3, 1.2, 2.5, 4.0])
+        rates, _ = fixed_threshold_rate(3, us, 3.0)
+        for u, r in zip(us, rates):
+            assert fixed_threshold_rate(3, float(u), 3.0)[0] == pytest.approx(r, abs=1e-12)
+
+    def test_zero_threshold_retransmits_nothing(self):
+        assert fixed_threshold_rate(2, 0.0, 3.0) == (1.0, 3.0)
+
+
+def test_no_adaptive_quadrature_behind_the_design_path(monkeypatch):
+    import scipy.integrate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive quadrature called")
+
+    monkeypatch.setattr(scipy.integrate, "quad", refuse)
+    for d in (1, 2, 3):
+        for runner in (optimize_rate, optimize_window, optimize_threshold):
+            runner(256, d, LINK5, points=8)
+    snr = LINK5.snr_per_symbol
+    _ber_exact(snr, (0.5, 1.0, 1.5))
+    cfg = ProtocolConfig(100, 2, thresholds=(0.5, 1.0))
+    prob_retx_band(1, cfg, LINK5)
+    prob_retx_band(2, cfg, LINK5)
+    fixed_threshold_windows(1024, 3, 1.0, snr)
