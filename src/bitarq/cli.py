@@ -59,7 +59,10 @@ _THREADS_ENV = "BITARQ_THREADS"
 
 
 def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ConfigurationError(f"--snr-db {db} is out of range") from None
 
 
 def _n_jobs() -> int:
@@ -71,6 +74,13 @@ def _n_jobs() -> int:
     if jobs < 1:
         raise ConfigurationError(f"{_THREADS_ENV} must be a positive integer, got {text!r}")
     return jobs
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number")
+    return value
 
 
 def _positive(kind):
@@ -315,7 +325,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_sweep(sub, kind: str) -> None:
     p = sub.add_parser(f"sweep-{kind}", help=f"BER sweep over the {kind} parameter")
-    p.add_argument("--snr-db", type=float, required=True)
+    p.add_argument("--snr-db", type=_finite, required=True)
     p.add_argument("--n", type=_positive(int), default=1024)
     p.add_argument("--d", type=_positive(int), required=True)
     p.add_argument("--points", type=_positive(int), default=64)
@@ -323,7 +333,7 @@ def _add_sweep(sub, kind: str) -> None:
                    help="Monte Carlo bits per grid point (0 = analytic only)")
     p.add_argument("--seed", type=_non_negative(int), default=0)
     if kind == "threshold":
-        p.add_argument("--u-max", type=_positive(float), default=None)
+        p.add_argument("--u-max", type=_positive(_finite), default=None)
     _add_common(p)
     p.set_defaults(func=lambda a: _run_sweep(kind, a))
 
@@ -341,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="minimize BER over one strategy parameter")
     p.add_argument("--strategy", choices=("rate", "window", "threshold"), required=True)
-    p.add_argument("--snr-db", type=float, required=True)
+    p.add_argument("--snr-db", type=_finite, required=True)
     p.add_argument("--n", type=_positive(int), default=1024)
     p.add_argument("--d", type=_positive(int), required=True)
     p.add_argument("--points", type=_positive(int), default=64)
@@ -351,15 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo link simulation")
     p.add_argument("--scheme", choices=("sequential", "preassigned", "full_repetition"),
                    default="sequential")
-    p.add_argument("--snr-db", type=float, required=True)
+    p.add_argument("--snr-db", type=_finite, required=True)
     p.add_argument("--n", type=_positive(int), default=1024)
     p.add_argument("--d", type=_non_negative(int), required=True)
     p.add_argument("--bits", type=_positive(int), required=True)
     p.add_argument("--seed", type=_non_negative(int), default=0)
-    p.add_argument("--rate", type=_positive(float), default=None)
-    p.add_argument("--window", type=_positive(float), default=None,
+    p.add_argument("--rate", type=_positive(_finite), default=None)
+    p.add_argument("--window", type=_positive(_finite), default=None,
                    help="window fraction W/N in (0, 1]")
-    p.add_argument("--threshold", type=_positive(float), default=None,
+    p.add_argument("--threshold", type=_positive(_finite), default=None,
                    help="shared normalized reliability threshold")
     p.add_argument("--equalize-energy", action="store_true",
                    help="scale the symbol SNR by the forward rate")
@@ -387,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fusion-feasibility", help="segmented-design feasibility probabilities")
     p.add_argument("--tech", required=True)
-    p.add_argument("--pf", type=_positive(float), required=True)
-    p.add_argument("--pr", type=_positive(float), required=True)
+    p.add_argument("--pf", type=_positive(_finite), required=True)
+    p.add_argument("--pr", type=_positive(_finite), required=True)
     p.add_argument("--nseg", type=_positive(int), required=True)
     p.add_argument("--wseg", type=_positive(int), required=True)
     _add_common(p)
@@ -396,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-check", help="SNR required for a target technology BER")
     p.add_argument("--tech", required=True)
-    p.add_argument("--ber", type=_positive(float), required=True)
+    p.add_argument("--ber", type=_positive(_finite), required=True)
     _add_common(p)
     p.set_defaults(func=_run_fit_check)
 

@@ -263,14 +263,29 @@ def simulate_permutation_search(
 def expected_idle_periods(n: int, w: int, c1: int) -> float:
     """E[idle periods] for a geometric search checked 2**c1 per period.
 
-    K is geometric with success probability 1/C(n, w); the idle count is
-    floor(K / 2**c1).
+    K is geometric with success probability p = 1/C(n, w); the idle count is
+    floor(K / 2**c1). With l = -log(1 - p) and a = 2**c1 * l its mean is
+    exp(l - a) / (1 - exp(-a)). Scaling by powers of two keeps this finite
+    when C(n, w) or 2**c1 lies beyond the float range.
     """
-    p = 1.0 / math.comb(n, w)
-    m = float(1 << c1)
-    log_q = math.log1p(-p)
-    qm = math.exp(m * log_q)
-    return math.exp((m - 1.0) * log_q) / (1.0 - qm)
+    if not 0 <= w <= n or c1 < 0:
+        raise InvalidParameterError("need 0 <= w <= n and c1 >= 0")
+    c = math.comb(n, w)
+    if c == 1:  # the first permutation always qualifies: K = 1
+        return float(c1 == 0)
+    k = c.bit_length()
+    # l * 2**k is a normal float; once 1/C is tiny, l = 1/C to a relative 1/(2C)
+    l_k = math.ldexp(-math.log1p(-1.0 / c), k) if k < 1000 else (1 << k) / c
+    try:
+        a = math.ldexp(l_k, c1 - k)
+    except OverflowError:  # 2**c1 >> C(n, w): exp(-a) underflows
+        return 0.0
+    if a < 1e-300:  # 1 - exp(-a) = a and exp(l - a) = 1
+        try:
+            return math.ldexp(1.0 / l_k, k - c1)
+        except OverflowError:
+            return math.inf
+    return math.exp(math.ldexp(l_k, -k) - a) / -math.expm1(-a)
 
 
 def mean_report_delay(n: int, w: int, c1: int) -> float:

@@ -13,14 +13,15 @@ Three schemes are simulated:
 
 Work is partitioned into independent blocks, each driven by a sub-stream
 derived from (seed, block index); results merge by summation, so a report
-is reproducible regardless of block count or execution order.
+is reproducible regardless of block count or execution order. Every scheme
+run on a block combines the same draws (common random numbers).
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .model import FixedRate, FixedThreshold, FixedWindow, LinkModel, ProtocolCo
 __all__ = ["SCHEMES", "TrialReport", "simulate", "compare_schemes"]
 
 SCHEMES = ("sequential", "preassigned", "full_repetition")
+BLOCK_PACKETS = 2048
 
 
 @dataclass(frozen=True)
@@ -90,74 +92,69 @@ def _window_mask(rel: np.ndarray, w: int) -> np.ndarray:
     return mask
 
 
-def _round_mask(
-    config: ProtocolConfig,
-    scheme: str,
-    rnd: int,
-    acc: np.ndarray,
-    copies: np.ndarray,
-    band_index: np.ndarray | None,
-    initial_rel: np.ndarray | None,
-    resort_each_round: bool,
-) -> np.ndarray:
-    if scheme == "full_repetition":
-        return np.ones(acc.shape, dtype=bool)
+def _selector(config: ProtocolConfig, scheme: str):
+    """One scheme's rounds as ``(start, select)``.
+
+    ``start(r0)`` builds the block state the scheme decides on from the
+    first-pass samples; ``select(r, acc, state)`` returns the mask of bits
+    retransmitted in round ``r`` (0-based) given the combined samples.
+    """
+    if scheme == "full_repetition" or config.retransmissions == 0:
+        return (lambda r0: None), (lambda r, acc, _: np.ones(acc.shape, dtype=bool))
+    us, ws = config.thresholds, config.windows
     if scheme == "preassigned":
-        return band_index <= rnd - 1
-    rel = np.abs(acc) / copies if resort_each_round else initial_rel
-    if config.windows is not None and not isinstance(config.strategy, FixedThreshold):
-        return _window_mask(rel, config.windows[rnd - 1])
-    return rel <= config.thresholds[rnd - 1]
+        # band index searchsorted(us, |r0|) <= r exactly when |r0| <= us[r]
+        return np.abs, (lambda r, acc, rel0: rel0 <= us[r])
+    by_window = ws is not None and not isinstance(config.strategy, FixedThreshold)
 
-
-def _run_block(
-    config: ProtocolConfig,
-    m: float,
-    scheme: str,
-    packets: int,
-    rng: np.random.Generator,
-    randomize_data: bool,
-    resort_each_round: bool,
-) -> tuple[int, np.ndarray]:
-    n, d = config.packet_bits, config.retransmissions
-    if randomize_data:
-        signs = rng.choice(np.array([-1.0, 1.0]), size=(packets, n))
-    else:
-        signs = np.ones((packets, n))
-    tx = m * signs
-    acc = tx + rng.standard_normal((packets, n))
-    copies = np.ones((packets, n), dtype=np.int64)
-    counts = np.zeros(d, dtype=np.int64)
-
-    band_index = None
-    initial_rel = None
-    if scheme == "preassigned" and d > 0:
-        band_index = np.searchsorted(
-            np.asarray(config.thresholds), np.abs(acc), side="left"
-        )
-    if not resort_each_round:
-        initial_rel = np.abs(acc)
-
-    for rnd in range(1, d + 1):
-        mask = _round_mask(
-            config, scheme, rnd, acc, copies, band_index, initial_rel, resort_each_round
-        )
-        counts[rnd - 1] = int(mask.sum())
-        noise = rng.standard_normal((packets, n))
-        acc += mask * (tx + noise)
+    def select(r: int, acc: np.ndarray, copies: np.ndarray) -> np.ndarray:
+        rel = np.abs(acc) / copies
+        mask = _window_mask(rel, ws[r]) if by_window else rel <= us[r]
         copies += mask
-    errors = int(np.count_nonzero(acc * signs < 0.0))
-    return errors, counts
+        return mask
+
+    return (lambda r0: np.ones(r0.shape)), select
 
 
-def _block_plan(total_packets: int, block_packets: int) -> list[int]:
-    plan = []
-    left = total_packets
-    while left > 0:
-        take = min(left, block_packets)
-        plan.append(take)
-        left -= take
-    return plan
+def _run(
+    config: ProtocolConfig, link: LinkModel, schemes: tuple[str, ...], bits: int, seed: int,
+    n_jobs: int,
+) -> list[TrialReport]:
+    """One report per scheme; every scheme combines the same draws."""
+    m = math.sqrt(2.0 * link.snr_per_symbol)
+    n, d = config.packet_bits, config.retransmissions
+    starts, selects = zip(*(_selector(config, s) for s in schemes))
+    full, rest = divmod(bits // n, BLOCK_PACKETS)
+    plan = [BLOCK_PACKETS] * full + [rest] * (rest > 0)
+    children = np.random.SeedSequence(seed).spawn(len(plan))
+
+    def block(idx: int) -> tuple[np.ndarray, np.ndarray]:
+        """Bit errors and per-round retransmission counts of each scheme."""
+        rng = np.random.Generator(np.random.PCG64(children[idx]))
+        r0 = m + rng.standard_normal((plan[idx], n))
+        states = [start(r0) for start in starts]
+        # the last scheme combines into r0 itself, once every start has read it
+        accs = [r0.copy() for _ in starts[1:]] + [r0]
+        counts = np.zeros((len(starts), d), dtype=np.int64)
+        for r in range(d):
+            copy = m + rng.standard_normal((plan[idx], n))
+            for k, (select, acc, state) in enumerate(zip(selects, accs, states)):
+                mask = select(r, acc, state)
+                counts[k, r] = np.count_nonzero(mask)
+                acc += mask * copy
+        return np.array([np.count_nonzero(acc < 0.0) for acc in accs]), counts
+
+    if n_jobs > 1 and len(plan) > 1:
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            results = list(pool.map(block, range(len(plan))))
+    else:
+        results = [block(i) for i in range(len(plan))]
+    reports = []
+    for errors, counts in zip(sum(r[0] for r in results), sum(r[1] for r in results)):
+        retransmitted = tuple(int(c) for c in counts)
+        rate = bits / (bits + sum(retransmitted))
+        reports.append(TrialReport(bits, int(errors), retransmitted, rate, seed))
+    return reports
 
 
 def simulate(
@@ -167,93 +164,35 @@ def simulate(
     bits: int,
     seed: int,
     *,
-    randomize_data: bool = False,
-    resort_each_round: bool = True,
     n_jobs: int = 1,
-    block_packets: int = 2048,
 ) -> TrialReport:
     """Simulate packet transmission, retransmission and MRC combining.
 
     Transmits ``bits / packet_bits`` packets of antipodal symbols at the
     link's per-symbol SNR in the normalized sample space, applies the
     selected scheme, and counts sign errors after the final combining.
-    Deterministic for a given (config, link, scheme, bits, seed).
-
-    ``resort_each_round=False`` makes the window-based sequential scheme
-    reuse the first-pass reliability ordering instead of re-sorting the
-    combined reliabilities (a sensitivity-check variant).
+    Deterministic for a given (config, link, scheme, bits, seed); every
+    scheme sees the same samples for a given seed (common random numbers).
     """
     _validate(config, scheme, bits)
-    m = math.sqrt(2.0 * link.snr_per_symbol)
-    n, d = config.packet_bits, config.retransmissions
-    total_packets = bits // n
-    plan = _block_plan(total_packets, block_packets)
-    children = np.random.SeedSequence(seed).spawn(len(plan))
-
-    def work(idx: int) -> tuple[int, np.ndarray]:
-        rng = np.random.Generator(np.random.PCG64(children[idx]))
-        return _run_block(
-            config, m, scheme, plan[idx], rng, randomize_data, resort_each_round
-        )
-
-    if n_jobs > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(work, range(len(plan))))
-    else:
-        results = [work(i) for i in range(len(plan))]
-
-    errors = sum(r[0] for r in results)
-    counts = np.sum([r[1] for r in results], axis=0) if d else np.zeros(0, dtype=np.int64)
-    retransmitted = tuple(int(c) for c in counts)
-    rate = bits / (bits + sum(retransmitted))
-    return TrialReport(bits, errors, retransmitted, rate, seed)
+    return _run(config, link, (scheme,), bits, seed, n_jobs)[0]
 
 
 def compare_schemes(
-    config: ProtocolConfig,
-    link: LinkModel,
-    bits: int,
-    seed: int = 0,
-    block_packets: int = 2048,
+    config: ProtocolConfig, link: LinkModel, bits: int, seed: int = 0
 ) -> tuple[float, float]:
     """BER of the sequential and preassigned schemes on shared noise.
 
-    Both schemes consume identical sample matrices (common random numbers),
-    which shrinks the variance of their difference; defined for the
-    two-retransmission threshold comparison.
+    One run combines the same draws under both schemes (common random
+    numbers), which shrinks the variance of their difference; each BER
+    equals that of ``simulate`` with the scheme and seed. Both schemes
+    decide on the threshold ladder; defined for two retransmissions.
     """
     if config.retransmissions != 2:
         raise ConfigurationError("scheme comparison is defined for two retransmissions")
     if config.thresholds is None:
         raise ConfigurationError("scheme comparison needs the threshold ladder")
-    n, d = config.packet_bits, config.retransmissions
-    if bits < n or bits % n != 0:
-        raise InvalidParameterError("bits must be a positive multiple of packet_bits")
-    m = math.sqrt(2.0 * link.snr_per_symbol)
-    us = np.asarray(config.thresholds)
-    total_packets = bits // n
-    plan = _block_plan(total_packets, block_packets)
-    children = np.random.SeedSequence(seed).spawn(len(plan))
-
-    err_seq = err_pre = 0
-    for idx, packets in enumerate(plan):
-        rng = np.random.Generator(np.random.PCG64(children[idx]))
-        r0 = m + rng.standard_normal((packets, n))
-        noise = [rng.standard_normal((packets, n)) for _ in range(d)]
-
-        acc = r0.copy()
-        copies = np.ones((packets, n), dtype=np.int64)
-        for rnd in range(1, d + 1):
-            mask = np.abs(acc) / copies <= us[rnd - 1]
-            acc += mask * (m + noise[rnd - 1])
-            copies += mask
-        err_seq += int(np.count_nonzero(acc < 0.0))
-
-        band = np.searchsorted(us, np.abs(r0), side="left")
-        acc = r0.copy()
-        for rnd in range(1, d + 1):
-            mask = band <= rnd - 1
-            acc += mask * (m + noise[rnd - 1])
-        err_pre += int(np.count_nonzero(acc < 0.0))
-
-    return err_seq / bits, err_pre / bits
+    ladder = replace(config, strategy=None, windows=None)
+    _validate(ladder, "preassigned", bits)
+    seq, pre = _run(ladder, link, ("sequential", "preassigned"), bits, seed, 1)
+    return seq.ber, pre.ber

@@ -1,9 +1,14 @@
+import contextlib
+import io
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bitarq
 from bitarq import LinkModel
@@ -238,3 +243,101 @@ class TestOutputFiles:
         with pytest.raises(SystemExit) as exc:
             main(["sweep-rate", "--snr-db", "5", "--d", "0", "--n", "128"])
         assert exc.value.code == 2
+
+
+class TestFloatOptionsMustBeFinite:
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--snr-db", "3", "--n", "10", "--d", "1", "--bits", "100",
+         "--window", "nan"),
+        ("simulate", "--snr-db", "3", "--n", "10", "--d", "1", "--bits", "100",
+         "--threshold", "inf"),
+        ("simulate", "--snr-db", "3", "--n", "10", "--d", "1", "--bits", "100",
+         "--rate", "inf"),
+        ("sweep-threshold", "--snr-db", "5", "--d", "2", "--points", "4", "--u-max", "inf"),
+        ("sweep-rate", "--snr-db", "nan", "--d", "1"),
+        ("optimize", "--strategy", "rate", "--snr-db=-inf", "--d", "1"),
+        ("fusion-feasibility", "--tech", "zigbee", "--pf", "inf", "--pr", "1e-5",
+         "--nseg", "2", "--wseg", "3"),
+        ("fusion-feasibility", "--tech", "zigbee", "--pf", "1e-3", "--pr", "nan",
+         "--nseg", "2", "--wseg", "3"),
+        ("fit-check", "--tech", "wifi", "--ber", "nan"),
+    ])
+    def test_non_finite_value_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "not a finite number" in capsys.readouterr().err
+
+    def test_snr_db_too_large_for_linear_scale_exits_2(self, capsys):
+        code, out, err = run(capsys, "sweep-rate", "--snr-db", "1e300", "--d", "1",
+                             "--points", "2")
+        assert code == 2
+        assert out == ""
+        assert "--snr-db" in err
+
+
+_EDGES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-300, -1.0, 0.0]),
+    st.floats(),
+)
+_VALID = {
+    "--snr-db": st.floats(-10.0, 20.0), "--rate": st.floats(0.5, 1.0),
+    "--window": st.floats(0.01, 1.0), "--threshold": st.floats(0.01, 4.0),
+    "--u-max": st.floats(0.01, 6.0),
+}
+_FUZZED = [
+    ("simulate", "--snr-db"), ("simulate", "--rate"), ("simulate", "--window"),
+    ("simulate", "--threshold"), ("simulate", "ints"), ("sweep-rate", "--snr-db"),
+    ("sweep-window", "--snr-db"), ("sweep-threshold", "--snr-db"),
+    ("sweep-threshold", "--u-max"), ("sweep-window", "ints"), ("optimize", "--snr-db"),
+    ("optimize", "ints"),
+]
+
+
+@st.composite
+def _argv(draw, command, edge):
+    """A small command line for one subcommand. The float option ``edge`` is
+    drawn from edge values (non-finite, huge, tiny, negative, zero or any
+    float); with ``edge="ints"`` the integer options may be zero or negative."""
+
+    def value(flag):
+        # the --flag=x form keeps negative numbers such as -1e+308 from parsing as flags
+        return f"{flag}={draw(_EDGES if flag == edge else _VALID[flag])!r}"
+
+    def integer(lo, hi):
+        return draw(st.integers(-2 if edge == "ints" else lo, hi))
+
+    n = integer(1, 64)
+    argv = [command, value("--snr-db"), "--n", str(n), "--reproducible"]
+    if command == "simulate":
+        strategies = ["--rate", "--window", "--threshold"]
+        fuzz_strategy = edge in strategies  # then draw a scheme and a d that read it
+        schemes = ["sequential", "preassigned"] + ["full_repetition"] * (not fuzz_strategy)
+        scheme = draw(st.sampled_from(schemes))
+        d = integer(1 if fuzz_strategy else 0, 3)
+        strategy = edge if fuzz_strategy else draw(st.sampled_from(strategies))
+        argv += ["--d", str(d), "--scheme", scheme, "--bits", str(abs(n) * integer(1, 3))]
+        # full repetition and d = 0 take no strategy option
+        return argv if scheme == "full_repetition" or d == 0 else argv + [value(strategy)]
+    argv += ["--d", str(integer(1, 3)), "--points", str(integer(1, 6))]
+    if command == "optimize":
+        return argv + ["--strategy", draw(st.sampled_from(["rate", "window", "threshold"]))]
+    argv += ["--bits", str(abs(n) * integer(0, 2))]
+    if command == "sweep-threshold" and (edge == "--u-max" or draw(st.booleans())):
+        argv.append(value("--u-max"))
+    return argv
+
+
+@pytest.mark.parametrize("command, edge", _FUZZED)
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(data=st.data())
+def test_exit_code_contract(command, edge, data):
+    """Any simulate/sweep/optimize command line exits 0, 2 or 3, never with a traceback."""
+    argv = data.draw(_argv(command, edge))
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), (argv, sink.getvalue())

@@ -157,6 +157,28 @@ class TestDelayModel:
         direct = sum((k // m) * p * (1 - p) ** (k - 1) for k in range(1, 200_000))
         assert expected_idle_periods(n, w, c1) == pytest.approx(direct, rel=1e-8)
 
+    @pytest.mark.parametrize("n, w", [
+        (16, 3), (64, 2), (200, 100), (1100, 300), (1200, 400), (2048, 600),
+    ])
+    def test_idle_periods_match_50_digit_oracle(self, n, w):
+        # C(1200, 400) ~ 1e330 and 2**1781 lie beyond the float range
+        mp = pytest.importorskip("mpmath")
+        c1 = optimal_c1(n, w)
+        with mp.workdps(50):
+            l = -mp.log1p(-mp.mpf(1) / math.comb(n, w))
+            a = mp.mpf(2) ** c1 * l
+            expected = mp.exp(l - a) / -mp.expm1(-a)
+        assert expected_idle_periods(n, w, c1) == pytest.approx(float(expected), rel=1e-12)
+
+    def test_idle_periods_beyond_float_range(self):
+        # C(2048, 600) / 2 ~ 8e535 idle periods; with 2**4000 checks per period
+        # the search ends in the first one
+        assert expected_idle_periods(2048, 600, 1) == math.inf
+        assert expected_idle_periods(2048, 600, 4000) == 0.0
+        assert expected_idle_periods(16, 16, 3) == 0.0
+        with pytest.raises(InvalidParameterError):
+            expected_idle_periods(16, 17, 3)
+
     def test_optimal_c1_examples(self):
         assert optimal_c1(16, 3) == 9
         assert optimal_c1_from_mean(30) == 4
