@@ -11,8 +11,6 @@ from .analytic import (
     ber_fading,
     ber_fading_quadrature,
     ber_no_retx,
-    chi_kernel,
-    lambda_kernel,
     prob_in_band,
     prob_retx_band,
     q_function,

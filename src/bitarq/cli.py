@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .analytic import _ber_approx, _ber_exact, DEFAULT_PRONY
+from .analytic import _ber_approx, _ber_exact
 from .errors import BitarqError, ConfigurationError, NumericFailureError
 from .feedback import (
     expected_idle_periods,
@@ -166,7 +166,7 @@ def _run_sweep(kind: str, args) -> _Output:
     for start in range(0, len(xs), SWEEP_BLOCK):
         block = xs[start:start + SWEEP_BLOCK]
         us, _, snr_eff = resolve_strategy(kind, np.array(block), args.d, base_snr)
-        approx = _ber_approx(snr_eff, us, DEFAULT_PRONY)
+        approx = _ber_approx(snr_eff, us)
         exact = _ber_exact(snr_eff, us)
         for k, x in enumerate(block):
             mc = stderr = None

@@ -167,6 +167,7 @@ def combinadic_decode(message: CombinadicMessage, n: int, w: int) -> tuple[int, 
 # ---------------------------------------------------------------------------
 
 _WORDS_PER_COUNTER = 4
+_SEARCH_CHUNK = 512  # permutations generated per search step
 
 
 def _blocks_per_permutation(n: int) -> int:
@@ -196,7 +197,6 @@ def permutation_search(
     c1: int,
     rng_seed: int,
     max_tries: int | None = None,
-    chunk: int = 512,
 ) -> PermutationMessage:
     """Find the first stream permutation mapping the targets into the
     leading w slots and encode its index as (idle periods, residual).
@@ -218,7 +218,7 @@ def permutation_search(
     t_idx = np.asarray(targets)
     base = 0
     while base < max_tries:
-        count = min(chunk, max_tries - base)
+        count = min(_SEARCH_CHUNK, max_tries - base)
         g = _stream_generator(rng_seed, base, n)
         u = g.random(count * words).reshape(count, words)[:, :n]
         kth = np.partition(u, w - 1, axis=1)[:, w - 1]

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Union
 
-from scipy.optimize import brentq
 from scipy.special import bdtr
 
 from .errors import InvalidParameterError
@@ -89,6 +88,8 @@ def required_snr(tech: Technology, target_ber: float) -> float:
         raise InvalidParameterError(
             f"target BER {target_ber} outside the fit validity range [{lo_ber}, {hi_ber}]"
         )
+    from scipy.optimize import brentq
+
     hi = max(math.log(c * len(tech.ber_fit) / (0.1 * lo_ber)) / k for c, k in tech.ber_fit)
     snr = brentq(
         lambda g: ber_curve(tech, g) - target_ber, 1e-12, hi, xtol=1e-14, rtol=1e-15
@@ -126,10 +127,6 @@ class SegmentedDesign:
     @property
     def c_tot(self) -> int:
         return self.n_seg * feedback_bit_width(self.segment_bits, self.w_seg)
-
-    @property
-    def total_window(self) -> int:
-        return self.n_seg * self.w_seg
 
 
 def segment_feasibility(design: SegmentedDesign, per_segment: bool = True) -> tuple[float, float]:

@@ -55,6 +55,14 @@ class TrialReport:
         return math.sqrt(max(p * (1.0 - p), 1.0 / self.bits_simulated) / self.bits_simulated)
 
 
+def _by_window(config: ProtocolConfig) -> bool:
+    """Whether the sequential scheme retransmits the W least reliable bits
+    each round (fixed rate or window) rather than those below a threshold."""
+    return isinstance(config.strategy, (FixedRate, FixedWindow)) or (
+        config.strategy is None and config.windows is not None
+    )
+
+
 def _validate(config: ProtocolConfig, scheme: str, bits: int) -> None:
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
@@ -75,9 +83,7 @@ def _validate(config: ProtocolConfig, scheme: str, bits: int) -> None:
             raise ConfigurationError("preassigned scheme needs the threshold ladder")
         return
     # sequential
-    if isinstance(config.strategy, (FixedRate, FixedWindow)) or (
-        config.strategy is None and config.windows is not None
-    ):
+    if _by_window(config):
         if config.windows is None:
             raise ConfigurationError("window-based sequential scheme needs window sizes")
     elif config.thresholds is None:
@@ -105,7 +111,7 @@ def _selector(config: ProtocolConfig, scheme: str):
     if scheme == "preassigned":
         # band index searchsorted(us, |r0|) <= r exactly when |r0| <= us[r]
         return np.abs, (lambda r, acc, rel0: rel0 <= us[r])
-    by_window = ws is not None and not isinstance(config.strategy, FixedThreshold)
+    by_window = _by_window(config)
 
     def select(r: int, acc: np.ndarray, copies: np.ndarray) -> np.ndarray:
         rel = np.abs(acc) / copies

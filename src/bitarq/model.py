@@ -3,10 +3,10 @@
 Conventions used throughout the package:
 
 * SNR values are linear (dB conversion happens only at the CLI boundary).
-* The channel gain is normalized to 1, so the matched-filter noise has
-  variance ``noise_density / 2``.  With the default ``noise_density = 2``
-  the received samples live directly in the normalized-reliability space:
-  a transmitted symbol arrives as ``N(+-sqrt(2*snr), 1)``.
+* The channel gain and the matched-filter noise standard deviation are
+  normalized to 1, so the received samples live directly in the
+  normalized-reliability space: a transmitted symbol arrives as
+  ``N(+-sqrt(2*snr), 1)``.
 * Reliability thresholds are expressed in that normalized space, i.e. they
   are compared directly against ``|sample| / sigma_w`` (equivalently, the
   threshold axis of the fixed-threshold sweeps, U / sqrt(Eb)).
@@ -64,46 +64,20 @@ class SlowChiSquareFading:
 
 @dataclass(frozen=True)
 class LinkModel:
-    """Binary antipodal AWGN link.
+    """Binary antipodal AWGN link in the normalized sample space.
 
     Attributes:
-        snr_per_symbol: linear SNR per transmitted binary symbol,
-            ``symbol_energy / noise_density``.
-        noise_density: one-sided noise spectral density N0.  The default of
-            2.0 puts received samples in the normalized-reliability space
-            (unit noise standard deviation).
-        symbol_energy: energy per binary symbol; derived from the SNR when
-            not given explicitly.
+        snr_per_symbol: linear SNR per transmitted binary symbol, Es/N0; a
+            symbol arrives as ``N(+-sqrt(2*snr_per_symbol), 1)``.
         fading: optional slow chi-square fading descriptor.
     """
 
     snr_per_symbol: float
-    noise_density: float = 2.0
-    symbol_energy: float | None = None
     fading: SlowChiSquareFading | None = None
 
     def __post_init__(self):
         if not self.snr_per_symbol > 0:
             raise InvalidParameterError("snr_per_symbol must be positive")
-        if not self.noise_density > 0:
-            raise InvalidParameterError("noise_density must be positive")
-        if self.symbol_energy is None:
-            object.__setattr__(
-                self, "symbol_energy", self.snr_per_symbol * self.noise_density
-            )
-        else:
-            if not self.symbol_energy > 0:
-                raise InvalidParameterError("symbol_energy must be positive")
-            ratio = self.symbol_energy / self.noise_density
-            if abs(ratio - self.snr_per_symbol) > 1e-12 * self.snr_per_symbol:
-                raise InvalidParameterError(
-                    "snr_per_symbol must equal symbol_energy / noise_density"
-                )
-
-    @property
-    def noise_std(self) -> float:
-        """Standard deviation of the matched-filter noise, sqrt(N0/2)."""
-        return math.sqrt(self.noise_density / 2.0)
 
 
 @dataclass(frozen=True)

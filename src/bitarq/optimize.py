@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .analytic import (DEFAULT_PRONY, _band_prob, _ber_approx, _ber_exact, _retx_fraction,
-    _shared_threshold_fractions)
+from .analytic import _ber_approx, _ber_exact, _retx_fraction, _shared_threshold_fractions
 from .errors import InvalidParameterError, NumericFailureError
 from .model import LinkModel, round_half_away
 
@@ -42,6 +41,7 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -73,15 +73,15 @@ class SweepResult:
         return abs(self.min_ber - self.min_ber_exact) / self.min_ber_exact
 
 
-def golden_section(f, a: float, b: float, tol_fraction: float = 1e-4):
+def golden_section(f, a: float, b: float):
     """Deterministic golden-section minimization on [a, b].
 
-    Stops once the bracket width falls below ``tol_fraction * (b - a)``;
-    assumes a single local minimum inside the bracket.
+    Stops once the bracket width falls below 1e-4 of ``b - a``; assumes a
+    single local minimum inside the bracket.
     """
     if not b > a:
         raise InvalidParameterError("need b > a")
-    tol = tol_fraction * (b - a)
+    tol = _GOLDEN_TOL * (b - a)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
@@ -211,22 +211,18 @@ def _ladder_thresholds(d: int, p, snr) -> tuple:
     full = p >= 1.0 - 1e-12
     p = np.where(full, 0.5, p)  # solved and then discarded: the ladder is all inf
     m = np.sqrt(2.0 * snr)
-
-    def fresh(u):
-        slope = (np.exp(-0.5 * (u - m) ** 2) + np.exp(-0.5 * (u + m) ** 2)) / math.sqrt(2.0 * math.pi)
-        return _band_prob(m, 0.0, u) - p, slope
-
-    # P(|r0| <= u) lies below both P(r0 <= u) and P(|r0 - m| <= u)
+    # P(|r0| <= u) lies below both P(r0 <= u) and P(|r0 - m| <= u); each
+    # later rung lies above the one before
     lo = np.maximum(m + ndtri(p), ndtri(0.5 + 0.5 * p))
-    us = [_invert_monotone(fresh, lo, lo + m + 4.0)]
-    for j in range(1, d):
-        prefix = tuple(us)
+    us = ()
+    for j in range(d):
 
-        def later(u, _prefix=prefix, _j=j):
+        def rung(u, _prefix=us, _j=j):
             value, slope = _retx_fraction(_j, snr, _prefix + (u,))
             return value - p, slope
 
-        us.append(_invert_monotone(later, us[-1], us[-1] + m + 4.0))
+        us += (_invert_monotone(rung, lo, lo + m + 4.0),)
+        lo = us[-1]
     return tuple(np.where(full, math.inf, u)[()] for u in us)
 
 
@@ -376,20 +372,17 @@ def _refine(objective, grid, j: int, uni: bool):
     return grid[j][0], grid[j][1], False, False
 
 
-def _optimize(
-    kind: str, n: int, d: int, link: LinkModel, points: int, u_max: float | None = None
-) -> SweepResult:
+def _optimize(kind: str, n: int, d: int, link: LinkModel, points: int) -> SweepResult:
     """Sweep, refine and package one strategy (see :func:`sweep_grid` and
     :func:`resolve_strategy`)."""
     if d < 1:
         raise InvalidParameterError("need d >= 1")
     base = link.snr_per_symbol
-    if kind == "threshold" and u_max is None:
-        u_max = threshold_u_max(base)
+    u_max = threshold_u_max(base) if kind == "threshold" else None
 
     def objective(x):
         us, _, snr_eff = resolve_strategy(kind, x, d, base)
-        return _ber_approx(snr_eff, us, DEFAULT_PRONY)
+        return _ber_approx(snr_eff, us)
 
     grid, j, uni = _sweep(objective, sweep_grid(kind, points, n, d, u_max))
     minimizer, min_ber, refined, boundary = _refine(objective, grid, j, uni)
@@ -429,13 +422,12 @@ def optimize_window(n: int, d: int, link: LinkModel, points: int = 64) -> SweepR
     return _optimize("window", n, d, link, points)
 
 
-def optimize_threshold(
-    n: int, d: int, link: LinkModel, points: int = 64, u_max: float | None = None
-) -> SweepResult:
-    """Minimize BER over one shared reliability threshold in (0, u_max].
+def optimize_threshold(n: int, d: int, link: LinkModel, points: int = 64) -> SweepResult:
+    """Minimize BER over one shared reliability threshold in (0, u_max], with
+    u_max = :func:`threshold_u_max` of the link SNR.
 
     Window sizes follow from the per-round band probabilities and feed the
     forward rate, which in turn scales the effective SNR; the circular
     dependence is resolved per candidate threshold.
     """
-    return _optimize("threshold", n, d, link, points, u_max)
+    return _optimize("threshold", n, d, link, points)

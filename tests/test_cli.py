@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -167,12 +168,32 @@ class TestThreadsVariable:
 
 
 def test_cli_import_skips_scipy_stats():
+    # scipy.integrate serves only the quadrature oracles and scipy.optimize
+    # only fit-check; neither belongs in every command's start-up
     src = str(Path(bitarq.__file__).resolve().parents[1])
-    code = "import sys, bitarq.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, bitarq.cli; "
+            "print([m in sys.modules for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize')])")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False, False]"
+
+
+@pytest.mark.parametrize("argv,rows", [
+    (("simulate", "--snr-db", "3", "--n", "10", "--d", "2", "--bits", "100",
+      "--threshold", "1e308"),
+     ["sequential,100,0,0.0000000000e+00,1.0000000000e-02,0.33333333,100;100"]),
+    (("sweep-threshold", "--snr-db", "3", "--d", "2", "--points", "4", "--u-max", "1e308"),
+     ["inf,2.2878407561e-02,2.2878407561e-02,,"] * 3),
+])
+def test_huge_threshold_runs_without_overflow_warnings(capsys, argv, rows):
+    # a threshold this large retransmits every bit; the bounds it implies
+    # overflow to inf, which is their right value, not a numeric warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, *argv, "--reproducible")
+    assert code == 0
+    assert body(out).splitlines()[-len(rows):] == rows
 
 
 class TestFeedbackSim:
