@@ -2,7 +2,6 @@
 
 from .analytic import (
     DEFAULT_PRONY,
-    PronyCoefficients,
     ReliabilityBand,
     appendix_integral,
     appendix_integral_quadrature,

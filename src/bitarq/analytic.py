@@ -37,7 +37,6 @@ from .model import LinkModel, ProtocolConfig
 
 __all__ = [
     "q_function",
-    "PronyCoefficients",
     "DEFAULT_PRONY",
     "q_prony",
     "ReliabilityBand",
@@ -53,6 +52,7 @@ __all__ = [
 ]
 
 _ENVELOPE_SIGMAS = 12.0
+_U_CAP = 1e150  # a threshold above this acts as inf in the closed forms; its square stays finite
 
 
 def q_function(x):
@@ -64,22 +64,16 @@ def _q(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class PronyCoefficients:
-    """Two-term exponential fit Q(x) ~= sum_k a_k exp(-b_k x^2), x >= 0."""
-
-    a: tuple[float, float] = (0.208, 0.147)
-    b: tuple[float, float] = (0.971, 0.525)
+# The (a_k, b_k) pairs of the two-term exponential fit
+# Q(x) ~= sum_k a_k exp(-b_k x^2), x >= 0 (Loskot & Beaulieu 2009).
+DEFAULT_PRONY = ((0.208, 0.971), (0.147, 0.525))
 
 
-DEFAULT_PRONY = PronyCoefficients()
-
-
-def q_prony(x, coeffs: PronyCoefficients = DEFAULT_PRONY):
+def q_prony(x):
     """Exponential-fit approximation of Q(x); valid on the right tail only."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
-    for a, b in zip(coeffs.a, coeffs.b):
+    for a, b in DEFAULT_PRONY:
         out = out + a * np.exp(-b * x * x)
     return out
 
@@ -175,10 +169,12 @@ def _rect(lo, hi, c, e, m, i):
 
 def _mean_and_ladder(snr, us):
     """(m, U) with the thresholds stacked on a last axis, broadcast to the
-    shape of ``snr`` and the thresholds."""
+    shape of ``snr`` and the thresholds; m keeps the shape of ``snr``."""
     m = np.sqrt(2.0 * np.asarray(snr, dtype=float))
-    us = np.broadcast_arrays(m, *(np.asarray(u, dtype=float) for u in us))
-    return us[0], np.stack(us[1:], axis=-1)
+    ladder = np.empty(np.broadcast_shapes(m.shape, *(np.shape(u) for u in us)) + (len(us),))
+    for j, u in enumerate(us):
+        ladder[..., j] = u
+    return m, ladder
 
 
 def _bands(u):
@@ -251,12 +247,12 @@ def ber_exact(config: ProtocolConfig, link: LinkModel) -> float:
     return float(_ber_exact(link.snr_per_symbol, us))
 
 
-def _prony_tail(d: int, u, m, coeffs: PronyCoefficients):
+def _prony_tail(d: int, u, m, prony):
     """Closed form of integral(chi_d(x, u), x = -inf..0), chi_d the density of
     the (d+1)-copy MRC average for first samples in [-u, u], minus its
     Q(m*sqrt(d+1)) offset: two Gaussian-times-Q corrections (0 for u = inf)."""
     total = 0.0
-    for a_k, b_k in zip(coeffs.a, coeffs.b):
+    for a_k, b_k in prony:
         s2 = 1.0 + 2.0 * b_k / d
         s = math.sqrt(s2)
         scale = math.sqrt(s2 / (d + 1))
@@ -268,24 +264,27 @@ def _prony_tail(d: int, u, m, coeffs: PronyCoefficients):
     return total
 
 
-def _ber_approx(snr, us: Sequence, coeffs: PronyCoefficients = DEFAULT_PRONY):
+def _prony_ber(snr, us: Sequence, prony=DEFAULT_PRONY):
+    """Closed-form BER, uncapped: ber_fading averages it; above 0.5 below about -12 dB."""
     m, u = _mean_and_ladder(snr, us)
-    u = np.minimum(u, 1e150)  # already acts as inf there, and its square stays finite
+    u = np.minimum(u, _U_CAP)
     d_total = u.shape[-1]
     total = q_function(m + u[..., -1]) + q_function(m * math.sqrt(d_total + 1))
-    total = total - _prony_tail(d_total, u[..., 0], m, coeffs)
+    total = total - _prony_tail(d_total, u[..., 0], m, prony)
     for i in range(1, d_total):
-        total = total + _prony_tail(i, u[..., d_total - i - 1], m, coeffs)
-        total = total - _prony_tail(i, u[..., d_total - i], m, coeffs)
-    return total[()]
+        total = total + _prony_tail(i, u[..., d_total - i - 1], m, prony)
+        total = total - _prony_tail(i, u[..., d_total - i], m, prony)
+    return total
 
 
-def ber_approx(
-    config: ProtocolConfig, link: LinkModel, coeffs: PronyCoefficients = DEFAULT_PRONY
-) -> float:
+def _ber_approx(snr, us: Sequence, prony=DEFAULT_PRONY):
+    return np.minimum(_prony_ber(snr, us, prony), 0.5)[()]  # no BER exceeds 0.5
+
+
+def ber_approx(config: ProtocolConfig, link: LinkModel) -> float:
     """Closed-form counterpart of :func:`ber_exact` (no quadrature)."""
     us = _check_thresholds(config)
-    return float(_ber_approx(link.snr_per_symbol, us, coeffs))
+    return float(_ber_approx(link.snr_per_symbol, us))
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +293,10 @@ def ber_approx(
 
 
 def _retx_fraction(d: int, snr, us: Sequence):
-    """:func:`_prob_retx` and its derivative with respect to us[d]; for
-    d = 0, the fresh-band probability P(|r0| <= us[0])."""
+    """Expected fraction of the packet retransmitted in round d+1: bits whose
+    reliability after d rounds is <= us[d], minus fresh bits below us[d-1]
+    (for d = 0, P(|r0| <= us[0])); and its derivative with respect to us[d].
+    ``us`` holds the d+1 thresholds U_0..U_d (scalars or arrays)."""
     m, u = _mean_and_ladder(snr, us)
     h = u[..., d]
     value = _band_prob(m, u[..., d - 1] if d else 0.0, h)
@@ -311,14 +312,6 @@ def _retx_fraction(d: int, snr, us: Sequence):
     return value[()], (slope / math.sqrt(2.0 * math.pi))[()]
 
 
-def _prob_retx(d: int, snr, us: Sequence):
-    """Probability that a bit's reliability after d rounds is <= us[d],
-    excluding fresh bits already below us[d-1]; equivalently the expected
-    fraction of the packet retransmitted in round d+1.  ``us`` holds the
-    d+1 thresholds U_0..U_d (scalars or arrays)."""
-    return _retx_fraction(d, snr, us)[0]
-
-
 def _shared_threshold_fractions(d: int, u, snr):
     """Expected retransmitted fraction of rounds 1..d under one shared
     threshold u (last axis): bits with |r0| <= u whose i+1 copy average is
@@ -330,31 +323,19 @@ def _shared_threshold_fractions(d: int, u, snr):
     return _rect(-u, u, -top, top, m, copies)
 
 
-def prob_retx_band(
-    d: int,
-    config: ProtocolConfig,
-    link: LinkModel,
-    u_top: float | None = None,
-) -> float:
+def prob_retx_band(d: int, config: ProtocolConfig, link: LinkModel) -> float:
     """Expected fraction of bits retransmitted in round d+1.
 
     Counts every bit whose combined reliability after d rounds is at most
     the band's upper threshold, fresh bits in (U_{d-1}, U_d] included.  For
     d equal to the total number of retransmissions the upper threshold is
-    not part of the config; it defaults to U_{D-1} (the shared-threshold
-    convention) unless ``u_top`` is given.
+    not part of the config; it is U_{D-1} (the shared-threshold convention).
     """
     us = _check_thresholds(config)
-    big_d = config.retransmissions
-    if not 1 <= d <= big_d:
+    if not 1 <= d <= config.retransmissions:
         raise InvalidParameterError("band index d must be in 1..D")
-    if d < big_d:
-        upper = us[d]
-    else:
-        upper = us[-1] if u_top is None else float(u_top)
-        if upper < us[-1]:
-            raise InvalidParameterError("u_top must be >= U_{D-1}")
-    return float(_prob_retx(d, link.snr_per_symbol, tuple(us[:d]) + (upper,)))
+    upper = us[d] if d < config.retransmissions else us[-1]
+    return float(_retx_fraction(d, link.snr_per_symbol, tuple(us[:d]) + (upper,))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +351,9 @@ def _gauss_exp_tail_mean(theta: float, alpha: float, mean_snr: float) -> float:
     return 0.5 / denom
 
 
-def _fading_tail(d: int, v: float, mean_snr: float, coeffs: PronyCoefficients) -> float:
+def _fading_tail(d: int, v: float, mean_snr: float) -> float:
     total = 0.0
-    for a_k, b_k in zip(coeffs.a, coeffs.b):
+    for a_k, b_k in DEFAULT_PRONY:
         s2 = 1.0 + 2.0 * b_k / d
         s = math.sqrt(s2)
         theta_minus = 2.0 * b_k * (d + 1) * (1.0 - v) ** 2 / (d * s2)
@@ -392,26 +373,24 @@ def _require_fading(link: LinkModel) -> float:
     return link.fading.mean_snr
 
 
-def ber_fading(
-    config: ProtocolConfig, link: LinkModel, coeffs: PronyCoefficients = DEFAULT_PRONY
-) -> float:
+def ber_fading(config: ProtocolConfig, link: LinkModel) -> float:
     """Long-term average BER over slow chi-square fading, closed form.
 
     Under slow fading the decision thresholds track the per-packet SNR, so
     ``config.thresholds`` are interpreted as fractions of the mean combined
     sample: the instantaneous threshold at SNR g is ``v * sqrt(2*g)``.
     """
-    us = _check_thresholds(config)
+    us = tuple(min(v, _U_CAP) for v in _check_thresholds(config))
     mean_snr = _require_fading(link)
     d_total = config.retransmissions
     v_last = us[-1]
     total = 1.0
     total -= 0.5 / math.sqrt(1.0 + 1.0 / (mean_snr * (1.0 + v_last) ** 2))
     total -= 0.5 / math.sqrt(1.0 + 1.0 / (mean_snr * (d_total + 1)))
-    total -= _fading_tail(d_total, us[0], mean_snr, coeffs)
+    total -= _fading_tail(d_total, us[0], mean_snr)
     for i in range(1, d_total):
-        total += _fading_tail(i, us[d_total - i - 1], mean_snr, coeffs)
-        total -= _fading_tail(i, us[d_total - i], mean_snr, coeffs)
+        total += _fading_tail(i, us[d_total - i - 1], mean_snr)
+        total -= _fading_tail(i, us[d_total - i], mean_snr)
     return total
 
 
@@ -420,12 +399,12 @@ def ber_fading_quadrature(config: ProtocolConfig, link: LinkModel, integrand: st
     truncated at 50 times the mean SNR.
 
     The oracle twin of :func:`ber_fading`; ``integrand`` selects the
-    closed-form or the exact fixed-SNR evaluator.
+    uncapped closed form (the one it averages) or the exact evaluator.
     """
     us = _check_thresholds(config)
     mean_snr = _require_fading(link)
     if integrand == "approx":
-        fixed = _ber_approx
+        fixed = _prony_ber
     elif integrand == "exact":
         fixed = _ber_exact
     else:
@@ -455,12 +434,7 @@ def _check_appendix_args(kind: str, h, bound):
             raise InvalidParameterError("finite kinds need a positive finite bound")
 
 
-def appendix_integral(
-    kind: str,
-    h: Sequence[float],
-    bound: float | None = None,
-    coeffs: PronyCoefficients = DEFAULT_PRONY,
-) -> float:
+def appendix_integral(kind: str, h: Sequence[float], bound: float | None = None) -> float:
     """Closed-form Gaussian-times-Q tail integrals.
 
     Evaluates ``integral(h1 * exp(-(x-h2)^2/h3) * Q(h4*(h5 -+ x)) dx)`` over
@@ -471,7 +445,7 @@ def appendix_integral(
     _check_appendix_args(kind, h, bound)
     h1, h2, h3, h4, h5 = (float(v) for v in h)
     total = 0.0
-    for a_k, b_k in zip(coeffs.a, coeffs.b):
+    for a_k, b_k in DEFAULT_PRONY:
         c = b_k * h4 * h4
         s = 1.0 + h3 * c
         sq_a = math.sqrt(1.0 / h3 + c)

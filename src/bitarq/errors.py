@@ -18,7 +18,8 @@ class ConfigurationError(BitarqError, ValueError):
 
 
 class NumericFailureError(BitarqError, RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A numeric solver failed to reach its tolerance: adaptive quadrature,
+    or a root solve (threshold inversion, shared-threshold rate)."""
 
     def __init__(self, message: str, achieved_tolerance: float):
         super().__init__(f"{message} (achieved tolerance {achieved_tolerance:.3e})")

@@ -40,6 +40,7 @@ __all__ = [
     "unpack_bits",
     "permutation_at",
     "permutation_search",
+    "MAX_SEARCH_SUBSETS",
     "permutation_recover",
     "simulate_permutation_search",
     "expected_idle_periods",
@@ -168,6 +169,7 @@ def combinadic_decode(message: CombinadicMessage, n: int, w: int) -> tuple[int, 
 
 _WORDS_PER_COUNTER = 4
 _SEARCH_CHUNK = 512  # permutations generated per search step
+MAX_SEARCH_SUBSETS = 10**6  # largest C(n, w) searched; a mean search there is ~1 s at n = 64
 
 
 def _blocks_per_permutation(n: int) -> int:
@@ -202,7 +204,9 @@ def permutation_search(
     leading w slots and encode its index as (idle periods, residual).
 
     The stream index K is 1-based; on average C(n, w) permutations are
-    searched.  All w target positions must land inside the window.
+    searched, so C(n, w) above :data:`MAX_SEARCH_SUBSETS` is rejected.  It
+    gives up after ``max_tries``, by default 64 * C(n, w): a search overruns
+    that with probability about e^-64.  All w targets must land in the window.
     """
     targets = _check_positions(unreliable_positions, n)
     if len(targets) != w:
@@ -211,8 +215,13 @@ def permutation_search(
         raise InvalidParameterError("need 1 <= w <= n")
     if c1 < 1:
         raise InvalidParameterError("c1 must be positive")
+    if math.comb(n, w) > MAX_SEARCH_SUBSETS:
+        raise InvalidParameterError(
+            f"C({n}, {w}) exceeds the permutation-search limit {MAX_SEARCH_SUBSETS}; "
+            "report the subset with the combinadic codec (combinadic_encode) instead"
+        )
     if max_tries is None:
-        max_tries = 10**6 * math.comb(n, w)
+        max_tries = 64 * math.comb(n, w)
 
     words = _blocks_per_permutation(n) * _WORDS_PER_COUNTER
     t_idx = np.asarray(targets)
@@ -313,11 +322,9 @@ def throughput_one_retx(n: int, mean_idle_plus_one: float) -> float:
     return n / mean_idle_plus_one
 
 
-def feedback_error_tolerance(c_bits: int, p_min: float = 0.999) -> float:
+def feedback_error_tolerance(c_bits: int) -> float:
     """Largest per-bit feedback error probability keeping a C-bit message
-    intact with probability at least p_min: 1 - p_min**(1/C)."""
+    intact with probability at least 0.999: 1 - 0.999**(1/C)."""
     if c_bits < 1:
         raise InvalidParameterError("c_bits must be positive")
-    if not 0.0 < p_min < 1.0:
-        raise InvalidParameterError("p_min must be in (0, 1)")
-    return -math.expm1(math.log(p_min) / c_bits)
+    return -math.expm1(math.log(0.999) / c_bits)

@@ -129,17 +129,14 @@ class SegmentedDesign:
         return self.n_seg * feedback_bit_width(self.segment_bits, self.w_seg)
 
 
-def segment_feasibility(design: SegmentedDesign, per_segment: bool = True) -> tuple[float, float]:
+def segment_feasibility(design: SegmentedDesign) -> tuple[float, float]:
     """(forward, reverse) feasibility probabilities of a segmented design.
 
     Forward: probability that a segment carries at most w_seg errors (the
-    window can then cover them all); with ``per_segment=False`` the joint
-    probability over all segments is returned instead.  Reverse:
-    probability that at least one of the c_tot feedback bits is hit.
+    window can then cover them all).  Reverse: probability that at least
+    one of the c_tot feedback bits is hit.
     """
     ppf = float(bdtr(design.w_seg, design.segment_bits, design.p_f))
-    if not per_segment:
-        ppf = ppf**design.n_seg
     ppr = -math.expm1(design.c_tot * math.log1p(-design.p_r)) if design.p_r > 0 else 0.0
     return ppf, ppr
 
@@ -202,14 +199,6 @@ class FusionPlan:
 
     packet_bits: int
     packets: tuple[tuple[Span, ...], ...]
-
-    @property
-    def total_data_bits(self) -> int:
-        return sum(s.bits for p in self.packets for s in p if isinstance(s, DataSpan))
-
-    @property
-    def total_retx_bits(self) -> int:
-        return sum(s.bits for p in self.packets for s in p if isinstance(s, RetxSpan))
 
     def packet_fill(self, index: int) -> int:
         """Occupied bits of the packet at 0-based ``index``."""

@@ -66,12 +66,6 @@ class SweepResult:
     windows: tuple[int, ...]
     forward_rate: float
 
-    @property
-    def approx_exact_gap(self) -> float:
-        if self.min_ber_exact == 0.0:
-            return 0.0
-        return abs(self.min_ber - self.min_ber_exact) / self.min_ber_exact
-
 
 def golden_section(f, a: float, b: float):
     """Deterministic golden-section minimization on [a, b].

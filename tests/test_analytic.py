@@ -51,8 +51,7 @@ class TestQFunction:
 
 class TestPronyFit:
     def test_coefficients(self):
-        assert DEFAULT_PRONY.a == (0.208, 0.147)
-        assert DEFAULT_PRONY.b == (0.971, 0.525)
+        assert DEFAULT_PRONY == ((0.208, 0.971), (0.147, 0.525))
 
     def test_origin_mismatch_is_deliberate(self):
         # the fit targets the tail, not the origin
@@ -175,8 +174,8 @@ class TestBerApprox:
 
 class TestProbRetxBand:
     def test_total_probability(self):
-        cfg = ProtocolConfig(100, 1, thresholds=(0.0,))
-        assert prob_retx_band(1, cfg, LINK1, u_top=math.inf) == pytest.approx(1.0, abs=1e-9)
+        cfg = ProtocolConfig(100, 1, thresholds=(math.inf,))
+        assert prob_retx_band(1, cfg, LINK1) == pytest.approx(1.0, abs=1e-9)
 
     def test_band_index_range(self):
         cfg = ProtocolConfig(100, 2, thresholds=(0.5, 1.0))
@@ -215,6 +214,16 @@ class TestFading:
                 numeric, _ = integrate.quad(f, 0, 60 * mean_snr, epsabs=1e-12, limit=300)
                 closed = 0.5 * (1.0 - 1.0 / math.sqrt(1.0 + 1.0 / (mean_snr * (d + 1))))
                 assert numeric == pytest.approx(closed, rel=1e-9)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("v", [1e200, math.inf])
+    @pytest.mark.parametrize("mean_snr", [1.0, 10.0])
+    def test_huge_threshold_is_full_repetition(self, d, v, mean_snr):
+        # every bit is retransmitted d times: the fading average of Q(sqrt(2(d+1)g))
+        cfg = ProtocolConfig(16, d, thresholds=(v,) * d)
+        got = ber_fading(cfg, LinkModel(mean_snr, fading=SlowChiSquareFading(mean_snr)))
+        full = 0.5 - 0.5 / math.sqrt(1.0 + 1.0 / (mean_snr * (d + 1)))
+        assert got == pytest.approx(full, rel=1e-12)
 
     def test_requires_fading_descriptor(self):
         cfg = ProtocolConfig(100, 1, thresholds=(0.4,))

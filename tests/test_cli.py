@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -78,6 +79,15 @@ class TestSweeps:
         assert code == 0
         rows = body(out).splitlines()[1:]
         assert all(len(r.split(",")) == 5 and r.split(",")[3] for r in rows)
+
+    def test_closed_form_capped_at_one_half(self, capsys):
+        # the tail fit leaves its range at -20 dB: uncapped, the last two cells read 0.585, 0.665
+        code, out, _ = run(capsys, "sweep-rate", "--snr-db=-20", "--d", "1",
+                           "--points", "3", "--reproducible")
+        assert code == 0
+        rows = [r.split(",") for r in body(out).splitlines()[1:]]
+        assert [r[1] for r in rows] == ["4.9796546006e-01", "5.0000000000e-01", "5.0000000000e-01"]
+        assert all(float(r[2]) < 0.5 for r in rows)
 
     def test_reproducible_runs_identical(self, capsys):
         args = ("sweep-threshold", "--snr-db", "2.5", "--d", "1", "--n", "128",
@@ -207,6 +217,15 @@ class TestFeedbackSim:
         assert values[header.index("c1")] == values[header.index("c1_opt")] == "9"
         assert values[header.index("expected_k")] == "560"
 
+    @pytest.mark.parametrize("n, w", [("1024", "4"), ("64", "8")])
+    def test_unviable_search_exits_2_at_once(self, capsys, n, w):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "feedback-sim", "--n", n, "--w", w)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "combinadic" in err
+
 
 class TestFusionFeasibility:
     def test_row(self, capsys):
@@ -311,7 +330,7 @@ _FUZZED = [
     ("simulate", "--threshold"), ("simulate", "ints"), ("sweep-rate", "--snr-db"),
     ("sweep-window", "--snr-db"), ("sweep-threshold", "--snr-db"),
     ("sweep-threshold", "--u-max"), ("sweep-window", "ints"), ("optimize", "--snr-db"),
-    ("optimize", "ints"),
+    ("optimize", "ints"), ("feedback-sim", "ints"),
 ]
 
 
@@ -328,6 +347,10 @@ def _argv(draw, command, edge):
     def integer(lo, hi):
         return draw(st.integers(-2 if edge == "ints" else lo, hi))
 
+    if command == "feedback-sim":  # n <= 24 keeps every viable search short
+        n = integer(1, 24)
+        return [command, "--n", str(n), "--w", str(integer(1, abs(n) + 2)),
+                "--trials", str(integer(1, 3)), "--reproducible"]
     n = integer(1, 64)
     argv = [command, value("--snr-db"), "--n", str(n), "--reproducible"]
     if command == "simulate":
@@ -353,7 +376,8 @@ def _argv(draw, command, edge):
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
 @given(data=st.data())
 def test_exit_code_contract(command, edge, data):
-    """Any simulate/sweep/optimize command line exits 0, 2 or 3, never with a traceback."""
+    """Any simulate/sweep/optimize/feedback-sim command line exits 0, 2 or 3, never with a
+    traceback."""
     argv = data.draw(_argv(command, edge))
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):

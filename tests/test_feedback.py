@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bitarq import InvalidParameterError, SearchExhaustedError
+from bitarq import InvalidParameterError, SearchExhaustedError, feedback
 from bitarq.feedback import (
+    MAX_SEARCH_SUBSETS,
     CombinadicMessage,
     PermutationMessage,
     combinadic_decode,
@@ -139,6 +140,22 @@ class TestPermutationStream:
         with pytest.raises(SearchExhaustedError):
             permutation_search((0, 2, 4), 16, 3, 4, rng_seed=1, max_tries=3)
 
+    def test_default_budget_is_64_mean_searches(self, monkeypatch):
+        class NeverMatches:  # position 0 always draws the largest key
+            def random(self, size):
+                return np.tile([1.0, 0.0, 0.0, 0.0], size // 4)
+
+        monkeypatch.setattr(feedback, "_stream_generator", lambda *args: NeverMatches())
+        with pytest.raises(SearchExhaustedError) as exc:
+            permutation_search((0,), 2, 1, 1, rng_seed=1)
+        assert exc.value.tried == 64 * math.comb(2, 1)
+
+    @pytest.mark.parametrize("n, w", [(1024, 4), (64, 8), (1024, 512)])
+    def test_unviable_search_points_to_combinadic_codec(self, n, w):
+        assert math.comb(n, w) > MAX_SEARCH_SUBSETS
+        with pytest.raises(InvalidParameterError, match="combinadic"):
+            permutation_search(range(w), n, w, 4, rng_seed=1)
+
     def test_exact_window_size_required(self):
         with pytest.raises(InvalidParameterError):
             permutation_search((0, 1), 16, 3, 4, rng_seed=1)
@@ -212,5 +229,5 @@ class TestErrorTolerance:
     def test_bound_is_tight(self):
         # intact-message probability equals the floor exactly at the bound
         for c in (1, 5, 36):
-            pr = feedback_error_tolerance(c, p_min=0.999)
+            pr = feedback_error_tolerance(c)
             assert (1 - pr) ** c == pytest.approx(0.999, rel=1e-12)

@@ -13,7 +13,7 @@ from bitarq import (
     ProtocolConfig,
     q_function,
 )
-from bitarq.analytic import _band_prob, _ber_exact, _prob_retx
+from bitarq.analytic import _band_prob, _ber_exact, _retx_fraction
 from bitarq.mc import BLOCK_PACKETS, TrialReport, _window_mask, compare_schemes, simulate
 from bitarq.optimize import equal_probability_thresholds
 
@@ -82,7 +82,7 @@ class TestSimulateBehavior:
         m = math.sqrt(2 * LINK5.snr_per_symbol)
         n = rep.bits_simulated
         p0 = _band_prob(m, 0.0, us[0])
-        p1 = _prob_retx(1, LINK5.snr_per_symbol, us)
+        p1 = _retx_fraction(1, LINK5.snr_per_symbol, us)[0]
         assert abs(rep.retransmitted_bits[0] / n - p0) < 3 * sigma(p0, n)
         assert abs(rep.retransmitted_bits[1] / n - p1) < 3 * sigma(p1, n)
 
@@ -94,7 +94,7 @@ class TestSimulateBehavior:
         m = math.sqrt(2 * snr)
         n = rep.bits_simulated
         p0 = _band_prob(m, 0.0, u)
-        p1 = _prob_retx(1, snr, (u, u))
+        p1 = _retx_fraction(1, snr, (u, u))[0]
         assert abs(rep.retransmitted_bits[0] / n - p0) < 3 * sigma(p0, n)
         assert abs(rep.retransmitted_bits[1] / n - p1) < 3 * sigma(p1, n)
 
