@@ -25,7 +25,6 @@ carry per-round values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,10 +37,6 @@ from .model import LinkModel, ProtocolConfig
 __all__ = [
     "q_function",
     "DEFAULT_PRONY",
-    "q_prony",
-    "ReliabilityBand",
-    "ber_no_retx",
-    "prob_in_band",
     "ber_exact",
     "ber_approx",
     "prob_retx_band",
@@ -67,29 +62,6 @@ def _q(x: float) -> float:
 # The (a_k, b_k) pairs of the two-term exponential fit
 # Q(x) ~= sum_k a_k exp(-b_k x^2), x >= 0 (Loskot & Beaulieu 2009).
 DEFAULT_PRONY = ((0.208, 0.971), (0.147, 0.525))
-
-
-def q_prony(x):
-    """Exponential-fit approximation of Q(x); valid on the right tail only."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for a, b in DEFAULT_PRONY:
-        out = out + a * np.exp(-b * x * x)
-    return out
-
-
-@dataclass(frozen=True)
-class ReliabilityBand:
-    """Closed reliability interval [lower, upper]; upper may be inf."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if self.lower < 0:
-            raise InvalidParameterError("band lower edge must be non-negative")
-        if self.upper < self.lower:
-            raise InvalidParameterError("band upper edge must be >= lower edge")
 
 
 # ---------------------------------------------------------------------------
@@ -188,29 +160,8 @@ def _bands(u):
     return lo, hi, np.array(copies, dtype=float)
 
 
-# ---------------------------------------------------------------------------
-# single-transmission quantities
-# ---------------------------------------------------------------------------
-
-
-def ber_no_retx(link: LinkModel, u0: float) -> float:
-    """Error probability restricted to reliabilities in [0, u0].
-
-    With u0 = inf this is the uncoded antipodal BER, Q(sqrt(2*snr)).
-    """
-    if u0 < 0:
-        raise InvalidParameterError("u0 must be non-negative")
-    m = math.sqrt(2.0 * link.snr_per_symbol)
-    return _q(m) - _q(m + u0)
-
-
-def prob_in_band(link: LinkModel, band: ReliabilityBand) -> float:
-    """Probability that a fresh bit's reliability lands inside the band."""
-    m = math.sqrt(2.0 * link.snr_per_symbol)
-    return _band_prob(m, band.lower, band.upper)
-
-
 def _band_prob(m, lo, hi):
+    """P(lo < |r0| <= hi) for a fresh sample r0 ~ N(m, 1), 0 <= lo <= hi."""
     return (q_function(lo - m) - q_function(hi - m)) + (q_function(lo + m) - q_function(hi + m))
 
 
@@ -444,28 +395,30 @@ def appendix_integral(kind: str, h: Sequence[float], bound: float | None = None)
     """
     _check_appendix_args(kind, h, bound)
     h1, h2, h3, h4, h5 = (float(v) for v in h)
+    gap = h2 - h5 if kind.endswith("minus") else h2 + h5
     total = 0.0
     for a_k, b_k in DEFAULT_PRONY:
         c = b_k * h4 * h4
         s = 1.0 + h3 * c
         sq_a = math.sqrt(1.0 / h3 + c)
         denom = math.sqrt(h3 * s)
-        pref = h1 * a_k * math.sqrt(math.pi) / (2.0 * sq_a)
+        # a huge gap squares to inf (``**`` would raise), so the factor takes its 0 limit
+        pref = h1 * a_k * math.sqrt(math.pi) / (2.0 * sq_a) * math.exp(-c * (gap * gap) / s)
         if kind == "semiinf_minus":
-            total += pref * math.exp(-c * (h2 - h5) ** 2 / s) * math.erfc((h2 + h3 * c * h5) / denom)
+            total += pref * math.erfc((h2 + h3 * c * h5) / denom)
         elif kind == "semiinf_plus":
-            total += pref * math.exp(-c * (h2 + h5) ** 2 / s) * math.erfc((h2 - h3 * c * h5) / denom)
+            total += pref * math.erfc((h2 - h3 * c * h5) / denom)
         elif kind == "finite_minus":
             big_h = float(bound)
             mu = (h2 + h3 * c * h5) / s
             bracket = math.erf((h2 + big_h + h3 * c * (h5 + big_h)) / denom)
             bracket += math.copysign(1.0, big_h - mu) * math.erf(sq_a * abs(big_h - mu))
-            total += pref * math.exp(-c * (h2 - h5) ** 2 / s) * bracket
+            total += pref * bracket
         else:  # finite_plus
             big_h = float(bound)
             bracket = math.erf((big_h + h2 + h3 * c * (big_h - h5)) / denom)
             bracket += math.erf((big_h - h2 + h3 * c * (big_h + h5)) / denom)
-            total += pref * math.exp(-c * (h2 + h5) ** 2 / s) * bracket
+            total += pref * bracket
     return total
 
 

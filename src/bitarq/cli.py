@@ -37,6 +37,7 @@ from .fusion import (
 )
 from .mc import simulate
 from .model import (
+    MAX_SNR_DB,
     FixedRate,
     FixedThreshold,
     FixedWindow,
@@ -59,10 +60,9 @@ _THREADS_ENV = "BITARQ_THREADS"
 
 
 def _db_to_linear(db: float) -> float:
-    try:
-        return 10.0 ** (db / 10.0)
-    except OverflowError:
-        raise ConfigurationError(f"--snr-db {db} is out of range") from None
+    if db > MAX_SNR_DB:
+        raise ConfigurationError(f"--snr-db {db} is above the {MAX_SNR_DB:g} dB ceiling")
+    return 10.0 ** (db / 10.0)
 
 
 def _n_jobs() -> int:
@@ -278,7 +278,8 @@ def _tech(name: str):
 
 def _run_fusion_plan(args) -> _Output:
     out = _Output("fusion-plan", args.reproducible)
-    n = args.n if args.n is not None else _tech(args.tech).packet_bits
+    tech = _tech(args.tech)
+    n = args.n if args.n is not None else tech.packet_bits
     block_bits = args.block_bits if args.block_bits is not None else n
     out.config(tech=args.tech, n=n, w=args.w, d=args.d, blocks=args.blocks, block_bits=block_bits)
     plan = schedule_uplink(n, args.w, args.d, args.blocks, block_bits)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .model import round_half_away
 __all__ = [
     "CombinadicMessage",
     "PermutationMessage",
-    "FeedbackMessage",
     "feedback_bit_width",
     "combinadic_encode",
     "combinadic_decode",
@@ -46,7 +45,6 @@ __all__ = [
     "expected_idle_periods",
     "mean_report_delay",
     "optimal_c1",
-    "optimal_c1_from_mean",
     "throughput_one_retx",
     "feedback_error_tolerance",
 ]
@@ -91,9 +89,6 @@ class PermutationMessage:
 
     def to_bytes(self) -> bytes:
         return pack_bits(self.residual, self.bit_width)
-
-
-FeedbackMessage = Union[CombinadicMessage, PermutationMessage]
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +165,7 @@ def combinadic_decode(message: CombinadicMessage, n: int, w: int) -> tuple[int, 
 _WORDS_PER_COUNTER = 4
 _SEARCH_CHUNK = 512  # permutations generated per search step
 MAX_SEARCH_SUBSETS = 10**6  # largest C(n, w) searched; a mean search there is ~1 s at n = 64
+_SEARCH_MEANS = 64  # a search gives up after this many mean search lengths, C(n, w) each
 
 
 def _blocks_per_permutation(n: int) -> int:
@@ -198,15 +194,14 @@ def permutation_search(
     w: int,
     c1: int,
     rng_seed: int,
-    max_tries: int | None = None,
 ) -> PermutationMessage:
     """Find the first stream permutation mapping the targets into the
     leading w slots and encode its index as (idle periods, residual).
 
     The stream index K is 1-based; on average C(n, w) permutations are
     searched, so C(n, w) above :data:`MAX_SEARCH_SUBSETS` is rejected.  It
-    gives up after ``max_tries``, by default 64 * C(n, w): a search overruns
-    that with probability about e^-64.  All w targets must land in the window.
+    gives up after 64 * C(n, w): a search overruns that with probability
+    about e^-64.  All w targets must land in the window.
     """
     targets = _check_positions(unreliable_positions, n)
     if len(targets) != w:
@@ -220,8 +215,7 @@ def permutation_search(
             f"C({n}, {w}) exceeds the permutation-search limit {MAX_SEARCH_SUBSETS}; "
             "report the subset with the combinadic codec (combinadic_encode) instead"
         )
-    if max_tries is None:
-        max_tries = 64 * math.comb(n, w)
+    max_tries = _SEARCH_MEANS * math.comb(n, w)
 
     words = _blocks_per_permutation(n) * _WORDS_PER_COUNTER
     t_idx = np.asarray(targets)
@@ -304,15 +298,11 @@ def mean_report_delay(n: int, w: int, c1: int) -> float:
 
 
 def optimal_c1(n: int, w: int) -> int:
-    """Residual width minimizing the expected report delay."""
-    return optimal_c1_from_mean(math.comb(n, w))
-
-
-def optimal_c1_from_mean(mean_k: float) -> int:
-    """round(-0.5 + log2(E[K])), at least 1."""
-    if mean_k <= 0:
-        raise InvalidParameterError("mean_k must be positive")
-    return max(1, round_half_away(-0.5 + math.log2(mean_k)))
+    """Residual width minimizing the expected report delay:
+    round(-0.5 + log2(E[K])) with E[K] = C(n, w), at least 1."""
+    if not 0 <= w <= n:
+        raise InvalidParameterError("need 0 <= w <= n")
+    return max(1, round_half_away(-0.5 + math.log2(math.comb(n, w))))
 
 
 def throughput_one_retx(n: int, mean_idle_plus_one: float) -> float:

@@ -36,7 +36,6 @@ __all__ = [
     "FusionPlan",
     "schedule_uplink",
     "serialize_plan",
-    "downlink_request_counts",
     "max_sensor_nodes",
 ]
 
@@ -52,21 +51,20 @@ class Technology:
     name: str
     ber_fit: tuple[tuple[float, float], ...]
     packet_bits: int
-    header_bits: int
 
     def __post_init__(self):
         if any(c <= 0 or k <= 0 for c, k in self.ber_fit):
             raise InvalidParameterError("fit coefficients must be positive")
-        if self.packet_bits < 1 or self.header_bits < 0:
-            raise InvalidParameterError("bad packet geometry")
+        if self.packet_bits < 1:
+            raise InvalidParameterError("packet_bits must be positive")
 
 
 # The bluetooth fit carries a duplicated exponential term; it is kept as
 # published because the tabulated SNR operating points reproduce only with
 # the doubled coefficient (see README).
-ZIGBEE = Technology("zigbee", ((1.5203, 9.5611),), 1064, 48)
-WIFI = Technology("wifi", ((10.0, 3.4535), (1.1066, 2.0247)), 12192, 192)
-BLUETOOTH = Technology("bluetooth", ((0.2436, 0.4997), (0.2436, 0.4997)), 2048, 32)
+ZIGBEE = Technology("zigbee", ((1.5203, 9.5611),), 1064)
+WIFI = Technology("wifi", ((10.0, 3.4535), (1.1066, 2.0247)), 12192)
+BLUETOOTH = Technology("bluetooth", ((0.2436, 0.4997), (0.2436, 0.4997)), 2048)
 TECHNOLOGIES = {t.name: t for t in (ZIGBEE, WIFI, BLUETOOTH)}
 
 _FIT_BER_RANGE = (1e-6, 1e-2)
@@ -113,8 +111,8 @@ class SegmentedDesign:
     w_seg: int
 
     def __post_init__(self):
-        if self.tech.packet_bits % self.n_seg != 0:
-            raise InvalidParameterError("packet size must divide into equal segments")
+        if self.n_seg < 1 or self.tech.packet_bits % self.n_seg != 0:
+            raise InvalidParameterError("packet size must divide into n_seg >= 1 equal segments")
         if not 0.0 <= self.p_f < 1.0 or not 0.0 <= self.p_r < 1.0:
             raise InvalidParameterError("link BERs must be in [0, 1)")
         if not 1 <= self.w_seg <= self.segment_bits:
@@ -145,9 +143,6 @@ def segment_feasibility(design: SegmentedDesign) -> tuple[float, float]:
 class FeasibilityReport:
     feasible: bool
     reasons: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.feasible
 
 
 def feasible(design: SegmentedDesign) -> FeasibilityReport:
@@ -276,13 +271,6 @@ def serialize_plan(plan: FusionPlan) -> str:
                 parts.append(f"R{span.block},{span.round}({span.bits})")
         lines.append(", ".join(parts))
     return "\n".join(lines)
-
-
-def downlink_request_counts(plan: FusionPlan) -> tuple[int, ...]:
-    """Number of retransmission requests served by each uplink packet."""
-    return tuple(
-        sum(1 for s in packet if isinstance(s, RetxSpan)) for packet in plan.packets
-    )
 
 
 def max_sensor_nodes(n: int, overhead_bits: int, d: int, c_tot: int) -> int:

@@ -369,8 +369,8 @@ def _refine(objective, grid, j: int, uni: bool):
 def _optimize(kind: str, n: int, d: int, link: LinkModel, points: int) -> SweepResult:
     """Sweep, refine and package one strategy (see :func:`sweep_grid` and
     :func:`resolve_strategy`)."""
-    if d < 1:
-        raise InvalidParameterError("need d >= 1")
+    if d < 1 or points < 1:
+        raise InvalidParameterError("need d >= 1 and points >= 1")
     base = link.snr_per_symbol
     u_max = threshold_u_max(base) if kind == "threshold" else None
 

@@ -10,7 +10,6 @@ from bitarq import (
     LinkModel,
     NumericFailureError,
     ProtocolConfig,
-    ReliabilityBand,
     SlowChiSquareFading,
     appendix_integral,
     appendix_integral_quadrature,
@@ -18,19 +17,21 @@ from bitarq import (
     ber_exact,
     ber_fading,
     ber_fading_quadrature,
-    ber_no_retx,
-    prob_in_band,
     prob_retx_band,
     q_function,
-    q_prony,
 )
-from bitarq.analytic import _ber_approx, _ber_exact, _prony_tail, _quad
+from bitarq.analytic import _band_prob, _ber_approx, _ber_exact, _prony_tail, _quad
 
 LINK1 = LinkModel(1.0)
 
 
 def q(x: float) -> float:
     return float(q_function(x))
+
+
+def prony(x: float) -> float:
+    """The two-term exponential fit of Q(x) that DEFAULT_PRONY holds."""
+    return sum(a * math.exp(-b * x * x) for a, b in DEFAULT_PRONY)
 
 
 class TestQFunction:
@@ -55,54 +56,36 @@ class TestPronyFit:
 
     def test_origin_mismatch_is_deliberate(self):
         # the fit targets the tail, not the origin
-        assert float(q_prony(0.0)) == pytest.approx(0.355, abs=1e-12)
+        assert prony(0.0) == pytest.approx(0.355, abs=1e-12)
 
     def test_unit_point(self):
         expected = 0.208 * math.exp(-0.971) + 0.147 * math.exp(-0.525)
-        got = float(q_prony(1.0))
+        got = prony(1.0)
         assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(0.16578, abs=1e-4)
 
     def test_tail_accuracy(self):
-        assert float(q_prony(3.0)) == pytest.approx(q(3.0), rel=0.02)
+        assert prony(3.0) == pytest.approx(q(3.0), rel=0.02)
 
 
 class TestSingleTransmission:
-    def test_unrestricted_band_gives_uncoded_ber(self):
-        assert ber_no_retx(LINK1, math.inf) == pytest.approx(q(math.sqrt(2)), rel=1e-14)
-
-    def test_empty_band(self):
-        assert ber_no_retx(LINK1, 0.0) == 0.0
-
-    def test_band_value(self):
-        # threshold at twice the snr in printed units is sqrt(2) normalized
-        u0 = 2.0 / math.sqrt(2.0)
-        expected = q(math.sqrt(2)) - q(2 * math.sqrt(2))
-        assert ber_no_retx(LINK1, u0) == pytest.approx(expected, rel=1e-14)
+    # P(lo < |r0| <= hi) of a fresh sample at SNR 1 (mean sqrt(2))
+    M1 = math.sqrt(2.0)
 
     def test_band_probability_limits(self):
-        assert prob_in_band(LINK1, ReliabilityBand(0.0, math.inf)) == pytest.approx(1.0)
-        assert prob_in_band(LINK1, ReliabilityBand(0.0, 0.0)) == 0.0
+        assert _band_prob(self.M1, 0.0, math.inf) == pytest.approx(1.0)
+        assert _band_prob(self.M1, 0.0, 0.0) == 0.0
 
     def test_band_probability_value(self):
-        band = ReliabilityBand(0.0, 2.0 / math.sqrt(2.0))
         expected = 0.5 - q(2 * math.sqrt(2))
-        assert prob_in_band(LINK1, band) == pytest.approx(expected, rel=1e-12)
-        assert prob_in_band(LINK1, band) == pytest.approx(0.49767, abs=1e-5)
+        got = _band_prob(self.M1, 0.0, 2.0 / math.sqrt(2.0))
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert got == pytest.approx(0.49767, abs=1e-5)
 
     def test_partitioned_bands_sum_to_one(self):
         edges = [0.0, 0.4, 1.1, 2.0, math.inf]
-        total = sum(
-            prob_in_band(LINK1, ReliabilityBand(a, b))
-            for a, b in zip(edges, edges[1:])
-        )
+        total = sum(_band_prob(self.M1, a, b) for a, b in zip(edges, edges[1:]))
         assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_band_validation(self):
-        with pytest.raises(InvalidParameterError):
-            ReliabilityBand(2.0, 1.0)
-        with pytest.raises(InvalidParameterError):
-            ReliabilityBand(-0.1, 1.0)
 
 
 class TestBerExact:
@@ -262,6 +245,12 @@ class TestAppendixIntegrals:
         cf = appendix_integral("finite_plus", h, 3.0)
         qd = appendix_integral_quadrature("finite_plus", h, 3.0)
         assert cf == pytest.approx(qd, rel=0.08)
+
+    @pytest.mark.parametrize("kind", ["semiinf_minus", "semiinf_plus", "finite_minus", "finite_plus"])
+    @pytest.mark.parametrize("h", [(1, 1e200, 1, 1, 1), (1, 1, 1, 1, 1e200)])
+    def test_far_centre_or_shift_gives_the_zero_limit(self, kind, h):
+        # (h2 -+ h5)^2 exceeds the float range; the quadrature twin sees no mass
+        assert appendix_integral(kind, h, 2.0) == appendix_integral_quadrature(kind, h, 2.0) == 0.0
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

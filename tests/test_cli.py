@@ -61,6 +61,13 @@ class TestFusionPlan:
         assert any("blocks=2" in l and "w=4" in l for l in header)
         assert any(l.startswith("# tool: bitarq") for l in header)
 
+    def test_unknown_tech_rejected_even_with_explicit_n(self, capsys):
+        code, out, err = run(capsys, "fusion-plan", "--tech", "nope", "--n", "100", "--w", "4",
+                             "--d", "3", "--blocks", "2")
+        assert code == 2
+        assert out == ""
+        assert "nope" in err
+
 
 class TestSweeps:
     def test_rate_sweep_columns(self, capsys):
@@ -315,6 +322,25 @@ class TestFloatOptionsMustBeFinite:
         assert out == ""
         assert "--snr-db" in err
 
+    @pytest.mark.parametrize("argv", [
+        # above the ceiling the ladders come out wrong (300 dB) or the solvers
+        # break down (3080 dB) instead of failing cleanly
+        ("optimize", "--strategy", "rate", "--d", "2", "--snr-db", "300"),
+        ("sweep-rate", "--d", "1", "--points", "2", "--snr-db", "3080"),
+        ("simulate", "--d", "1", "--bits", "8", "--n", "8", "--window", "0.5",
+         "--snr-db", "100.5"),
+    ])
+    def test_snr_db_above_ceiling_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--snr-db" in err and "100 dB" in err
+
+    def test_snr_db_at_ceiling_runs(self, capsys):
+        code, _, _ = run(capsys, "optimize", "--strategy", "window", "--d", "1",
+                         "--points", "4", "--snr-db", "100")
+        assert code == 0
+
 
 _EDGES = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-300, -1.0, 0.0]),
@@ -323,14 +349,17 @@ _EDGES = st.one_of(
 _VALID = {
     "--snr-db": st.floats(-10.0, 20.0), "--rate": st.floats(0.5, 1.0),
     "--window": st.floats(0.01, 1.0), "--threshold": st.floats(0.01, 4.0),
-    "--u-max": st.floats(0.01, 6.0),
+    "--u-max": st.floats(0.01, 6.0), "--pf": st.floats(1e-6, 1e-2),
+    "--pr": st.floats(1e-7, 1e-3), "--ber": st.floats(1e-6, 1e-2),
 }
 _FUZZED = [
     ("simulate", "--snr-db"), ("simulate", "--rate"), ("simulate", "--window"),
     ("simulate", "--threshold"), ("simulate", "ints"), ("sweep-rate", "--snr-db"),
     ("sweep-window", "--snr-db"), ("sweep-threshold", "--snr-db"),
     ("sweep-threshold", "--u-max"), ("sweep-window", "ints"), ("optimize", "--snr-db"),
-    ("optimize", "ints"), ("feedback-sim", "ints"),
+    ("optimize", "ints"), ("feedback-sim", "ints"), ("fusion-plan", "ints"),
+    ("fusion-feasibility", "--pf"), ("fusion-feasibility", "--pr"),
+    ("fusion-feasibility", "ints"), ("fit-check", "--ber"),
 ]
 
 
@@ -351,6 +380,18 @@ def _argv(draw, command, edge):
         n = integer(1, 24)
         return [command, "--n", str(n), "--w", str(integer(1, abs(n) + 2)),
                 "--trials", str(integer(1, 3)), "--reproducible"]
+    tech = ["--tech", draw(st.sampled_from(["zigbee", "wifi", "bluetooth", "nope"]))]
+    if command == "fusion-plan":  # few, short blocks keep every schedule small
+        argv = [command, *tech, "--w", str(integer(1, 8)), "--d", str(integer(0, 3)),
+                "--blocks", str(integer(0, 4)), "--reproducible"]
+        for flag in ("--n", "--block-bits"):
+            argv += [flag, str(integer(1, 64))] if draw(st.booleans()) else []
+        return argv
+    if command == "fusion-feasibility":
+        return [command, *tech, value("--pf"), value("--pr"), "--nseg", str(integer(1, 8)),
+                "--wseg", str(integer(1, 8)), "--reproducible"]
+    if command == "fit-check":
+        return [command, *tech, value("--ber"), "--reproducible"]
     n = integer(1, 64)
     argv = [command, value("--snr-db"), "--n", str(n), "--reproducible"]
     if command == "simulate":
@@ -376,11 +417,12 @@ def _argv(draw, command, edge):
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
 @given(data=st.data())
 def test_exit_code_contract(command, edge, data):
-    """Any simulate/sweep/optimize/feedback-sim command line exits 0, 2 or 3, never with a
-    traceback."""
+    """Any command line of a fuzzed subcommand exits 0, 2 or 3, never with a traceback."""
     argv = data.draw(_argv(command, edge))
     sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the irregular-schedule warning is expected here
         try:
             code = main(argv)
         except SystemExit as exc:

@@ -17,7 +17,6 @@ from bitarq.feedback import (
     feedback_error_tolerance,
     mean_report_delay,
     optimal_c1,
-    optimal_c1_from_mean,
     pack_bits,
     permutation_at,
     permutation_recover,
@@ -136,9 +135,12 @@ class TestPermutationStream:
         assert msg.stream_index == 3 * 16 + 5
         assert unpack_bits(msg.to_bytes(), 4) == 5
 
-    def test_search_cap(self):
-        with pytest.raises(SearchExhaustedError):
-            permutation_search((0, 2, 4), 16, 3, 4, rng_seed=1, max_tries=3)
+    def test_search_cap(self, monkeypatch):
+        # with seed 1 the first match is permutation 608, past one mean search of C(16, 3) = 560
+        monkeypatch.setattr(feedback, "_SEARCH_MEANS", 1)
+        with pytest.raises(SearchExhaustedError) as exc:
+            permutation_search((0, 2, 4), 16, 3, 4, rng_seed=1)
+        assert exc.value.tried == 560
 
     def test_default_budget_is_64_mean_searches(self, monkeypatch):
         class NeverMatches:  # position 0 always draws the largest key
@@ -198,9 +200,11 @@ class TestDelayModel:
 
     def test_optimal_c1_examples(self):
         assert optimal_c1(16, 3) == 9
-        assert optimal_c1_from_mean(30) == 4
-        assert optimal_c1_from_mean(45) == 5
-        assert optimal_c1_from_mean(2) == 1
+        assert optimal_c1(30, 1) == 4
+        assert optimal_c1(10, 2) == 5  # C(10, 2) = 45
+        assert optimal_c1(2, 1) == 1
+        with pytest.raises(InvalidParameterError):
+            optimal_c1(3, 4)  # C(3, 4) = 0
 
     def test_optimal_c1_minimizes_model_delay(self):
         n, w = 64, 2

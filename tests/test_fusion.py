@@ -13,7 +13,6 @@ from bitarq.fusion import (
     RetxSpan,
     SegmentedDesign,
     ber_curve,
-    downlink_request_counts,
     feasible,
     max_sensor_nodes,
     required_snr,
@@ -88,6 +87,10 @@ class TestSegmentedDesigns:
         with pytest.raises(InvalidParameterError):
             SegmentedDesign(ZIGBEE, 1e-3, 1e-5, 3, 2)  # 1064 % 3 != 0
 
+    def test_rejects_zero_segments(self):
+        with pytest.raises(InvalidParameterError):
+            SegmentedDesign(ZIGBEE, 1e-3, 1e-5, 0, 1)
+
 
 class TestSchedule:
     def test_reference_schedule_byte_identical(self):
@@ -136,7 +139,7 @@ class TestSchedule:
 
     def test_downlink_request_profile(self):
         plan = schedule_uplink(1064, 4, 3, 10, 1064)
-        counts = list(downlink_request_counts(plan))
+        counts = [sum(isinstance(s, RetxSpan) for s in packet) for packet in plan.packets]
         d = 3
         peak = max(counts)
         assert peak == d

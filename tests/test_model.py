@@ -1,20 +1,29 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from bitarq import (
+    ConfigurationError,
+    FixedWindow,
     InvalidParameterError,
     LinkModel,
     ProtocolConfig,
     SlowChiSquareFading,
-    effective_snr_per_bit,
     fixed_rate_window,
-    forward_rate,
-    reverse_rate,
 )
-from bitarq.model import round_half_away
+from bitarq.mc import simulate
+from bitarq.model import MAX_SNR_DB, round_half_away
+from bitarq.optimize import resolve_strategy
+
+
+def forward_rate(cfg: ProtocolConfig) -> float:
+    """Realized forward rate of one packet under the config's fixed windows."""
+    return simulate(cfg, LinkModel(1.0), "sequential", cfg.packet_bits, 0).forward_rate_realized
 
 
 class TestForwardRate:
+    # every round retransmits exactly W_d bits, so the rate is N / (N + sum(W_d))
     def test_basic(self):
         cfg = ProtocolConfig(100, 1, windows=(50,))
         assert forward_rate(cfg) == pytest.approx(2 / 3, rel=1e-15)
@@ -28,8 +37,8 @@ class TestForwardRate:
         assert forward_rate(cfg) == pytest.approx(1064 / 1076, rel=1e-15)
 
     def test_requires_windows(self):
-        with pytest.raises(InvalidParameterError):
-            forward_rate(ProtocolConfig(100, 1))
+        with pytest.raises(ConfigurationError):
+            forward_rate(ProtocolConfig(100, 1, strategy=FixedWindow(0.5)))
 
     @given(
         n=st.integers(8, 4096),
@@ -48,24 +57,6 @@ class TestForwardRate:
     def test_whole_packet_windows_give_repetition_rate(self, n, d):
         cfg = ProtocolConfig(n, d, windows=(n,) * d)
         assert forward_rate(cfg) == pytest.approx(1 / (1 + d), rel=1e-14)
-
-
-class TestReverseRate:
-    def test_single_bit(self):
-        assert reverse_rate(ProtocolConfig(100, 1, feedback_bits=(1,))) == pytest.approx(1 / 101)
-
-    def test_reference_design(self):
-        cfg = ProtocolConfig(1064, 3, feedback_bits=(36, 36, 36))
-        assert reverse_rate(cfg) == pytest.approx(108 / 1172, rel=1e-15)
-
-    def test_symmetry_case(self):
-        assert reverse_rate(ProtocolConfig(1024, 1, feedback_bits=(1024,))) == pytest.approx(0.5)
-
-    @given(n=st.integers(8, 2048), c=st.integers(1, 100))
-    def test_increasing_in_feedback(self, n, c):
-        r1 = reverse_rate(ProtocolConfig(n, 1, feedback_bits=(c,)))
-        r2 = reverse_rate(ProtocolConfig(n, 1, feedback_bits=(c + 1,)))
-        assert r2 > r1
 
 
 class TestFixedRateWindow:
@@ -91,17 +82,11 @@ class TestFixedRateWindow:
 
 class TestEffectiveSnr:
     def test_examples(self):
-        link = LinkModel(2.0)
-        assert effective_snr_per_bit(link, 0.5) == pytest.approx(1.0)
-        assert effective_snr_per_bit(LinkModel(1.0), 1.0) == pytest.approx(1.0)
-        got = effective_snr_per_bit(LinkModel(10**0.5), 2 / 3)
+        # the base SNR scaled by the forward rate: 1/2, 1 and 2/3 here
+        assert resolve_strategy("window", 1.0, 1, 2.0)[2] == pytest.approx(1.0)
+        assert resolve_strategy("threshold", 0.0, 1, 1.0)[2] == pytest.approx(1.0)
+        got = resolve_strategy("window", 0.5, 1, 10**0.5)[2]
         assert got == pytest.approx(2.1082, abs=5e-5)
-
-    def test_rate_range(self):
-        with pytest.raises(InvalidParameterError):
-            effective_snr_per_bit(LinkModel(1.0), 0.0)
-        with pytest.raises(InvalidParameterError):
-            effective_snr_per_bit(LinkModel(1.0), 1.5)
 
 
 class TestLinkModel:
@@ -109,6 +94,12 @@ class TestLinkModel:
     def test_rejects_non_positive_snr(self, snr):
         with pytest.raises(InvalidParameterError):
             LinkModel(snr)
+
+    def test_snr_ceiling(self):
+        ceiling = 10.0 ** (MAX_SNR_DB / 10.0)
+        assert LinkModel(ceiling).snr_per_symbol == ceiling
+        with pytest.raises(InvalidParameterError, match="100 dB"):
+            LinkModel(1e30)
 
     def test_fading_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -134,7 +125,11 @@ class TestProtocolConfig:
         with pytest.raises(InvalidParameterError):
             ProtocolConfig(100, 2, thresholds=(1.0,))
         with pytest.raises(InvalidParameterError):
-            ProtocolConfig(100, 2, feedback_bits=(3,))
+            ProtocolConfig(100, 2, windows=(3,))
+
+    def test_rejects_nan_threshold(self):
+        with pytest.raises(InvalidParameterError):
+            ProtocolConfig(16, 1, thresholds=(math.nan,))
 
 
 def test_round_half_away():

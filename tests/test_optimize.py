@@ -90,6 +90,11 @@ class TestResolveStrategy:
 
 
 class TestOptimizers:
+    @pytest.mark.parametrize("runner", [optimize_rate, optimize_window, optimize_threshold])
+    def test_rejects_an_empty_grid(self, runner):
+        with pytest.raises(InvalidParameterError):
+            runner(16, 1, LinkModel(1.0), points=0)
+
     def test_rate_minimum_dominates_endpoints(self):
         res = optimize_rate(1024, 1, LINK5, points=32)
         bers = [b for _, b in res.grid]
