@@ -13,8 +13,11 @@ the MRC sum of later copies are jointly Gaussian), each evaluated as a
 positive integral over the first-pass sample with one fixed Gauss-Legendre
 rule: no adaptive loop, no cancellation in the tails.  Every evaluator
 behind the optimizers accepts NumPy arrays and broadcasts over them, so a
-sweep grid is scored in a few array calls.  Adaptive quadrature survives only
-in the oracle twins ``ber_fading_quadrature`` and
+sweep grid is scored in a few array calls, and each element equals the
+scalar call bit for bit.  Squares are therefore taken with ``np.square``:
+``** 2`` on a NumPy scalar calls pow(), which differs from the x*x of an
+array in the last bit about once in a thousand.  Adaptive quadrature
+survives only in the oracle twins ``ber_fading_quadrature`` and
 ``appendix_integral_quadrature``.
 
 The analysis assumes the uniform simplification of one window size and one
@@ -207,8 +210,8 @@ def _prony_tail(d: int, u, m, prony):
         s2 = 1.0 + 2.0 * b_k / d
         s = math.sqrt(s2)
         scale = math.sqrt(s2 / (d + 1))
-        e_minus = np.exp(-b_k * (d + 1) * (m - u) ** 2 / (d * s2))
-        e_plus = np.exp(-b_k * (d + 1) * (m + u) ** 2 / (d * s2))
+        e_minus = np.exp(-b_k * (d + 1) * np.square(m - u) / (d * s2))
+        e_plus = np.exp(-b_k * (d + 1) * np.square(m + u) / (d * s2))
         arg_plus = (m + 2.0 * b_k * u / d) / scale
         arg_minus = (m - 2.0 * b_k * u / d) / scale
         total = total + (a_k / s) * (e_minus * q_function(arg_plus) + e_plus * q_function(arg_minus))
@@ -251,7 +254,7 @@ def _retx_fraction(d: int, snr, us: Sequence):
     m, u = _mean_and_ladder(snr, us)
     h = u[..., d]
     value = _band_prob(m, u[..., d - 1] if d else 0.0, h)
-    slope = np.exp(-0.5 * (h - m) ** 2) + np.exp(-0.5 * (h + m) ** 2)
+    slope = np.exp(-0.5 * np.square(h - m)) + np.exp(-0.5 * np.square(h + m))
     if d:
         lo, hi, copies = _bands(u[..., :d])
         with np.errstate(over="ignore"):  # an infinite bound is the right one
@@ -378,8 +381,8 @@ _APPENDIX_KINDS = ("semiinf_minus", "semiinf_plus", "finite_minus", "finite_plus
 def _check_appendix_args(kind: str, h, bound):
     if kind not in _APPENDIX_KINDS:
         raise InvalidParameterError(f"unknown integral kind {kind!r}")
-    if len(h) != 5 or any(not hi > 0 for hi in h):
-        raise InvalidParameterError("h must hold 5 positive reals")
+    if len(h) != 5 or any(not 0 < hi < math.inf for hi in h):
+        raise InvalidParameterError("h must hold 5 positive finite reals")
     if kind.startswith("finite"):
         if bound is None or not bound > 0 or math.isinf(bound):
             raise InvalidParameterError("finite kinds need a positive finite bound")
@@ -398,26 +401,31 @@ def appendix_integral(kind: str, h: Sequence[float], bound: float | None = None)
     gap = h2 - h5 if kind.endswith("minus") else h2 + h5
     total = 0.0
     for a_k, b_k in DEFAULT_PRONY:
+        # the Gaussian product's width, exponent, centre and bounds are taken
+        # per unit h3 (t = (1 + h3*c) / h3), so no product of huge h overflows
         c = b_k * h4 * h4
-        s = 1.0 + h3 * c
-        sq_a = math.sqrt(1.0 / h3 + c)
-        denom = math.sqrt(h3 * s)
+        t = 1.0 / h3 + c
+        sq_a = math.sqrt(t)
         # a huge gap squares to inf (``**`` would raise), so the factor takes its 0 limit
-        pref = h1 * a_k * math.sqrt(math.pi) / (2.0 * sq_a) * math.exp(-c * (gap * gap) / s)
+        pref = h1 * a_k * math.sqrt(math.pi) / (2.0 * sq_a) * math.exp(-(gap * gap) * (c / t) / h3)
+        if not pref > 0.0:
+            # 0, or nan where h4 is so large that c = t = inf: either way the
+            # term's 0 limit, as every bracket below lies in [-2, 2]
+            continue
         if kind == "semiinf_minus":
-            total += pref * math.erfc((h2 + h3 * c * h5) / denom)
+            total += pref * math.erfc((h2 / h3 + c * h5) / sq_a)
         elif kind == "semiinf_plus":
-            total += pref * math.erfc((h2 - h3 * c * h5) / denom)
+            total += pref * math.erfc((h2 / h3 - c * h5) / sq_a)
         elif kind == "finite_minus":
             big_h = float(bound)
-            mu = (h2 + h3 * c * h5) / s
-            bracket = math.erf((h2 + big_h + h3 * c * (h5 + big_h)) / denom)
+            mu = (h2 / h3 + c * h5) / t
+            bracket = math.erf(((h2 + big_h) / h3 + c * (h5 + big_h)) / sq_a)
             bracket += math.copysign(1.0, big_h - mu) * math.erf(sq_a * abs(big_h - mu))
             total += pref * bracket
         else:  # finite_plus
             big_h = float(bound)
-            bracket = math.erf((big_h + h2 + h3 * c * (big_h - h5)) / denom)
-            bracket += math.erf((big_h - h2 + h3 * c * (big_h + h5)) / denom)
+            bracket = math.erf(((big_h + h2) / h3 + c * (big_h - h5)) / sq_a)
+            bracket += math.erf(((big_h - h2) / h3 + c * (big_h + h5)) / sq_a)
             total += pref * bracket
     return total
 

@@ -21,6 +21,7 @@ from bitarq import (
     q_function,
 )
 from bitarq.analytic import _band_prob, _ber_approx, _ber_exact, _prony_tail, _quad
+from bitarq.model import MAX_SNR_DB
 
 LINK1 = LinkModel(1.0)
 
@@ -208,6 +209,13 @@ class TestFading:
         full = 0.5 - 0.5 / math.sqrt(1.0 + 1.0 / (mean_snr * (d + 1)))
         assert got == pytest.approx(full, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_positive_at_the_snr_ceiling(self, d):
+        ceiling = 10.0 ** (MAX_SNR_DB / 10.0)
+        cfg = ProtocolConfig(16, d, thresholds=(0.5,) * d)
+        got = ber_fading(cfg, LinkModel(ceiling, fading=SlowChiSquareFading(ceiling)))
+        assert 1e-11 < got < 2e-11
+
     def test_requires_fading_descriptor(self):
         cfg = ProtocolConfig(100, 1, thresholds=(0.4,))
         with pytest.raises(InvalidParameterError):
@@ -251,6 +259,31 @@ class TestAppendixIntegrals:
     def test_far_centre_or_shift_gives_the_zero_limit(self, kind, h):
         # (h2 -+ h5)^2 exceeds the float range; the quadrature twin sees no mass
         assert appendix_integral(kind, h, 2.0) == appendix_integral_quadrature(kind, h, 2.0) == 0.0
+
+    @pytest.mark.parametrize("twin", [appendix_integral, appendix_integral_quadrature])
+    @pytest.mark.parametrize("h", [(1, math.inf, 1, 1, math.inf), (1, 1, 1, math.nan, 1)])
+    def test_non_finite_h_is_rejected(self, twin, h):
+        # the closed form returned nan here, its quadrature twin 0.0
+        with pytest.raises(InvalidParameterError):
+            twin("semiinf_minus", h)
+
+    @pytest.mark.parametrize("kind,h", [
+        *((kind, (1, 1, 1e300, 1, 1e300)) for kind in
+          ("semiinf_minus", "semiinf_plus", "finite_minus", "finite_plus")),
+        ("semiinf_minus", (1, 1, 1e300, 1e300, 1)),
+        ("semiinf_minus", (1, 1, 1, 1e300, 1)),
+    ])
+    def test_huge_width_or_slope_gives_the_zero_limit(self, kind, h):
+        # h3 * (1 + h3*c) and h3*c*h5 (c = 0.971 * h4^2) overflowed to
+        # inf / inf = nan in the closed form
+        assert appendix_integral(kind, h, 2.0) == appendix_integral_quadrature(kind, h, 2.0) == 0.0
+
+    def test_huge_width_keeps_the_closed_form(self):
+        # a Gaussian factor wider than any float range: the value stays that
+        # of a merely wide one (sqrt(h3 * (1 + h3*c)) overflowed to inf here)
+        wide = appendix_integral("semiinf_minus", (0.5, 0.5, 1e10, 0.5, 0.5))
+        assert appendix_integral("semiinf_minus", (0.5, 0.5, 1e300, 0.5, 0.5)) == pytest.approx(
+            wide, rel=1e-9)
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

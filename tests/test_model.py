@@ -107,6 +107,12 @@ class TestLinkModel:
         link = LinkModel(1.0, fading=SlowChiSquareFading(4.0))
         assert link.fading.mean_snr == 4.0
 
+    @pytest.mark.parametrize("mean_snr", [1e300, math.inf, math.nan])
+    def test_fading_mean_has_the_link_ceiling(self, mean_snr):
+        # ber_fading returned -5.7e-302 at 1e300 and 0.0 at inf
+        with pytest.raises(InvalidParameterError, match="100 dB"):
+            SlowChiSquareFading(mean_snr)
+
 
 class TestProtocolConfig:
     def test_threshold_ordering(self):
