@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _ENVELOPE_SIGMAS = 12.0
+_Q_UNDERFLOW = 40.0  # _q(x) is exactly 0.0 for x above about 38.5
 _U_CAP = 1e150  # a threshold above this acts as inf in the closed forms; its square stays finite
 
 
@@ -442,11 +443,13 @@ def appendix_integral_quadrature(
         return h1 * math.exp(-((x - h2) ** 2) / h3) * _q(h4 * (h5 + sign * x))
 
     sigma = math.sqrt(h3 / 2.0)
+    lo = h2 - _ENVELOPE_SIGMAS * sigma
+    hi = h2 + _ENVELOPE_SIGMAS * sigma
+    if sign < 0:
+        # below h5 - 40/h4 the Q factor is 0.0; without this bound a wide
+        # Gaussian window hides the O(1/h4)-wide mass from quad
+        lo = max(lo, h5 - _Q_UNDERFLOW / h4)
     if kind.startswith("semiinf"):
-        lo = h2 - _ENVELOPE_SIGMAS * sigma
-        hi = min(0.0, h2 + _ENVELOPE_SIGMAS * sigma)
-        return _quad(f, lo, hi)
+        return _quad(f, lo, min(0.0, hi))
     big_h = float(bound)
-    lo = max(-big_h, h2 - _ENVELOPE_SIGMAS * sigma)
-    hi = min(big_h, h2 + _ENVELOPE_SIGMAS * sigma)
-    return _quad(f, lo, hi)
+    return _quad(f, max(-big_h, lo), min(big_h, hi))

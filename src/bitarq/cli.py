@@ -15,27 +15,8 @@ import sys
 import tempfile
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
-from .analytic import _ber_approx, _ber_exact
 from .errors import BitarqError, ConfigurationError, NumericFailureError
-from .feedback import (
-    expected_idle_periods,
-    optimal_c1,
-    simulate_permutation_search,
-    throughput_one_retx,
-)
-from .fusion import (
-    TECHNOLOGIES,
-    SegmentedDesign,
-    feasible,
-    required_snr,
-    schedule_uplink,
-    segment_feasibility,
-    serialize_plan,
-)
-from .mc import simulate
 from .model import (
     MAX_SNR_DB,
     FixedRate,
@@ -46,15 +27,10 @@ from .model import (
     fixed_rate_window,
     round_half_away,
 )
-from .optimize import (
-    SWEEP_BLOCK,
-    optimize_rate,
-    optimize_threshold,
-    optimize_window,
-    resolve_strategy,
-    sweep_grid,
-    threshold_u_max,
-)
+
+# Each runner imports the layers it uses, so a command loads NumPy and SciPy
+# only if it needs them: `import bitarq.cli`, --version, fusion-plan and
+# fit-check load neither, and feedback-sim loads no SciPy.
 
 _THREADS_ENV = "BITARQ_THREADS"
 
@@ -149,6 +125,11 @@ def _fmt(x: float) -> str:
 
 
 def _run_sweep(kind: str, args) -> _Output:
+    import numpy as np
+
+    from .analytic import _ber_approx, _ber_exact
+    from .optimize import SWEEP_BLOCK, resolve_strategy, sweep_grid, threshold_u_max
+
     out = _Output(f"sweep-{kind}", args.reproducible)
     base_snr = _db_to_linear(args.snr_db)
     u_max = None
@@ -171,6 +152,8 @@ def _run_sweep(kind: str, args) -> _Output:
         for k, x in enumerate(block):
             mc = stderr = None
             if args.bits:
+                from .mc import simulate
+
                 cfg = ProtocolConfig(args.n, args.d, thresholds=[u[k] for u in us])
                 rep = simulate(
                     cfg, LinkModel(float(snr_eff[k])), "preassigned", args.bits, args.seed,
@@ -187,6 +170,8 @@ def _run_sweep(kind: str, args) -> _Output:
 
 
 def _run_optimize(args) -> _Output:
+    from .optimize import optimize_rate, optimize_threshold, optimize_window
+
     out = _Output("optimize", args.reproducible)
     base = LinkModel(_db_to_linear(args.snr_db))
     out.config(strategy=args.strategy, snr_db=args.snr_db, n=args.n, d=args.d, points=args.points)
@@ -204,6 +189,8 @@ def _run_optimize(args) -> _Output:
 
 
 def _build_sim_config(args, base_snr: float) -> tuple[ProtocolConfig, float]:
+    from .optimize import resolve_strategy
+
     n, d = args.n, args.d
     given = [v is not None for v in (args.rate, args.window, args.threshold)]
     if args.scheme == "full_repetition" or d == 0:
@@ -231,6 +218,8 @@ def _build_sim_config(args, base_snr: float) -> tuple[ProtocolConfig, float]:
 
 
 def _run_simulate(args) -> _Output:
+    from .mc import simulate
+
     out = _Output("simulate", args.reproducible)
     base_snr = _db_to_linear(args.snr_db)
     cfg, snr_eff = _build_sim_config(args, base_snr)
@@ -250,6 +239,13 @@ def _run_simulate(args) -> _Output:
 
 
 def _run_feedback_sim(args) -> _Output:
+    from .feedback import (
+        expected_idle_periods,
+        optimal_c1,
+        simulate_permutation_search,
+        throughput_one_retx,
+    )
+
     out = _Output("feedback-sim", args.reproducible)
     c1 = args.c1 if args.c1 is not None else optimal_c1(args.n, args.w)
     out.config(n=args.n, w=args.w, c1=c1, trials=args.trials, seed=args.seed)
@@ -271,12 +267,16 @@ def _run_feedback_sim(args) -> _Output:
 
 
 def _tech(name: str):
+    from .fusion import TECHNOLOGIES
+
     if name not in TECHNOLOGIES:
         raise BitarqError(f"unknown technology {name!r} (choose from {sorted(TECHNOLOGIES)})")
     return TECHNOLOGIES[name]
 
 
 def _run_fusion_plan(args) -> _Output:
+    from .fusion import schedule_uplink, serialize_plan
+
     out = _Output("fusion-plan", args.reproducible)
     tech = _tech(args.tech)
     n = args.n if args.n is not None else tech.packet_bits
@@ -288,6 +288,8 @@ def _run_fusion_plan(args) -> _Output:
 
 
 def _run_fusion_feasibility(args) -> _Output:
+    from .fusion import SegmentedDesign, feasible, segment_feasibility
+
     out = _Output("fusion-feasibility", args.reproducible)
     tech = _tech(args.tech)
     design = SegmentedDesign(tech, args.pf, args.pr, args.nseg, args.wseg)
@@ -303,6 +305,8 @@ def _run_fusion_feasibility(args) -> _Output:
 
 
 def _run_fit_check(args) -> _Output:
+    from .fusion import required_snr
+
     out = _Output("fit-check", args.reproducible)
     tech = _tech(args.tech)
     out.config(tech=args.tech, ber=args.ber)

@@ -14,10 +14,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Union
 
-from scipy.special import bdtr
-
-from .errors import InvalidParameterError
-from .feedback import feedback_bit_width
+from .errors import InvalidParameterError, NumericFailureError
 
 __all__ = [
     "Technology",
@@ -78,21 +75,30 @@ def ber_curve(tech: Technology, snr: float) -> float:
 def required_snr(tech: Technology, target_ber: float) -> float:
     """SNR in dB at which the fitted BER equals the target.
 
-    Valid within the fit range [1e-6, 1e-2]; inverted by bracketed
-    root-finding on the monotone curve.
+    Valid within the fit range [1e-6, 1e-2].  The log of the fit is convex
+    and decreasing in the SNR (a log-sum-exp of linear terms), so Newton
+    steps on it taken from SNR 0 rise monotonically to the root: the root
+    stays bracketed between the iterate and the next step's end.  They stop
+    once a step is below 1e-14 + 1e-15 * snr; convergence is quadratic, so
+    the result is far closer than that.
     """
     lo_ber, hi_ber = _FIT_BER_RANGE
     if not lo_ber <= target_ber <= hi_ber:
         raise InvalidParameterError(
             f"target BER {target_ber} outside the fit validity range [{lo_ber}, {hi_ber}]"
         )
-    from scipy.optimize import brentq
-
-    hi = max(math.log(c * len(tech.ber_fit) / (0.1 * lo_ber)) / k for c, k in tech.ber_fit)
-    snr = brentq(
-        lambda g: ber_curve(tech, g) - target_ber, 1e-12, hi, xtol=1e-14, rtol=1e-15
-    )
-    return 10.0 * math.log10(snr)
+    if ber_curve(tech, 0.0) <= target_ber:
+        raise InvalidParameterError(f"the {tech.name} fit never exceeds BER {target_ber}")
+    log_target = math.log(target_ber)
+    snr = 0.0
+    for _ in range(100):
+        terms = [(c * math.exp(-k * snr), k) for c, k in tech.ber_fit]
+        total = sum(t for t, _ in terms)
+        step = (math.log(total) - log_target) * total / sum(t * k for t, k in terms)
+        snr += step
+        if step <= 1e-14 + 1e-15 * snr:
+            return 10.0 * math.log10(snr)
+    raise NumericFailureError("required-SNR Newton iteration did not converge", step)
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,8 @@ class SegmentedDesign:
 
     @property
     def c_tot(self) -> int:
+        from .feedback import feedback_bit_width  # loads NumPy, which the scheduler does not need
+
         return self.n_seg * feedback_bit_width(self.segment_bits, self.w_seg)
 
 
@@ -134,6 +142,8 @@ def segment_feasibility(design: SegmentedDesign) -> tuple[float, float]:
     window can then cover them all).  Reverse: probability that at least
     one of the c_tot feedback bits is hit.
     """
+    from scipy.special import bdtr
+
     ppf = float(bdtr(design.w_seg, design.segment_bits, design.p_f))
     ppr = -math.expm1(design.c_tot * math.log1p(-design.p_r)) if design.p_r > 0 else 0.0
     return ppf, ppr

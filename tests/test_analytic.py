@@ -285,6 +285,19 @@ class TestAppendixIntegrals:
         assert appendix_integral("semiinf_minus", (0.5, 0.5, 1e300, 0.5, 0.5)) == pytest.approx(
             wide, rel=1e-9)
 
+    @pytest.mark.parametrize("h3", [1e8, 1e10])
+    def test_wide_gaussian_keeps_the_mass_near_zero(self, h3):
+        # the +-12 sigma window alone was so wide that quad returned 0.0
+        mp = pytest.importorskip("mpmath")
+        h1, h2, h4, h5 = 0.5, 0.5, 0.5, 0.5
+        with mp.workdps(30):
+            exact = mp.quad(
+                lambda x: h1 * mp.exp(-((x - h2) ** 2) / h3) * mp.erfc(h4 * (h5 - x) / mp.sqrt(2)) / 2,
+                [-mp.inf, -200, -40, -10, 0],
+            )
+        got = appendix_integral_quadrature("semiinf_minus", (h1, h2, h3, h4, h5))
+        assert got == pytest.approx(float(exact), rel=1e-9)
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             appendix_integral("bogus", (1, 1, 1, 1, 1), 1.0)

@@ -265,12 +265,13 @@ class TestOutputFiles:
 
     def test_numeric_failure_exit_code(self, capsys, monkeypatch):
         from bitarq.errors import NumericFailureError
-        import bitarq.cli as cli_mod
+        import bitarq.fusion as fusion_mod
 
         def boom(tech, ber):
             raise NumericFailureError("synthetic", 1e-3)
 
-        monkeypatch.setattr(cli_mod, "required_snr", boom)
+        # fit-check imports required_snr from bitarq.fusion when it runs
+        monkeypatch.setattr(fusion_mod, "required_snr", boom)
         code, _, err = run(capsys, "fit-check", "--tech", "zigbee", "--ber", "1e-3")
         assert code == 3
         assert "numeric failure" in err

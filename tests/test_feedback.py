@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -102,10 +103,19 @@ class TestBitPacking:
 
 class TestPermutationStream:
     def test_jump_equals_sequence(self):
+        # one keyed Philox generator drawn sequentially, in uneven chunks as
+        # permutation_search draws it, yields permutation_at(seed, i, n):
+        # every permutation takes whole 4-word counter blocks, the unused
+        # words of the last block (n = 10, 13) included
         seed = 77
-        chunked = [permutation_at(seed, i, 10) for i in range(6)]
-        for i, perm in enumerate(chunked):
-            assert (permutation_at(seed, i, 10) == perm).all()
+        for n in (10, 13, 16):
+            words = -(-n // 4) * 4
+            g = np.random.Generator(np.random.Philox(key=seed))
+            keys = np.concatenate([g.random(k * words) for k in (1, 7, 256, 736)])
+            keys = keys.reshape(-1, words)[:, :n]
+            assert len(keys) == 1000
+            for i, u in enumerate(keys):
+                assert (np.argsort(u) == permutation_at(seed, i, n)).all(), (n, i)
 
     def test_distinct_indexes_give_distinct_permutations(self):
         a = permutation_at(5, 0, 16)
@@ -165,6 +175,51 @@ class TestPermutationStream:
     def test_mean_search_length(self):
         ks, _ = simulate_permutation_search(16, 3, 9, trials=2000, seed=5)
         assert ks.mean() == pytest.approx(math.comb(16, 3), rel=0.10)
+
+    @pytest.mark.parametrize("args, total, head, digest", [
+        ((16, 3, 9, 10000, 0), 5579763, [179, 501, 421, 67, 34, 373, 715, 1032],
+         "d6e72ffcb971aa29bc75eada78e18bec824bc356d618b67438b9e46e2f33ac69"),
+        ((64, 2, optimal_c1(64, 2), 300, 7), 545034, [436, 414, 611, 1688, 618, 3218, 243, 1679],
+         "263581bc14ebed1bec033cc62464a57aa3eddde25a3fd1c538686d5572ed816e"),
+    ], ids=["n16w3", "n64w2"])
+    def test_pinned_search_lengths(self, args, total, head, digest):
+        # the stream indexes K as recorded before the search drew all its
+        # chunks from one generator (sha256 of the little-endian int64 array)
+        ks, idles = simulate_permutation_search(*args)
+        assert int(ks.sum()) == total
+        assert ks[:8].tolist() == head
+        assert hashlib.sha256(ks.astype("<i8").tobytes()).hexdigest() == digest
+        assert (idles == ks >> args[2]).all()
+
+
+class TestInputHoles:
+    def test_negative_stream_index(self):
+        # the Philox counter wrapped to 2**64 - 4 and gave a permutation
+        with pytest.raises(InvalidParameterError):
+            permutation_at(1, -1, 16)
+
+    def test_message_decoding_to_stream_index_0(self):
+        # K is 1-based; this message recovered (0, 6, 10) from index -1
+        with pytest.raises(InvalidParameterError):
+            permutation_recover(PermutationMessage(0, 0, 4), 16, 3, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_the_philox_key_range(self, seed):
+        with pytest.raises(InvalidParameterError):
+            permutation_at(seed, 0, 16)
+        with pytest.raises(InvalidParameterError):
+            permutation_search((0, 1, 2), 16, 3, 4, rng_seed=seed)
+
+    def test_largest_seed_is_accepted(self):
+        assert sorted(permutation_at(2**128 - 1, 0, 16)) == list(range(16))
+
+    @pytest.mark.parametrize("n, w, trials, seed", [
+        (16, 3, -1, 0), (16, 3, 0, 0), (3, 4, 10, 0), (16, 0, 10, 0), (16, 3, 10, -1),
+    ])
+    def test_simulation_arguments(self, n, w, trials, seed):
+        # raw ValueErrors from NumPy, or empty arrays with a nan mean (trials = 0)
+        with pytest.raises(InvalidParameterError):
+            simulate_permutation_search(n, w, 9, trials, seed)
 
 
 class TestDelayModel:

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from bitarq.errors import InvalidParameterError
@@ -12,6 +13,7 @@ from bitarq.fusion import (
     DataSpan,
     RetxSpan,
     SegmentedDesign,
+    Technology,
     ber_curve,
     feasible,
     max_sensor_nodes,
@@ -182,3 +184,21 @@ class TestCapacityBound:
             max_sensor_nodes(100, 100, 3, 36)
         with pytest.raises(InvalidParameterError):
             max_sensor_nodes(100, 0, 0, 36)
+
+
+@pytest.mark.parametrize("name", ["zigbee", "wifi", "bluetooth"])
+def test_required_snr_matches_brentq(name):
+    # the Newton solve replaced scipy's brentq at xtol=1e-14, rtol=1e-15
+    from scipy.optimize import brentq
+
+    tech = TECHNOLOGIES[name]
+    hi = max(math.log(c * len(tech.ber_fit) / 1e-7) / k for c, k in tech.ber_fit)
+    for ber in np.logspace(-6, -2, 41):
+        snr = brentq(lambda g: ber_curve(tech, g) - ber, 1e-12, hi, xtol=1e-14, rtol=1e-15)
+        assert required_snr(tech, float(ber)) == pytest.approx(10 * math.log10(snr), rel=1e-12)
+
+
+def test_required_snr_rejects_a_target_above_the_fit():
+    weak = Technology("weak", ((1e-3, 1.0),), 64)
+    with pytest.raises(InvalidParameterError):
+        required_snr(weak, 1e-2)
