@@ -19,7 +19,6 @@ from .model import (
     LinkModel,
     ProtocolConfig,
     SlowChiSquareFading,
-    fixed_rate_window,
 )
 
 __version__ = "0.1.0"
@@ -32,7 +31,6 @@ _ANALYTIC_NAMES = (
     "ber_exact",
     "ber_fading",
     "ber_fading_quadrature",
-    "prob_retx_band",
     "q_function",
 )
 
@@ -49,7 +47,6 @@ __all__ = [
     "LinkModel",
     "ProtocolConfig",
     "SlowChiSquareFading",
-    "fixed_rate_window",
 ]
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "DEFAULT_PRONY",
     "ber_exact",
     "ber_approx",
-    "prob_retx_band",
     "ber_fading",
     "ber_fading_quadrature",
     "appendix_integral",
@@ -276,21 +275,6 @@ def _shared_threshold_fractions(d: int, u, snr):
     with np.errstate(over="ignore"):  # an infinite bound is the right one
         top = (copies + 1.0) * u
     return _rect(-u, u, -top, top, m, copies)
-
-
-def prob_retx_band(d: int, config: ProtocolConfig, link: LinkModel) -> float:
-    """Expected fraction of bits retransmitted in round d+1.
-
-    Counts every bit whose combined reliability after d rounds is at most
-    the band's upper threshold, fresh bits in (U_{d-1}, U_d] included.  For
-    d equal to the total number of retransmissions the upper threshold is
-    not part of the config; it is U_{D-1} (the shared-threshold convention).
-    """
-    us = _check_thresholds(config)
-    if not 1 <= d <= config.retransmissions:
-        raise InvalidParameterError("band index d must be in 1..D")
-    upper = us[d] if d < config.retransmissions else us[-1]
-    return float(_retx_fraction(d, link.snr_per_symbol, tuple(us[:d]) + (upper,))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .errors import BitarqError, ConfigurationError, NumericFailureError
-from .model import (
-    MAX_SNR_DB,
-    FixedRate,
-    FixedThreshold,
-    FixedWindow,
-    LinkModel,
-    ProtocolConfig,
-    fixed_rate_window,
-    round_half_away,
-)
+from .model import MAX_SNR_DB, LinkModel, ProtocolConfig
 
 # Each runner imports the layers it uses, so a command loads NumPy and SciPy
 # only if it needs them: `import bitarq.cli`, --version, fusion-plan and
@@ -125,10 +116,8 @@ def _fmt(x: float) -> str:
 
 
 def _run_sweep(kind: str, args) -> _Output:
-    import numpy as np
-
     from .analytic import _ber_approx, _ber_exact
-    from .optimize import SWEEP_BLOCK, resolve_strategy, sweep_grid, threshold_u_max
+    from .optimize import sweep_blocks, threshold_u_max
 
     out = _Output(f"sweep-{kind}", args.reproducible)
     base_snr = _db_to_linear(args.snr_db)
@@ -143,10 +132,7 @@ def _run_sweep(kind: str, args) -> _Output:
     name = {"rate": "rf", "window": "w_over_n", "threshold": "u_norm"}[kind]
     out.row(name, "ber_approx", "ber_exact", "ber_mc", "mc_stderr")
     jobs = _n_jobs()
-    xs = sweep_grid(kind, args.points, args.n, args.d, u_max)
-    for start in range(0, len(xs), SWEEP_BLOCK):
-        block = xs[start:start + SWEEP_BLOCK]
-        us, _, snr_eff = resolve_strategy(kind, np.array(block), args.d, base_snr)
+    for block, us, snr_eff in sweep_blocks(kind, args.points, args.n, args.d, base_snr, u_max):
         approx = _ber_approx(snr_eff, us)
         exact = _ber_exact(snr_eff, us)
         for k, x in enumerate(block):
@@ -189,32 +175,22 @@ def _run_optimize(args) -> _Output:
 
 
 def _build_sim_config(args, base_snr: float) -> tuple[ProtocolConfig, float]:
-    from .optimize import resolve_strategy
+    from .optimize import resolve_protocol
 
     n, d = args.n, args.d
-    given = [v is not None for v in (args.rate, args.window, args.threshold)]
+    given = [(k, getattr(args, k)) for k in ("rate", "window", "threshold")
+             if getattr(args, k) is not None]
     if args.scheme == "full_repetition" or d == 0:
-        if any(given):
+        if given:
             raise ConfigurationError(
                 "--rate, --window and --threshold do not apply to full repetition or --d 0"
             )
         return ProtocolConfig(n, d), base_snr / (1.0 + d)
-    if sum(given) != 1:
+    if len(given) != 1:
         raise BitarqError("give exactly one of --rate, --window, --threshold")
     if args.window is not None and args.window > 1.0:
         raise ConfigurationError(f"--window is the fraction W/N in (0, 1], got {args.window}")
-    if args.threshold is not None:
-        strategy = FixedThreshold(args.threshold)
-        us, _, snr_eff = resolve_strategy("threshold", args.threshold, d, base_snr)
-        return ProtocolConfig(n, d, strategy=strategy, thresholds=us), snr_eff
-    if args.rate is not None:
-        strategy = FixedRate(args.rate)
-        w = fixed_rate_window(n, d, args.rate)
-    else:
-        strategy = FixedWindow(args.window)
-        w = max(1, round_half_away(args.window * n))
-    us, _, snr_eff = resolve_strategy("window", w / n, d, base_snr)
-    return ProtocolConfig(n, d, strategy=strategy, thresholds=us, windows=(w,) * d), snr_eff
+    return resolve_protocol(*given[0], n, d, base_snr)
 
 
 def _run_simulate(args) -> _Output:

@@ -2,9 +2,9 @@
 
 Three schemes are simulated:
 
-* ``sequential`` - the deployed protocol: each round retransmits the bits
-  whose current combined reliability is below that round's threshold (or
-  the W least reliable, for the fixed-rate / fixed-window strategies).
+* ``sequential`` - the deployed protocol: each round retransmits the W
+  least reliable bits when the config has windows, otherwise the bits
+  whose current combined reliability is below that round's threshold.
 * ``preassigned`` - the analysis model: the number of retransmissions of
   every bit is fixed up front by quantizing its first-pass reliability
   against the threshold ladder.
@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, InvalidParameterError
-from .model import FixedRate, FixedThreshold, FixedWindow, LinkModel, ProtocolConfig
+from .model import FixedThreshold, LinkModel, ProtocolConfig
 
 __all__ = ["SCHEMES", "TrialReport", "simulate", "compare_schemes"]
 
@@ -55,14 +55,6 @@ class TrialReport:
         return math.sqrt(max(p * (1.0 - p), 1.0 / self.bits_simulated) / self.bits_simulated)
 
 
-def _by_window(config: ProtocolConfig) -> bool:
-    """Whether the sequential scheme retransmits the W least reliable bits
-    each round (fixed rate or window) rather than those below a threshold."""
-    return isinstance(config.strategy, (FixedRate, FixedWindow)) or (
-        config.strategy is None and config.windows is not None
-    )
-
-
 def _validate(config: ProtocolConfig, scheme: str, bits: int) -> None:
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
@@ -82,12 +74,8 @@ def _validate(config: ProtocolConfig, scheme: str, bits: int) -> None:
         if config.thresholds is None:
             raise ConfigurationError("preassigned scheme needs the threshold ladder")
         return
-    # sequential
-    if _by_window(config):
-        if config.windows is None:
-            raise ConfigurationError("window-based sequential scheme needs window sizes")
-    elif config.thresholds is None:
-        raise ConfigurationError("threshold-based sequential scheme needs thresholds")
+    if config.windows is None and config.thresholds is None:
+        raise ConfigurationError("sequential scheme needs window sizes or thresholds")
 
 
 def _window_mask(rel: np.ndarray, w: int) -> np.ndarray:
@@ -111,11 +99,10 @@ def _selector(config: ProtocolConfig, scheme: str):
     if scheme == "preassigned":
         # band index searchsorted(us, |r0|) <= r exactly when |r0| <= us[r]
         return np.abs, (lambda r, acc, rel0: rel0 <= us[r])
-    by_window = _by_window(config)
 
     def select(r: int, acc: np.ndarray, copies: np.ndarray) -> np.ndarray:
         rel = np.abs(acc) / copies
-        mask = _window_mask(rel, ws[r]) if by_window else rel <= us[r]
+        mask = rel <= us[r] if ws is None else _window_mask(rel, ws[r])
         copies += mask
         return mask
 
@@ -127,6 +114,8 @@ def _run(
     n_jobs: int,
 ) -> list[TrialReport]:
     """One report per scheme; every scheme combines the same draws."""
+    if link.fading is not None:
+        raise ConfigurationError("the Monte Carlo does not simulate fading; give a link without it")
     m = math.sqrt(2.0 * link.snr_per_symbol)
     n, d = config.packet_bits, config.retransmissions
     starts, selects = zip(*(_selector(config, s) for s in schemes))
@@ -175,7 +164,8 @@ def simulate(
     """Simulate packet transmission, retransmission and MRC combining.
 
     Transmits ``bits / packet_bits`` packets of antipodal symbols at the
-    link's per-symbol SNR in the normalized sample space, applies the
+    link's per-symbol SNR in the normalized sample space (AWGN only: a link
+    with ``fading`` set raises ``ConfigurationError``), applies the
     selected scheme, and counts sign errors after the final combining.
     Deterministic for a given (config, link, scheme, bits, seed); every
     scheme sees the same samples for a given seed (common random numbers).
@@ -198,7 +188,7 @@ def compare_schemes(
         raise ConfigurationError("scheme comparison is defined for two retransmissions")
     if config.thresholds is None:
         raise ConfigurationError("scheme comparison needs the threshold ladder")
-    ladder = replace(config, strategy=None, windows=None)
+    ladder = replace(config, windows=None)
     _validate(ladder, "preassigned", bits)
     seq, pre = _run(ladder, link, ("sequential", "preassigned"), bits, seed, 1)
     return seq.ber, pre.ber

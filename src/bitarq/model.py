@@ -1,4 +1,4 @@
-"""Domain types and rate/window arithmetic for bitwise selective retransmission.
+"""Domain types for bitwise selective retransmission.
 
 Conventions used throughout the package:
 
@@ -29,7 +29,6 @@ __all__ = [
     "Strategy",
     "ProtocolConfig",
     "MAX_SNR_DB",
-    "fixed_rate_window",
     "round_half_away",
 ]
 
@@ -120,7 +119,10 @@ class ProtocolConfig:
     (normalized reliability units, nondecreasing; the lower bound of every
     reliability band is zero and is not stored).  ``windows`` holds the
     per-round retransmission window sizes W_1..W_D.  Fields that a given
-    strategy does not need may be left unset.
+    strategy does not need may be left unset.  The sequential scheme
+    retransmits the W_d least reliable bits when ``windows`` is set and the
+    bits below U_d otherwise; ``strategy`` only labels the config
+    (:func:`bitarq.optimize.resolve_protocol` builds configs without it).
     """
 
     packet_bits: int
@@ -150,19 +152,3 @@ class ProtocolConfig:
             if any(not 1 <= w <= n for w in self.windows):
                 raise InvalidParameterError("window sizes must satisfy 1 <= W_d <= N")
 
-
-def fixed_rate_window(n: int, d: int, rate: float) -> int:
-    """Window size realizing a target forward rate: round((N/D)(1/R - 1)).
-
-    The admissible rates are 1/(1+D) < R <= N/(D+N); outside that interval
-    no window in [1, N] exists.
-    """
-    if n < 1 or d < 1:
-        raise InvalidParameterError("need n >= 1 and d >= 1")
-    lo, hi = 1.0 / (1.0 + d), n / (d + n)
-    if not (rate > lo and rate <= hi * (1.0 + 1e-12)):
-        raise InvalidParameterError(
-            f"rate {rate} outside the admissible interval ({lo}, {hi}]"
-        )
-    w = round_half_away((n / d) * (1.0 / rate - 1.0))
-    return min(max(w, 1), n)

@@ -23,7 +23,7 @@ from scipy.special import ndtri
 
 from .analytic import _ber_approx, _ber_exact, _retx_fraction, _shared_threshold_fractions
 from .errors import InvalidParameterError, NumericFailureError
-from .model import LinkModel, round_half_away
+from .model import LinkModel, ProtocolConfig, round_half_away
 
 __all__ = [
     "SweepResult",
@@ -36,9 +36,9 @@ __all__ = [
     "optimize_threshold",
     "is_unimodal",
     "threshold_u_max",
-    "sweep_grid",
     "resolve_strategy",
-    "SWEEP_BLOCK",
+    "resolve_protocol",
+    "sweep_blocks",
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -320,7 +320,7 @@ def fixed_threshold_rate(d: int, u, base_snr: float):
 
 # Grid points resolved and scored per array call; bounds the memory of
 # long sweeps (about 20 KB per point).
-SWEEP_BLOCK = 512
+_SWEEP_BLOCK = 512
 
 
 def threshold_u_max(snr: float) -> float:
@@ -328,22 +328,10 @@ def threshold_u_max(snr: float) -> float:
     return math.sqrt(2.0 * snr) + 4.0
 
 
-def sweep_grid(kind: str, points: int, n: int, d: int, u_max: float | None = None) -> list[float]:
-    """The ``points`` parameter values swept for strategy ``kind``.
-
-    Rates span (1/(1+d), n/(d+n)], window fractions (0, 1] and shared
-    thresholds (0, u_max]; the open end is excluded.
-    """
-    if kind == "rate":
-        lo, hi = 1.0 / (1.0 + d), n / (d + n)
-        return [lo + (hi - lo) * (i + 1) / points for i in range(points)]
-    if kind == "window":
-        return [(i + 1) / points for i in range(points)]
-    return [u_max * (i + 1) / points for i in range(points)]
-
-
-def _window_fraction(kind: str, x, d: int):
-    return np.minimum(1.0, (1.0 / x - 1.0) / d) if kind == "rate" else x
+def _rate_range(n: int, d: int) -> tuple[float, float]:
+    """The admissible forward rates (lo, hi]: at lo every round resends all N
+    bits, at hi one bit."""
+    return 1.0 / (1.0 + d), n / (d + n)
 
 
 def resolve_strategy(kind: str, x, d: int, base_snr: float) -> tuple:
@@ -351,8 +339,8 @@ def resolve_strategy(kind: str, x, d: int, base_snr: float) -> tuple:
 
     ``x`` is a forward rate, a window fraction W/N or a shared threshold,
     as ``kind`` says; a scalar or an array, which the results follow
-    elementwise.  The window fraction stays continuous; a caller that needs
-    an integer window rounds it first.  Rate and window thresholds follow
+    elementwise.  The window fraction stays continuous (:func:`resolve_protocol`
+    rounds it to an integer window).  Rate and window thresholds follow
     from the equal-probability inversion at the energy-equalized SNR.
     """
     if kind not in ("rate", "window", "threshold"):
@@ -362,10 +350,67 @@ def resolve_strategy(kind: str, x, d: int, base_snr: float) -> tuple:
     if kind == "threshold":
         rate, snr_eff = fixed_threshold_rate(d, x, base_snr)
         return (x,) * d, rate, snr_eff
-    p = _window_fraction(kind, x, d)
+    p = np.minimum(1.0, (1.0 / x - 1.0) / d) if kind == "rate" else x
     rate = x if kind == "rate" else 1.0 / (1.0 + d * p)
     snr_eff = base_snr * rate
     return _ladder_thresholds(d, p, snr_eff), rate, snr_eff
+
+
+def _window(kind: str, x: float, n: int, d: int) -> int:
+    """Integer window W of a forward rate, round((N/D)(1/R - 1)), or of a
+    window fraction, round(F*N): rounded half away and clamped to [1, N]."""
+    if n < 1 or d < 1:
+        raise InvalidParameterError("need n >= 1 and d >= 1")
+    if kind == "rate":
+        lo, hi = _rate_range(n, d)
+        if not (x > lo and x <= hi * (1.0 + 1e-12)):
+            raise InvalidParameterError(f"rate {x} outside the admissible interval ({lo}, {hi}]")
+        w = (n / d) * (1.0 / x - 1.0)
+    else:
+        if not 0.0 < x <= 1.0:
+            raise InvalidParameterError(f"window fraction {x} outside (0, 1]")
+        w = x * n
+    return min(max(round_half_away(w), 1), n)
+
+
+def resolve_protocol(
+    kind: str, x: float, n: int, d: int, base_snr: float
+) -> tuple[ProtocolConfig, float]:
+    """(ProtocolConfig, effective SNR) that run strategy parameter x.
+
+    A forward rate or window fraction becomes an integer window W, sent in
+    every round, and the ladder is resolved at the fraction W/N.  A shared
+    threshold is used in every round, with no windows, so the sequential
+    scheme retransmits the bits below it.
+    """
+    if kind not in ("rate", "window"):
+        us, _, snr_eff = resolve_strategy(kind, x, d, base_snr)
+        return ProtocolConfig(n, d, thresholds=us), snr_eff
+    w = _window(kind, x, n, d)
+    us, _, snr_eff = resolve_strategy("window", w / n, d, base_snr)
+    return ProtocolConfig(n, d, thresholds=us, windows=(w,) * d), snr_eff
+
+
+def sweep_blocks(kind: str, points: int, n: int, d: int, base_snr: float, u_max=None):
+    """Resolve the ``points`` parameter values swept for strategy ``kind``.
+
+    Rates span (1/(1+d), n/(d+n)], window fractions (0, 1] and shared
+    thresholds (0, u_max], u_max defaulting to :func:`threshold_u_max`;
+    the open end is excluded.  Yields (values, thresholds, effective SNRs)
+    per block of at most _SWEEP_BLOCK values, the last two as arrays.
+    """
+    if kind == "rate":
+        lo, hi = _rate_range(n, d)
+        xs = [lo + (hi - lo) * (i + 1) / points for i in range(points)]
+    elif kind == "window":
+        xs = [(i + 1) / points for i in range(points)]
+    else:
+        u_max = threshold_u_max(base_snr) if u_max is None else u_max
+        xs = [u_max * (i + 1) / points for i in range(points)]
+    for start in range(0, len(xs), _SWEEP_BLOCK):
+        block = xs[start:start + _SWEEP_BLOCK]
+        us, _, snr_eff = resolve_strategy(kind, np.array(block), d, base_snr)
+        yield block, us, snr_eff
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +418,11 @@ def resolve_strategy(kind: str, x, d: int, base_snr: float) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _sweep(objective, grid_points) -> tuple[tuple, int, bool]:
-    bers = [
-        float(b)
-        for start in range(0, len(grid_points), SWEEP_BLOCK)
-        for b in objective(np.array(grid_points[start:start + SWEEP_BLOCK]))
-    ]
-    grid = tuple(zip(grid_points, bers))
+def _sweep(blocks) -> tuple[tuple, int, bool]:
+    grid = tuple(
+        (x, float(b)) for xs, us, snr_eff in blocks for x, b in zip(xs, _ber_approx(snr_eff, us))
+    )
+    bers = [b for _, b in grid]
     j = min(range(len(bers)), key=bers.__getitem__)
     atol = 1e-12 * max(bers)
     uni = is_unimodal(bers, atol)
@@ -402,18 +445,17 @@ def _refine(objective, grid, j: int, uni: bool):
 
 
 def _optimize(kind: str, n: int, d: int, link: LinkModel, points: int) -> SweepResult:
-    """Sweep, refine and package one strategy (see :func:`sweep_grid` and
+    """Sweep, refine and package one strategy (see :func:`sweep_blocks` and
     :func:`resolve_strategy`)."""
     if d < 1 or points < 1:
         raise InvalidParameterError("need d >= 1 and points >= 1")
     base = link.snr_per_symbol
-    u_max = threshold_u_max(base) if kind == "threshold" else None
 
     def objective(x):
         us, _, snr_eff = resolve_strategy(kind, x, d, base)
         return _ber_approx(snr_eff, us)
 
-    grid, j, uni = _sweep(objective, sweep_grid(kind, points, n, d, u_max))
+    grid, j, uni = _sweep(sweep_blocks(kind, points, n, d, base))
     minimizer, min_ber, refined, boundary = _refine(objective, grid, j, uni)
 
     us, rate, snr_eff = resolve_strategy(kind, minimizer, d, base)
@@ -421,8 +463,7 @@ def _optimize(kind: str, n: int, d: int, link: LinkModel, points: int) -> SweepR
     if kind == "threshold":
         windows = fixed_threshold_windows(n, d, minimizer, snr_eff)
     else:
-        p = _window_fraction(kind, minimizer, d)
-        windows = (min(n, max(1, round_half_away(n * p))),) * d
+        windows = (_window(kind, minimizer, n, d),) * d
     return SweepResult(
         grid=grid,
         minimizer=minimizer,

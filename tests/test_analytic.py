@@ -17,10 +17,16 @@ from bitarq import (
     ber_exact,
     ber_fading,
     ber_fading_quadrature,
-    prob_retx_band,
     q_function,
 )
-from bitarq.analytic import _band_prob, _ber_approx, _ber_exact, _prony_tail, _quad
+from bitarq.analytic import (
+    _band_prob,
+    _ber_approx,
+    _ber_exact,
+    _prony_tail,
+    _quad,
+    _retx_fraction,
+)
 from bitarq.model import MAX_SNR_DB
 
 LINK1 = LinkModel(1.0)
@@ -158,15 +164,9 @@ class TestBerApprox:
 
 class TestProbRetxBand:
     def test_total_probability(self):
-        cfg = ProtocolConfig(100, 1, thresholds=(math.inf,))
-        assert prob_retx_band(1, cfg, LINK1) == pytest.approx(1.0, abs=1e-9)
-
-    def test_band_index_range(self):
-        cfg = ProtocolConfig(100, 2, thresholds=(0.5, 1.0))
-        with pytest.raises(InvalidParameterError):
-            prob_retx_band(0, cfg, LINK1)
-        with pytest.raises(InvalidParameterError):
-            prob_retx_band(3, cfg, LINK1)
+        # under infinite thresholds every bit is retransmitted
+        us = (math.inf, math.inf)
+        assert _retx_fraction(1, LINK1.snr_per_symbol, us)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 class TestFading:

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import bitarq
 from bitarq import LinkModel
 from bitarq.cli import main
-from bitarq.optimize import optimize_rate, optimize_threshold, optimize_window
+from bitarq.mc import simulate
+from bitarq.optimize import optimize_rate, optimize_threshold, optimize_window, resolve_protocol
 from reference_designs import REFERENCE_SCHEDULE
 
 
@@ -159,6 +160,25 @@ class TestSimulate:
         row = dict(zip(rows[0].split(","), rows[1].split(",")))
         assert row["retransmitted"] == "300"
         assert row["rate_realized"] == "0.76923077"
+
+    def test_equalize_energy_runs_the_link_at_the_equalized_snr(self, capsys):
+        argv = ("simulate", "--scheme", "preassigned", "--snr-db", "3", "--n", "1000",
+                "--d", "1", "--bits", "200000", "--window", "0.2", "--seed", "2",
+                "--reproducible")
+        code, out, _ = run(capsys, *argv, "--equalize-energy")
+        assert code == 0
+        cfg, snr_eff = resolve_protocol("window", 0.2, 1000, 1, 10.0 ** 0.3)
+        rep = simulate(cfg, LinkModel(snr_eff), "preassigned", 200_000, 2)
+        row = dict(zip(*(r.split(",") for r in body(out).splitlines())))
+        assert row["errors"] == str(rep.bit_errors)
+        assert row["retransmitted"] == str(rep.retransmitted_bits[0])
+        assert row["rate_realized"] == f"{rep.forward_rate_realized:.8f}"
+        # the ladder retransmits W/N = 20% at the SNR it was resolved for; the
+        # default run keeps the link at the base SNR and retransmits fewer
+        assert rep.retransmitted_bits[0] / 200_000 == pytest.approx(0.2, abs=0.005)
+        _, plain, _ = run(capsys, *argv)
+        plain_row = dict(zip(*(r.split(",") for r in body(plain).splitlines())))
+        assert int(plain_row["retransmitted"]) / 200_000 < 0.18
 
 
 class TestSweepMatchesOptimizer:

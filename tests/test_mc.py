@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from bitarq import (
     InvalidParameterError,
     LinkModel,
     ProtocolConfig,
+    SlowChiSquareFading,
     q_function,
 )
 from bitarq.analytic import _band_prob, _ber_exact, _retx_fraction
-from bitarq.mc import BLOCK_PACKETS, TrialReport, _window_mask, compare_schemes, simulate
+from bitarq.mc import BLOCK_PACKETS, SCHEMES, TrialReport, _window_mask, compare_schemes, simulate
 from bitarq.optimize import equal_probability_thresholds
 
 LINK1 = LinkModel(1.0)
@@ -62,6 +64,30 @@ class TestSimulateBaselines:
 
 
 class TestSimulateBehavior:
+    @pytest.mark.parametrize("strategy", [None, FixedRate(0.8), FixedThreshold(0.9)])
+    def test_sequential_selection_follows_windows_alone(self, strategy):
+        # the strategy tag is a label: windows set means the W least reliable bits
+        windowed = ProtocolConfig(100, 1, strategy=strategy, thresholds=(0.9,), windows=(25,))
+        rep = simulate(windowed, LINK1, "sequential", 10_000, seed=6)
+        assert rep.retransmitted_bits == (2_500,)
+        # no windows means the bits below the threshold
+        ladder = replace(windowed, windows=None)
+        plain = ProtocolConfig(100, 1, thresholds=(0.9,))
+        assert simulate(ladder, LINK1, "sequential", 10_000, seed=6) == simulate(
+            plain, LINK1, "sequential", 10_000, seed=6
+        )
+
+    def test_fading_link_is_rejected(self):
+        # the engine draws at snr_per_symbol only, so a fading link would get
+        # the plain AWGN report
+        faded = LinkModel(2.0, fading=SlowChiSquareFading(2.0))
+        cfg = ProtocolConfig(100, 2, thresholds=LADDER[2])
+        for scheme in SCHEMES:
+            with pytest.raises(ConfigurationError, match="fading"):
+                simulate(cfg, faded, scheme, 1_000, seed=0)
+        with pytest.raises(ConfigurationError, match="fading"):
+            compare_schemes(cfg, faded, 1_000)
+
     def test_deterministic(self):
         cfg = ProtocolConfig(500, 2, thresholds=(0.6, 1.2))
         a = simulate(cfg, LINK5, "preassigned", 500_000, seed=42)

@@ -10,7 +10,6 @@ from bitarq import (
     LinkModel,
     ProtocolConfig,
     SlowChiSquareFading,
-    fixed_rate_window,
 )
 from bitarq.mc import simulate
 from bitarq.model import MAX_SNR_DB, round_half_away
@@ -57,27 +56,6 @@ class TestForwardRate:
     def test_whole_packet_windows_give_repetition_rate(self, n, d):
         cfg = ProtocolConfig(n, d, windows=(n,) * d)
         assert forward_rate(cfg) == pytest.approx(1 / (1 + d), rel=1e-14)
-
-
-class TestFixedRateWindow:
-    def test_examples(self):
-        assert fixed_rate_window(1000, 2, 0.8) == 125
-        assert fixed_rate_window(1000, 1, 1000 / 1001) == 1
-        assert fixed_rate_window(64, 2, 0.4) == 48
-
-    def test_invalid_rates(self):
-        with pytest.raises(InvalidParameterError):
-            fixed_rate_window(1000, 2, 1 / 3)  # at the open lower endpoint
-        with pytest.raises(InvalidParameterError):
-            fixed_rate_window(1000, 2, 0.999)  # above n/(d+n)
-
-    @given(d=st.integers(1, 4), data=st.data())
-    def test_nonincreasing_in_rate(self, d, data):
-        n = 512
-        lo, hi = 1 / (1 + d), n / (d + n)
-        r1 = data.draw(st.floats(lo + 1e-6, hi, allow_nan=False))
-        r2 = data.draw(st.floats(r1, hi, allow_nan=False))
-        assert fixed_rate_window(n, d, r2) <= fixed_rate_window(n, d, r1)
 
 
 class TestEffectiveSnr:

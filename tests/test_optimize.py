@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from bitarq import InvalidParameterError, LinkModel, ProtocolConfig, prob_retx_band, q_function
+from bitarq import InvalidParameterError, LinkModel, q_function
 from bitarq.analytic import (_band_prob, _ber_approx, _ber_exact, _retx_fraction,
     _shared_threshold_fractions, DEFAULT_PRONY)
 from bitarq.optimize import (
@@ -20,7 +21,9 @@ from bitarq.optimize import (
     optimize_rate,
     optimize_threshold,
     optimize_window,
+    resolve_protocol,
     resolve_strategy,
+    sweep_blocks,
 )
 
 LINK5 = LinkModel(10**0.5)
@@ -282,6 +285,92 @@ class TestResolveStrategy:
             resolve_strategy("rate", rate, 1, 1.0)
 
 
+def rate_window(n, d, rate):
+    """Window W of the protocol that runs forward rate ``rate``."""
+    return resolve_protocol("rate", rate, n, d, 1.0)[0].windows[0]
+
+
+class TestFixedRateWindow:
+    def test_examples(self):
+        assert rate_window(1000, 2, 0.8) == 125
+        assert rate_window(1000, 1, 1000 / 1001) == 1
+        assert rate_window(64, 2, 0.4) == 48
+
+    def test_invalid_rates(self):
+        with pytest.raises(InvalidParameterError):
+            rate_window(1000, 2, 1 / 3)  # at the open lower endpoint
+        with pytest.raises(InvalidParameterError):
+            rate_window(1000, 2, 0.999)  # above n/(d+n)
+
+    @given(d=st.integers(1, 4), data=st.data())
+    def test_nonincreasing_in_rate(self, d, data):
+        n = 512
+        lo, hi = 1 / (1 + d), n / (d + n)
+        r1 = data.draw(st.floats(lo + 1e-6, hi, allow_nan=False))
+        r2 = data.draw(st.floats(r1, hi, allow_nan=False))
+        assert rate_window(n, d, r2) <= rate_window(n, d, r1)
+
+
+class TestResolveProtocol:
+    def test_rate_resolves_at_its_integer_window(self):
+        # rate 0.8 at N = 1000, D = 2: W = round(500 * 0.25) = 125, ladder at 125/1000
+        cfg, snr_eff = resolve_protocol("rate", 0.8, 1000, 2, 3.0)
+        us, _, want = resolve_strategy("window", 0.125, 2, 3.0)
+        assert cfg.windows == (125, 125)
+        assert cfg.thresholds == tuple(float(u) for u in us)
+        assert snr_eff == want
+
+    def test_window_fraction_rounds_half_away(self):
+        # 0.25 * 10 = 2.5 rounds to W = 3, and the ladder is resolved at 3/10
+        cfg, snr_eff = resolve_protocol("window", 0.25, 10, 2, 3.0)
+        us, _, want = resolve_strategy("window", 0.3, 2, 3.0)
+        assert cfg.windows == (3, 3)
+        assert cfg.thresholds == tuple(float(u) for u in us)
+        assert snr_eff == want
+
+    def test_tiny_window_fraction_keeps_one_bit(self):
+        assert resolve_protocol("window", 1e-4, 100, 1, 3.0)[0].windows == (1,)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.5, math.nan])
+    def test_rejects_a_window_fraction_outside_the_unit_interval(self, fraction):
+        with pytest.raises(InvalidParameterError):
+            resolve_protocol("window", fraction, 100, 1, 3.0)
+
+    def test_unknown_kind(self):
+        with pytest.raises(InvalidParameterError):
+            resolve_protocol("power", 0.5, 100, 1, 3.0)
+
+    def test_shared_threshold_runs_without_windows(self):
+        cfg, snr_eff = resolve_protocol("threshold", 0.9, 100, 2, 3.0)
+        assert cfg.windows is None and cfg.thresholds == (0.9, 0.9)
+        assert snr_eff == resolve_strategy("threshold", 0.9, 2, 3.0)[2]
+
+    @pytest.mark.parametrize("kind", ["rate", "window"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_optimizer_windows_follow_the_same_rule(self, kind, d):
+        res = RUNNERS[kind](1024, d, LINK5, points=16)
+        cfg, _ = resolve_protocol(kind, res.minimizer, 1024, d, LINK5.snr_per_symbol)
+        assert res.windows == cfg.windows
+
+
+class TestSweepBlocks:
+    def test_blocks_cover_the_grid_as_one_array_call(self):
+        blocks = list(sweep_blocks("window", 1030, 64, 2, 3.0))
+        assert [len(xs) for xs, _, _ in blocks] == [512, 512, 6]
+        xs = [x for block, _, _ in blocks for x in block]
+        assert xs == [(i + 1) / 1030 for i in range(1030)]
+        us, _, snr_eff = resolve_strategy("window", np.array(xs), 2, 3.0)
+        for j in range(2):
+            assert np.array_equal(np.concatenate([b[1][j] for b in blocks]), us[j])
+        assert np.array_equal(np.concatenate([b[2] for b in blocks]), snr_eff)
+
+    def test_threshold_grid_tops_out_at_u_max(self):
+        (xs, _, _), = sweep_blocks("threshold", 4, 64, 1, 3.0)
+        assert xs[-1] == pytest.approx(math.sqrt(6.0) + 4.0, rel=1e-15)
+        (xs, _, _), = sweep_blocks("threshold", 4, 64, 1, 3.0, u_max=2.0)
+        assert xs == [0.5, 1.0, 1.5, 2.0]
+
+
 class TestOptimizers:
     @pytest.mark.parametrize("runner", [optimize_rate, optimize_window, optimize_threshold])
     def test_rejects_an_empty_grid(self, runner):
@@ -386,7 +475,6 @@ def test_no_adaptive_quadrature_behind_the_design_path(monkeypatch):
             runner(256, d, LINK5, points=8)
     snr = LINK5.snr_per_symbol
     _ber_exact(snr, (0.5, 1.0, 1.5))
-    cfg = ProtocolConfig(100, 2, thresholds=(0.5, 1.0))
-    prob_retx_band(1, cfg, LINK5)
-    prob_retx_band(2, cfg, LINK5)
+    _retx_fraction(1, snr, (0.5, 1.0))
+    _retx_fraction(2, snr, (0.5, 1.0, 1.0))
     fixed_threshold_windows(1024, 3, 1.0, snr)

@@ -10,8 +10,8 @@ which holds every term's mass wherever its peak lies.
 
 import pytest
 
-from bitarq import LinkModel, ProtocolConfig, prob_retx_band
-from bitarq.analytic import _ber_exact
+from bitarq import LinkModel
+from bitarq.analytic import _ber_exact, _retx_fraction
 from bitarq.optimize import equal_probability_thresholds
 
 mp = pytest.importorskip("mpmath")
@@ -90,11 +90,10 @@ def test_exact_ber_and_band_probabilities_match_oracle(d, db):
     for p in PROBABILITIES:
         us = equal_probability_thresholds(d, p, link)
         assert _rel(_ber_exact(snr, us), oracle_ber(snr, us)) <= REL, (d, db, p)
-        cfg = ProtocolConfig(100, d, thresholds=us)
         for j in range(1, d + 1):
-            top = us[j] if j < d else us[-1]
-            want = oracle_retx(j, snr, tuple(us[:j]) + (top,))
-            assert _rel(prob_retx_band(j, cfg, link), want) <= REL, (d, db, p, j)
+            ladder = tuple(us[:j]) + (us[j] if j < d else us[-1],)
+            want = oracle_retx(j, snr, ladder)
+            assert _rel(_retx_fraction(j, snr, ladder)[0], want) <= REL, (d, db, p, j)
 
 
 def test_deep_tail_values_the_envelope_clip_dropped():
