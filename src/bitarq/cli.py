@@ -203,6 +203,8 @@ def _run_simulate(args) -> _Output:
         scheme=args.scheme, snr_db=args.snr_db, n=args.n, d=args.d, bits=args.bits,
         seed=args.seed, rate=args.rate, window=args.window, threshold=args.threshold,
         equalized_snr=f"{snr_eff:.10g}",
+        # recorded only when given, so the header of a default run is unchanged
+        **({"equalize_energy": True} if args.equalize_energy else {}),
     )
     link = LinkModel(snr_eff) if args.equalize_energy else LinkModel(base_snr)
     rep = simulate(cfg, link, args.scheme, args.bits, args.seed, n_jobs=_n_jobs())

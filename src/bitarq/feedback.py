@@ -21,6 +21,7 @@ byte.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -174,13 +175,33 @@ def _blocks_per_permutation(n: int) -> int:
     return -(-n // _WORDS_PER_COUNTER)
 
 
+_WORD = (1 << 64) - 1
+_streams = threading.local()
+
+
 def _stream_generator(seed: int, start_index: int, n: int) -> np.random.Generator:
     if not 0 <= seed < 1 << 128:
         raise InvalidParameterError(f"the session seed must lie in [0, 2**128), got {seed}")
     if start_index < 0:
         raise InvalidParameterError(f"stream indexes are non-negative, got {start_index}")
     counter = start_index * _blocks_per_permutation(n)
-    return np.random.Generator(np.random.Philox(key=seed, counter=[counter, 0, 0, 0]))
+    # one generator per thread, re-keyed in place: constructing a Philox
+    # builds an unused SeedSequence from OS entropy, which costs more than this
+    g = getattr(_streams, "generator", None)
+    if g is None:
+        g = _streams.generator = np.random.Generator(np.random.Philox(key=0))
+    g.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([counter, 0, 0, 0], dtype=np.uint64),
+            "key": np.array([seed & _WORD, seed >> 64], dtype=np.uint64),
+        },
+        "buffer": np.zeros(_WORDS_PER_COUNTER, dtype=np.uint64),
+        "buffer_pos": _WORDS_PER_COUNTER,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return g
 
 
 def permutation_at(seed: int, index: int, n: int) -> np.ndarray:

@@ -13,8 +13,12 @@ Three schemes are simulated:
 
 Work is partitioned into independent blocks, each driven by a sub-stream
 derived from (seed, block index); results merge by summation, so a report
-is reproducible regardless of block count or execution order. Every scheme
-run on a block combines the same draws (common random numbers).
+is reproducible regardless of block count or execution order. A block
+draws one normal per transmitted symbol: the first pass as one
+(packets, N) matrix, then each round one normal per retransmitted bit in
+packet order (a whole matrix when the round repeats every bit). For a
+given seed every scheme shares the first pass, and a round's draws land
+on the same bits in two schemes whenever their masks so far coincide.
 """
 
 from __future__ import annotations
@@ -91,10 +95,11 @@ def _selector(config: ProtocolConfig, scheme: str):
 
     ``start(r0)`` builds the block state the scheme decides on from the
     first-pass samples; ``select(r, acc, state)`` returns the mask of bits
-    retransmitted in round ``r`` (0-based) given the combined samples.
+    retransmitted in round ``r`` (0-based) given the combined samples, or
+    None when the round repeats every bit.
     """
     if scheme == "full_repetition" or config.retransmissions == 0:
-        return (lambda r0: None), (lambda r, acc, _: np.ones(acc.shape, dtype=bool))
+        return (lambda r0: None), (lambda r, acc, _: None)
     us, ws = config.thresholds, config.windows
     if scheme == "preassigned":
         # band index searchsorted(us, |r0|) <= r exactly when |r0| <= us[r]
@@ -107,49 +112,6 @@ def _selector(config: ProtocolConfig, scheme: str):
         return mask
 
     return (lambda r0: np.ones(r0.shape)), select
-
-
-def _run(
-    config: ProtocolConfig, link: LinkModel, schemes: tuple[str, ...], bits: int, seed: int,
-    n_jobs: int,
-) -> list[TrialReport]:
-    """One report per scheme; every scheme combines the same draws."""
-    if link.fading is not None:
-        raise ConfigurationError("the Monte Carlo does not simulate fading; give a link without it")
-    m = math.sqrt(2.0 * link.snr_per_symbol)
-    n, d = config.packet_bits, config.retransmissions
-    starts, selects = zip(*(_selector(config, s) for s in schemes))
-    full, rest = divmod(bits // n, BLOCK_PACKETS)
-    plan = [BLOCK_PACKETS] * full + [rest] * (rest > 0)
-    children = np.random.SeedSequence(seed).spawn(len(plan))
-
-    def block(idx: int) -> tuple[np.ndarray, np.ndarray]:
-        """Bit errors and per-round retransmission counts of each scheme."""
-        rng = np.random.Generator(np.random.PCG64(children[idx]))
-        r0 = m + rng.standard_normal((plan[idx], n))
-        states = [start(r0) for start in starts]
-        # the last scheme combines into r0 itself, once every start has read it
-        accs = [r0.copy() for _ in starts[1:]] + [r0]
-        counts = np.zeros((len(starts), d), dtype=np.int64)
-        for r in range(d):
-            copy = m + rng.standard_normal((plan[idx], n))
-            for k, (select, acc, state) in enumerate(zip(selects, accs, states)):
-                mask = select(r, acc, state)
-                counts[k, r] = np.count_nonzero(mask)
-                acc += mask * copy
-        return np.array([np.count_nonzero(acc < 0.0) for acc in accs]), counts
-
-    if n_jobs > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(block, range(len(plan))))
-    else:
-        results = [block(i) for i in range(len(plan))]
-    reports = []
-    for errors, counts in zip(sum(r[0] for r in results), sum(r[1] for r in results)):
-        retransmitted = tuple(int(c) for c in counts)
-        rate = bits / (bits + sum(retransmitted))
-        reports.append(TrialReport(bits, int(errors), retransmitted, rate, seed))
-    return reports
 
 
 def simulate(
@@ -168,10 +130,46 @@ def simulate(
     with ``fading`` set raises ``ConfigurationError``), applies the
     selected scheme, and counts sign errors after the final combining.
     Deterministic for a given (config, link, scheme, bits, seed); every
-    scheme sees the same samples for a given seed (common random numbers).
+    scheme sees the same first-pass samples for a given seed.
     """
     _validate(config, scheme, bits)
-    return _run(config, link, (scheme,), bits, seed, n_jobs)[0]
+    if link.fading is not None:
+        raise ConfigurationError("the Monte Carlo does not simulate fading; give a link without it")
+    m = math.sqrt(2.0 * link.snr_per_symbol)
+    n, d = config.packet_bits, config.retransmissions
+    start, select = _selector(config, scheme)
+    full, rest = divmod(bits // n, BLOCK_PACKETS)
+    plan = [BLOCK_PACKETS] * full + [rest] * (rest > 0)
+    children = np.random.SeedSequence(seed).spawn(len(plan))
+
+    def block(idx: int) -> np.ndarray:
+        """Bit errors, then the retransmitted bits of each round."""
+        rng = np.random.Generator(np.random.PCG64(children[idx]))
+        acc = m + rng.standard_normal((plan[idx], n))
+        flat = acc.reshape(-1)
+        state = start(acc)
+        sent = []
+        for r in range(d):
+            mask = select(r, acc, state)
+            if mask is None:
+                acc += m + rng.standard_normal(acc.shape)
+                sent.append(acc.size)
+            else:
+                # one fresh normal per retransmitted bit, in packet order; the
+                # indices are unique, so add.at equals flat[picked] += ... at half the cost
+                picked = np.flatnonzero(mask)
+                np.add.at(flat, picked, m + rng.standard_normal(picked.size))
+                sent.append(picked.size)
+        return np.array([np.count_nonzero(acc < 0.0), *sent], dtype=np.int64)
+
+    if n_jobs > 1 and len(plan) > 1:
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            totals = sum(pool.map(block, range(len(plan))))
+    else:
+        totals = sum(block(i) for i in range(len(plan)))
+    retransmitted = tuple(int(c) for c in totals[1:])
+    rate = bits / (bits + sum(retransmitted))
+    return TrialReport(bits, int(totals[0]), retransmitted, rate, seed)
 
 
 def compare_schemes(
@@ -179,16 +177,16 @@ def compare_schemes(
 ) -> tuple[float, float]:
     """BER of the sequential and preassigned schemes on shared noise.
 
-    One run combines the same draws under both schemes (common random
-    numbers), which shrinks the variance of their difference; each BER
-    equals that of ``simulate`` with the scheme and seed. Both schemes
-    decide on the threshold ladder; defined for two retransmissions.
+    Both schemes run on the same seed, so they share the first pass, and
+    a round's copies land on the same bits while their masks coincide
+    (common random numbers), which shrinks the variance of their
+    difference; each BER equals that of ``simulate`` with the scheme and
+    seed. Both schemes decide on the threshold ladder; defined for two
+    retransmissions.
     """
     if config.retransmissions != 2:
         raise ConfigurationError("scheme comparison is defined for two retransmissions")
     if config.thresholds is None:
         raise ConfigurationError("scheme comparison needs the threshold ladder")
     ladder = replace(config, windows=None)
-    _validate(ladder, "preassigned", bits)
-    seq, pre = _run(ladder, link, ("sequential", "preassigned"), bits, seed, 1)
-    return seq.ber, pre.ber
+    return tuple(simulate(ladder, link, s, bits, seed).ber for s in ("sequential", "preassigned"))

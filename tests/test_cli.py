@@ -180,6 +180,22 @@ class TestSimulate:
         plain_row = dict(zip(*(r.split(",") for r in body(plain).splitlines())))
         assert int(plain_row["retransmitted"]) / 200_000 < 0.18
 
+    def test_config_header_records_equalize_energy(self, capsys):
+        # the two runs simulate different links, so their headers must differ
+        argv = ("simulate", "--scheme", "preassigned", "--snr-db", "3", "--n", "1000",
+                "--d", "1", "--bits", "20000", "--window", "0.2", "--reproducible")
+        configs = []
+        for extra in ((), ("--equalize-energy",)):
+            code, out, _ = run(capsys, *argv, *extra)
+            assert code == 0
+            configs.append([l for l in out.splitlines() if l.startswith("# config:")])
+        plain, equalized = configs
+        assert len(plain) == len(equalized) == 1
+        assert "equalize_energy" not in plain[0]
+        assert equalized[0] == plain[0].replace(
+            " equalized_snr=", " equalize_energy=True equalized_snr="
+        )
+
 
 class TestSweepMatchesOptimizer:
     @pytest.mark.parametrize("kind, optimizer", [

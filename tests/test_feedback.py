@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -116,6 +118,30 @@ class TestPermutationStream:
             assert len(keys) == 1000
             for i, u in enumerate(keys):
                 assert (np.argsort(u) == permutation_at(seed, i, n)).all(), (n, i)
+
+    @pytest.mark.parametrize("seed", [2**64 - 1, 2**64 + 77, 2**128 - 1])
+    def test_both_key_words_follow_the_seed(self, seed):
+        # the reused generator is re-keyed in place; its 128-bit key must
+        # match a Philox constructed from the same seed
+        for index in (0, 1, 999):
+            g = np.random.Generator(np.random.Philox(key=seed, counter=[index * 4, 0, 0, 0]))
+            assert (np.argsort(g.random(16)) == permutation_at(seed, index, 16)).all()
+
+    def test_searches_in_threads_match_one_thread(self):
+        # each thread re-keys its own generator: a search interleaved with
+        # another thread's must find the same stream indexes
+        args = [(16, 3, 4, 40, seed) for seed in range(8)]
+        expected = [simulate_permutation_search(*a)[0] for a in args]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(simulate_permutation_search, *a) for a in args]
+                got = [f.result(timeout=60)[0] for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for ks, want in zip(got, expected):
+            assert (ks == want).all()
 
     def test_distinct_indexes_give_distinct_permutations(self):
         a = permutation_at(5, 0, 16)
