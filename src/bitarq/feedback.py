@@ -28,7 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidParameterError, SearchExhaustedError
-from .model import round_half_away
+from .model import feedback_bit_width, round_half_away
 
 __all__ = [
     "CombinadicMessage",
@@ -116,12 +116,6 @@ def unpack_bits(data: bytes, width: int) -> int:
 # ---------------------------------------------------------------------------
 # combinadic codec
 # ---------------------------------------------------------------------------
-
-
-def feedback_bit_width(n: int, w: int) -> int:
-    """Exact width of a subset-rank message: ceil(log2(C(n, w)))."""
-    total = math.comb(n, w)
-    return (total - 1).bit_length()
 
 
 def _check_positions(positions: Iterable[int], n: int) -> tuple[int, ...]:

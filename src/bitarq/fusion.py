@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InvalidParameterError, NumericFailureError
+from .model import feedback_bit_width
 
 __all__ = [
     "Technology",
@@ -130,9 +131,26 @@ class SegmentedDesign:
 
     @property
     def c_tot(self) -> int:
-        from .feedback import feedback_bit_width  # loads NumPy, which the scheduler does not need
-
         return self.n_seg * feedback_bit_width(self.segment_bits, self.w_seg)
+
+
+def _binomial_cdf(k: int, n: int, p: float) -> float:
+    """P(X <= k) for X ~ Binomial(n, p), 0 <= p < 1, from exact coefficients in log space.
+
+    The binomial coefficients are exact integers and each term is summed
+    relative to the largest one, so nothing overflows, and the one rounding
+    to a double is the final ``exp``: only a CDF below the double range
+    underflows, to 0.
+    """
+    if p == 0.0 or k >= n:
+        return 1.0
+    log_p, log_q = math.log(p), math.log1p(-p)
+    logs, comb = [], 1
+    for i in range(k + 1):
+        logs.append(math.log(comb) + i * log_p + (n - i) * log_q)
+        comb = comb * (n - i) // (i + 1)
+    top = max(logs)
+    return min(1.0, math.exp(top + math.log(math.fsum(math.exp(x - top) for x in logs))))
 
 
 def segment_feasibility(design: SegmentedDesign) -> tuple[float, float]:
@@ -142,9 +160,7 @@ def segment_feasibility(design: SegmentedDesign) -> tuple[float, float]:
     window can then cover them all).  Reverse: probability that at least
     one of the c_tot feedback bits is hit.
     """
-    from scipy.special import bdtr
-
-    ppf = float(bdtr(design.w_seg, design.segment_bits, design.p_f))
+    ppf = _binomial_cdf(design.w_seg, design.segment_bits, design.p_f)
     ppr = -math.expm1(design.c_tot * math.log1p(-design.p_r)) if design.p_r > 0 else 0.0
     return ppf, ppr
 

@@ -30,6 +30,7 @@ __all__ = [
     "ProtocolConfig",
     "MAX_SNR_DB",
     "round_half_away",
+    "feedback_bit_width",
 ]
 
 
@@ -42,6 +43,12 @@ def round_half_away(x: float) -> int:
     if x >= 0:
         return math.floor(x + 0.5)
     return math.ceil(x - 0.5)
+
+
+def feedback_bit_width(n: int, w: int) -> int:
+    """Exact width of a subset-rank message: ceil(log2(C(n, w)))."""
+    total = math.comb(n, w)
+    return (total - 1).bit_length()
 
 
 # Highest SNR accepted anywhere: up to here the equal-probability ladders

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -84,6 +85,24 @@ class TestSegmentedDesigns:
         report = feasible(hot_forward)
         assert not report.feasible
         assert report.reasons == ("forward BER 1.0e-02 > 1e-3",)
+
+    @pytest.mark.parametrize("tech", TECHNOLOGIES.values(), ids=TECHNOLOGIES)
+    @pytest.mark.parametrize("p_f", [0.0, 1e-6, 1e-3, 0.5, 0.999])
+    def test_forward_probability_matches_the_exact_sum(self, tech, p_f):
+        # 40-digit sum of the binomial terms by their ratio recurrence; a CDF
+        # below the double range must come back as 0, its nearest double
+        n = tech.packet_bits
+        for w in (1, 3, n):
+            with mpmath.workdps(40):
+                p = mpmath.mpf(p_f)
+                term = (1 - p) ** n
+                exact = term
+                for i in range(w):
+                    term *= (n - i) * p / ((i + 1) * (1 - p))
+                    exact += term
+                want = float(exact)
+            ppf, _ = segment_feasibility(SegmentedDesign(tech, p_f, 0.0, 1, w))
+            assert ppf == pytest.approx(want, rel=1e-10, abs=0), (w, ppf, want)
 
     def test_geometry_validation(self):
         with pytest.raises(InvalidParameterError):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -333,3 +335,60 @@ def test_pinned_reports(case, expected):
     errors, retransmitted, rate = expected
     rep = simulate(cfg, link, scheme, bits, seed, n_jobs=jobs)
     assert rep == TrialReport(bits, errors, retransmitted, rate, seed)
+
+
+# Wider than one byte of per-bit state: 300 rounds make copy counts and band
+# indices reach 301 and 300.  (scheme, thresholds) -> (bit errors, total
+# retransmitted, rate, sha256 of the retransmitted tuple's repr).
+WIDE_STATE = [
+    (
+        ("sequential", (2.0,) * 300),
+        (1, 182762, 0.005571697517765227,
+         "7720b07bbb593c39d02a588554765c2bdd03b45437ffd23f69f53e4593791dc5"),
+    ),
+    (
+        ("preassigned", tuple(0.01 * i for i in range(300))),
+        (0, 156670, 0.006493588849290398,
+         "3212a42c7bf940b9d0663d529cfb039eb7cf3c20b8ce16a12bbcb92a1adeb817"),
+    ),
+]
+
+
+@pytest.mark.parametrize("case, expected", WIDE_STATE, ids=[c[0] for c, _ in WIDE_STATE])
+def test_pinned_reports_with_300_rounds(case, expected):
+    scheme, thresholds = case
+    rep = simulate(ProtocolConfig(16, 300, thresholds=thresholds), LINK1, scheme, 1024, 5)
+    r = rep.retransmitted_bits
+    digest = hashlib.sha256(repr(r).encode()).hexdigest()
+    assert (rep.bit_errors, sum(r), rep.forward_rate_realized, digest) == expected
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pinned_windowed_report_at_1024_bits(jobs):
+    # one full block and a partial one, at the packet size the CLI uses
+    bits = 1024 * (BLOCK_PACKETS + 300)
+    cfg = ProtocolConfig(1024, 2, windows=(205, 82))
+    rep = simulate(cfg, LINK1, "sequential", bits, 7, n_jobs=jobs)
+    assert rep == TrialReport(bits, 57108, (481340, 192536), 0.7810831426392068, 7)
+
+
+BLOCK_SAMPLE_BYTES = 8 * BLOCK_PACKETS * 1024  # one block's float64 sample matrix at N = 1024
+
+
+@pytest.mark.parametrize("cfg, scheme", [
+    (ProtocolConfig(1024, 3, thresholds=LADDER[3]), "preassigned"),
+    (ProtocolConfig(1024, 2, thresholds=LADDER[2]), "sequential"),
+    (ProtocolConfig(1024, 2, windows=(205, 205)), "sequential"),
+    (ProtocolConfig(1024, 2, windows=(820, 820)), "sequential"),
+    (ProtocolConfig(1024, 2), "full_repetition"),
+], ids=["preassigned-d3", "sequential-threshold", "sequential-w205", "sequential-w820",
+        "full-repetition"])
+def test_block_memory_stays_near_its_sample_matrix(cfg, scheme):
+    # a block holds its samples, one small integer per bit and one slab's temporaries
+    tracemalloc.start()
+    try:
+        simulate(cfg, LINK1, scheme, 1024 * BLOCK_PACKETS, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * BLOCK_SAMPLE_BYTES, peak / BLOCK_SAMPLE_BYTES
