@@ -35,11 +35,11 @@ def test_import_loads_neither_numpy_nor_scipy(module):
 @pytest.mark.parametrize("argv, loaded", [
     (["--version"], "[]"),
     (["fusion-plan", "--tech", "zigbee", "--w", "4", "--d", "3", "--blocks", "10"], "[]"),
-    (["fusion-feasibility", "--tech", "zigbee", "--pf", "1e-3", "--pr", "1e-5", "--nseg", "2",
-      "--wseg", "3"], "[]"),
     (["feedback-sim", "--n", "16", "--w", "3", "--trials", "20"], "['numpy']"),
     *((["fit-check", "--tech", tech, "--ber", "1e-4"], "[]")
       for tech in ("zigbee", "wifi", "bluetooth")),
+    (["fusion-feasibility", "--tech", "zigbee", "--pf", "1e-3", "--pr", "1e-5", "--nseg", "2",
+      "--wseg", "3"], "[]"),
 ])
 def test_command_loads_no_scipy(argv, loaded):
     code = ("import sys; from bitarq.cli import main; sys.argv[0] = 'bitarq'\n"
