@@ -28,7 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidParameterError, SearchExhaustedError
-from .model import feedback_bit_width, round_half_away
+from .model import check_integer, feedback_bit_width, round_half_away
 
 __all__ = [
     "CombinadicMessage",
@@ -159,8 +159,8 @@ def combinadic_decode(message: CombinadicMessage, n: int, w: int) -> tuple[int, 
 
 _WORDS_PER_COUNTER = 4
 _SEARCH_CHUNK = 256  # permutations generated per search step; 256 measured faster than 512
-# Largest C(n, w) searched.  At n = 64 a permutation costs about 1 us (2-core
-# Xeon VM), so a mean search of 10**6 permutations takes about 1 s.
+# Largest C(n, w) searched.  At n = 64 a permutation costs about 0.85 us (2-core
+# Xeon VM), so a mean search of 10**6 permutations takes about 0.85 s.
 MAX_SEARCH_SUBSETS = 10**6
 _SEARCH_MEANS = 64  # a search gives up after this many mean search lengths, C(n, w) each
 
@@ -170,6 +170,7 @@ def _blocks_per_permutation(n: int) -> int:
 
 
 _WORD = (1 << 64) - 1
+_LOW_BITS = (1 << 11) - 1  # the bits of a Philox word that Generator.random() drops
 _streams = threading.local()
 
 
@@ -210,6 +211,44 @@ def permutation_at(seed: int, index: int, n: int) -> np.ndarray:
     return np.argsort(u)
 
 
+def _check_search(n: int, w: int, c1: int) -> tuple[int, int, int]:
+    """The search shape as ints; C(n, w) above :data:`MAX_SEARCH_SUBSETS` is rejected."""
+    n, w, c1 = check_integer("n", n, 1), check_integer("w", w, 1), check_integer("c1", c1, 1)
+    if w > n:
+        raise InvalidParameterError("need 1 <= w <= n")
+    if math.comb(n, w) > MAX_SEARCH_SUBSETS:
+        raise InvalidParameterError(
+            f"C({n}, {w}) exceeds the permutation-search limit {MAX_SEARCH_SUBSETS}; "
+            "report the subset with the combinadic codec (combinadic_encode) instead"
+        )
+    return n, w, c1
+
+
+def _search(targets: np.ndarray, n: int, w: int, seed: int) -> int:
+    """1-based stream index K of the first permutation that maps the w
+    ``targets`` into the leading w slots; gives up after 64 * C(n, w)."""
+    is_other = np.ones(n, dtype=bool)
+    is_other[targets] = False
+    others = np.flatnonzero(is_other)
+    max_tries = _SEARCH_MEANS * math.comb(n, w)
+    words = _blocks_per_permutation(n) * _WORDS_PER_COUNTER
+    raw = _stream_generator(seed, 0, n).bit_generator.random_raw
+    base = 0
+    while base < max_tries:
+        count = min(_SEARCH_CHUNK, max_tries - base)
+        u = raw(count * words).reshape(count, words)
+        # a permutation's keys are Generator.random() doubles, (word >> 11) * 2**-53: the
+        # targets fill the window iff no target key exceeds another key, that is iff the
+        # largest target word is at most the smallest other word with its low 11 bits set
+        top = u[:, targets].max(axis=1)
+        hit = top <= (u[:, others].min(axis=1, initial=_WORD) | _LOW_BITS)
+        first = int(hit.argmax())
+        if hit[first]:
+            return base + first + 1
+        base += count
+    raise SearchExhaustedError("no qualifying permutation found", max_tries)
+
+
 def permutation_search(
     unreliable_positions: Iterable[int],
     n: int,
@@ -225,36 +264,13 @@ def permutation_search(
     gives up after 64 * C(n, w): a search overruns that with probability
     about e^-64.  All w targets must land in the window.
     """
+    n, w, c1 = _check_search(n, w, c1)
+    rng_seed = check_integer("rng_seed", rng_seed, 0)
     targets = _check_positions(unreliable_positions, n)
     if len(targets) != w:
         raise InvalidParameterError("the target set must contain exactly w positions")
-    if not 1 <= w <= n:
-        raise InvalidParameterError("need 1 <= w <= n")
-    if c1 < 1:
-        raise InvalidParameterError("c1 must be positive")
-    if math.comb(n, w) > MAX_SEARCH_SUBSETS:
-        raise InvalidParameterError(
-            f"C({n}, {w}) exceeds the permutation-search limit {MAX_SEARCH_SUBSETS}; "
-            "report the subset with the combinadic codec (combinadic_encode) instead"
-        )
-    max_tries = _SEARCH_MEANS * math.comb(n, w)
-
-    words = _blocks_per_permutation(n) * _WORDS_PER_COUNTER
-    t_idx = np.array(targets)
-    others = np.array([i for i in range(n) if i not in targets], dtype=np.intp)
-    g = _stream_generator(rng_seed, 0, n)
-    base = 0
-    while base < max_tries:
-        count = min(_SEARCH_CHUNK, max_tries - base)
-        u = g.random(count * words).reshape(count, words)
-        # the targets fill the window iff none of their keys exceeds another key
-        hit = u[:, t_idx].max(axis=1) <= u[:, others].min(axis=1, initial=np.inf)
-        first = int(hit.argmax())
-        if hit[first]:
-            k = base + first + 1  # 1-based stream index
-            return PermutationMessage(k % (1 << c1), k >> c1, c1)
-        base += count
-    raise SearchExhaustedError("no qualifying permutation found", max_tries)
+    k = _search(np.array(targets), n, w, rng_seed)
+    return PermutationMessage(k % (1 << c1), k >> c1, c1)
 
 
 def permutation_recover(
@@ -274,19 +290,15 @@ def simulate_permutation_search(
 
     Returns the per-trial stream indexes K and idle-period counts I.
     """
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be positive, got {trials}")
-    if not 1 <= w <= n:
-        raise InvalidParameterError("need 1 <= w <= n")
-    if seed < 0:
-        raise InvalidParameterError(f"the seed must be non-negative, got {seed}")
+    n, w, c1 = _check_search(n, w, c1)
+    trials = check_integer("trials", trials, 1)
+    seed = check_integer("seed", seed, 0)
     picker = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     session_seeds = picker.integers(0, 2**63, size=trials)
     ks = np.empty(trials, dtype=np.int64)
     for t in range(trials):
         targets = picker.choice(n, size=w, replace=False)
-        msg = permutation_search(targets, n, w, c1, int(session_seeds[t]))
-        ks[t] = msg.stream_index
+        ks[t] = _search(targets, n, w, int(session_seeds[t]))
     return ks, ks >> c1
 
 

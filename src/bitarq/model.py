@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -31,6 +32,7 @@ __all__ = [
     "MAX_SNR_DB",
     "round_half_away",
     "feedback_bit_width",
+    "check_integer",
 ]
 
 
@@ -49,6 +51,23 @@ def feedback_bit_width(n: int, w: int) -> int:
     """Exact width of a subset-rank message: ceil(log2(C(n, w)))."""
     total = math.comb(n, w)
     return (total - 1).bit_length()
+
+
+def check_integer(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int`` at least ``minimum``.
+
+    Accepts whatever ``operator.index`` accepts (Python and NumPy integers)
+    except ``bool``; anything else raises ``InvalidParameterError``.
+    """
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if number < minimum:
+        raise InvalidParameterError(f"{name} must be at least {minimum}, got {number}")
+    return number
 
 
 # Highest SNR accepted anywhere: up to here the equal-probability ladders

@@ -180,13 +180,39 @@ class TestPermutationStream:
 
     def test_default_budget_is_64_mean_searches(self, monkeypatch):
         class NeverMatches:  # position 0 always draws the largest key
-            def random(self, size):
-                return np.tile([1.0, 0.0, 0.0, 0.0], size // 4)
+            class bit_generator:
+                @staticmethod
+                def random_raw(size):
+                    return np.tile(np.array([2**64 - 1, 0, 0, 0], dtype=np.uint64), size // 4)
 
         monkeypatch.setattr(feedback, "_stream_generator", lambda *args: NeverMatches())
         with pytest.raises(SearchExhaustedError) as exc:
             permutation_search((0,), 2, 1, 1, rng_seed=1)
         assert exc.value.tried == 64 * math.comb(2, 1)
+
+    def test_double_keys_are_raw_words_shifted(self):
+        # the search compares raw words on the premise that a key is
+        # random() = (word >> 11) * 2**-53; a NumPy that changed it fails here
+        for seed, index in ((5, 0), (2**100 + 3, 777)):
+            doubles = feedback._stream_generator(seed, index, 16).random(4096)
+            words = feedback._stream_generator(seed, index, 16).bit_generator.random_raw(4096)
+            assert (doubles == (words >> 11) * 2.0**-53).all()
+
+    def test_words_tied_as_keys_count_as_a_hit(self, monkeypatch):
+        # permutation 1: the target word is one key above the other word;
+        # permutation 2: it differs only in the 11 low bits, so both keys tie
+        low = 0x5A5A_5A5A_5A5A_5800
+
+        class Planted:
+            class bit_generator:
+                @staticmethod
+                def random_raw(size):
+                    rows = [[low + 2048, low, 0, 0], [low | 2047, low, 0, 0]]
+                    return np.array(rows * (size // 8), dtype=np.uint64).reshape(-1)
+
+        assert (low + 2048) >> 11 > low >> 11 == (low | 2047) >> 11
+        monkeypatch.setattr(feedback, "_stream_generator", lambda *args: Planted())
+        assert permutation_search((0,), 2, 1, 1, rng_seed=1).stream_index == 2
 
     @pytest.mark.parametrize("n, w", [(1024, 4), (64, 8), (1024, 512)])
     def test_unviable_search_points_to_combinadic_codec(self, n, w):
@@ -241,11 +267,33 @@ class TestInputHoles:
 
     @pytest.mark.parametrize("n, w, trials, seed", [
         (16, 3, -1, 0), (16, 3, 0, 0), (3, 4, 10, 0), (16, 0, 10, 0), (16, 3, 10, -1),
+        (16, 3, 1, 2.5), (16, 3, 1.5, 1), (16, 3, True, 1), (16, 3, 1, False), (16.0, 3, 1, 1),
     ])
     def test_simulation_arguments(self, n, w, trials, seed):
-        # raw ValueErrors from NumPy, or empty arrays with a nan mean (trials = 0)
+        # raw ValueErrors from NumPy, or empty arrays with a nan mean (trials = 0);
+        # raw TypeErrors from SeedSequence, numpy.empty or math.comb
         with pytest.raises(InvalidParameterError):
             simulate_permutation_search(n, w, 9, trials, seed)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rng_seed": 1.5}, {"rng_seed": True}, {"rng_seed": "1"}, {"c1": 4.0}, {"c1": 0},
+        {"n": 16.0},
+    ], ids=repr)
+    def test_search_argument_types(self, kwargs):
+        # rng_seed = 1.5 passed the key range check and raised a TypeError at
+        # seed & (2**64 - 1); c1 = 4.0 raised one at 1 << c1
+        args = {"n": 16, "w": 3, "c1": 4, "rng_seed": 1, **kwargs}
+        with pytest.raises(InvalidParameterError):
+            permutation_search((0, 1, 2), **args)
+
+    def test_numpy_integers_are_accepted(self):
+        ks, _ = simulate_permutation_search(16, 3, 9, 20, 5)
+        got, _ = simulate_permutation_search(
+            np.int64(16), np.int32(3), np.uint8(9), np.int64(20), np.uint64(5)
+        )
+        assert (got == ks).all()
+        msg = permutation_search((2, 9, 13), 16, 3, 9, rng_seed=1234)
+        assert permutation_search(np.array([2, 9, 13]), 16, 3, 9, np.int64(1234)) == msg
 
 
 class TestDelayModel:

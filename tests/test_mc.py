@@ -39,6 +39,36 @@ class TestWindowMask:
         for row, picked in zip(rel, mask):
             assert set(np.flatnonzero(picked)) == set(np.argsort(row)[:16])
 
+    @staticmethod
+    def _argpartition_mask(rel, w):
+        # the selection of one np.argpartition over the whole slab
+        mask = np.zeros(rel.shape, dtype=bool)
+        np.put_along_axis(mask, np.argpartition(rel, w - 1, axis=1)[:, :w], True, axis=1)
+        return mask
+
+    @pytest.mark.parametrize("w", [1, 157, 205, 756, 1024])
+    def test_equals_argpartition_on_a_slab(self, w):
+        rng = np.random.default_rng(w)
+        rel = np.abs(rng.standard_normal((128, 1024)) + 1.2)
+        assert (_window_mask(rel, w) == self._argpartition_mask(rel, w)).all()
+
+    @pytest.mark.parametrize("w", [1, 157, 205, 756, 1024])
+    def test_ties_at_the_window_edge_keep_exactly_w(self, w):
+        # plant ties between the w-th smallest reliability and its neighbours:
+        # a selection by value would keep more than w bits in those rows
+        rng = np.random.default_rng(100 + w)
+        rel = np.abs(rng.standard_normal((128, 1024)) + 1.2)
+        order = np.argsort(rel, axis=1)
+        tied = rng.choice(128, size=40, replace=False)
+        for i in tied:
+            edge = rel[i, order[i, w - 1]]
+            rel[i, order[i, w:w + 3]] = edge  # fewer than 3 past the edge when w > N - 3
+            if w > 1:
+                rel[i, order[i, w - 2]] = edge
+        mask = _window_mask(rel, w)
+        assert (mask.sum(axis=1) == w).all()
+        assert (mask == self._argpartition_mask(rel, w)).all()
+
 
 class TestSimulateBaselines:
     def test_uncoded(self):
@@ -145,6 +175,23 @@ class TestSimulateBehavior:
         with pytest.raises(ConfigurationError):
             cfg = ProtocolConfig(1000, 1, strategy=FixedThreshold(0.5), thresholds=(0.5,))
             simulate(cfg, LINK1, "full_repetition", 1000, seed=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"bits": 64.0}, {"bits": 0},
+        {"n_jobs": 0}, {"n_jobs": -2}, {"n_jobs": 2.0},
+    ], ids=repr)
+    def test_argument_types_and_ranges(self, kwargs):
+        # raw ValueError / TypeError from SeedSequence or the block plan, or
+        # (n_jobs <= 0) a silent single-threaded run
+        args = {"bits": 128, "seed": 0, **kwargs}
+        with pytest.raises(InvalidParameterError):
+            simulate(ProtocolConfig(64, 0), LINK1, "sequential", **args)
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = ProtocolConfig(64, 1, windows=(8,))
+        want = simulate(cfg, LINK1, "sequential", 640, seed=3, n_jobs=2)
+        got = simulate(cfg, LINK1, "sequential", np.int64(640), seed=np.uint32(3), n_jobs=np.int8(2))
+        assert got == want
 
 
 class TestCompareSchemes:
