@@ -29,7 +29,10 @@ _THREADS_ENV = "BITARQ_THREADS"
 def _db_to_linear(db: float) -> float:
     if db > MAX_SNR_DB:
         raise ConfigurationError(f"--snr-db {db} is above the {MAX_SNR_DB:g} dB ceiling")
-    return 10.0 ** (db / 10.0)
+    snr = 10.0 ** (db / 10.0)
+    if snr == 0.0:
+        raise ConfigurationError(f"--snr-db {db} is so low that the linear SNR underflows to 0")
+    return snr
 
 
 def _n_jobs() -> int:

@@ -46,6 +46,8 @@ _GOLDEN_TOL = 1e-4
 # Golden-section steps scored per objective call (2**4 - 1 = 15 probes);
 # 4 beat 3 and 5 on the design workload's optimizer calls.
 _LOOKAHEAD = 4
+# The fewest golden-section steps that shrink a bracket below _GOLDEN_TOL: 20
+_GOLDEN_STEPS = math.ceil(math.log(_GOLDEN_TOL) / math.log(_GOLDEN))
 
 
 @dataclass(frozen=True)
@@ -84,42 +86,33 @@ def _golden_step(a, b, c, d, left):
 def golden_section(f, a: float, b: float):
     """Deterministic golden-section minimization on [a, b].
 
-    ``f`` maps a 1-D array of abscissae to an array of values.  Stops once
-    the bracket width falls below 1e-4 of ``b - a``; assumes a single local
-    minimum inside the bracket.
+    ``f`` maps a 1-D array of abscissae to an array of values.  Takes
+    ``_GOLDEN_STEPS`` = 20 steps, the fewest that shrink the bracket below
+    1e-4 of ``b - a``; assumes a single local minimum inside the bracket.
 
     Each step only chooses between two known successors, so the probes of
-    the next ``_LOOKAHEAD`` steps take at most 2**_LOOKAHEAD - 1 positions:
-    one call of ``f`` scores them all, and the steps are then replayed with
-    the plain sequential arithmetic and comparisons.  Every bracket, probe
-    and the returned (x, f(x)) are those of the one-probe-per-call search,
-    provided ``f`` values each element as it would alone.
+    the next ``_LOOKAHEAD`` steps take 2**_LOOKAHEAD - 1 positions: one call
+    of ``f`` scores them all, and the steps are then replayed with the plain
+    sequential arithmetic and comparisons.  So the 20 steps cost 1 + 5
+    calls of ``f``, on 2 and then 15 probes.  Every bracket, probe and the
+    returned (x, f(x)) are those of the one-probe-per-call search, provided
+    ``f`` values each element as it would alone.
     """
     if not b > a:
         raise InvalidParameterError("need b > a")
-    tol = _GOLDEN_TOL * (b - a)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(np.array([c, d]))
-    while (b - a) > tol:
-        # node i's successors are 2i+1 (left) and 2i+2 (right); None where
-        # the search would already have stopped
+    for _ in range(_GOLDEN_STEPS // _LOOKAHEAD):
+        # node i's successors are 2i+1 (left) and 2i+2 (right)
         tree = [_golden_step(a, b, c, d, fc < fd)]
         for i in range(2 ** (_LOOKAHEAD - 1) - 1):
-            node = tree[i]
-            if node is None or not (node[1] - node[0]) > tol:
-                tree += [None, None]
-            else:
-                tree += [_golden_step(*node[:4], True), _golden_step(*node[:4], False)]
-        live = [i for i, node in enumerate(tree) if node is not None]
-        probes = [tree[i][2] if tree[i][4] else tree[i][3] for i in live]
-        values = dict(zip(live, f(np.array(probes))))
+            tree += [_golden_step(*tree[i][:4], left) for left in (True, False)]
+        values = f(np.array([node[2] if node[4] else node[3] for node in tree]))
         i = 0
-        while i < len(tree):
+        for _ in range(_LOOKAHEAD):
             a, b, c, d, left = tree[i]
             fc, fd = (values[i], fc) if left else (fd, values[i])
-            if not (b - a) > tol:
-                break
             i = 2 * i + (1 if fc < fd else 2)
     x = c if fc < fd else d
     return x, min(fc, fd)
@@ -394,19 +387,19 @@ def resolve_protocol(
 def sweep_blocks(kind: str, points: int, n: int, d: int, base_snr: float, u_max=None):
     """Resolve the ``points`` parameter values swept for strategy ``kind``.
 
-    Rates span (1/(1+d), n/(d+n)], window fractions (0, 1] and shared
-    thresholds (0, u_max], u_max defaulting to :func:`threshold_u_max`;
-    the open end is excluded.  Yields (values, thresholds, effective SNRs)
-    per block of at most _SWEEP_BLOCK values, the last two as arrays.
+    The values are lo + (hi - lo)(i + 1)/points, i < points, over (lo, hi]:
+    (1/(1+d), n/(d+n)] for rates, (0, 1] for window fractions and (0, u_max]
+    for shared thresholds, u_max defaulting to :func:`threshold_u_max`.
+    Yields (values, thresholds, effective SNRs) per block of at most
+    _SWEEP_BLOCK values, the last two as arrays.
     """
     if kind == "rate":
         lo, hi = _rate_range(n, d)
-        xs = [lo + (hi - lo) * (i + 1) / points for i in range(points)]
     elif kind == "window":
-        xs = [(i + 1) / points for i in range(points)]
+        lo, hi = 0.0, 1.0
     else:
-        u_max = threshold_u_max(base_snr) if u_max is None else u_max
-        xs = [u_max * (i + 1) / points for i in range(points)]
+        lo, hi = 0.0, threshold_u_max(base_snr) if u_max is None else u_max
+    xs = [lo + (hi - lo) * (i + 1) / points for i in range(points)]
     for start in range(0, len(xs), _SWEEP_BLOCK):
         block = xs[start:start + _SWEEP_BLOCK]
         us, _, snr_eff = resolve_strategy(kind, np.array(block), d, base_snr)

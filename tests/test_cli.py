@@ -260,6 +260,20 @@ class TestFeedbackSim:
         assert values[header.index("c1")] == values[header.index("c1_opt")] == "9"
         assert values[header.index("expected_k")] == "560"
 
+    def test_c1_sets_the_idle_count(self, capsys):
+        from bitarq.feedback import expected_idle_periods, simulate_permutation_search
+
+        code, out, _ = run(capsys, "feedback-sim", "--n", "16", "--w", "3", "--trials", "200",
+                           "--seed", "1", "--c1", "4", "--reproducible")
+        assert code == 0
+        assert "# config: c1=4 n=16 seed=1 trials=200 w=3" in out.splitlines()
+        header, values = (row.split(",") for row in body(out).splitlines())
+        row = dict(zip(header, values))
+        assert (row["c1"], row["c1_opt"]) == ("4", "9")
+        ks, _ = simulate_permutation_search(16, 3, 9, 200, 1)
+        assert row["mean_idle"] == f"{(ks >> 4).mean():.6f}"
+        assert row["expected_idle"] == f"{expected_idle_periods(16, 3, 4):.6f}"
+
     @pytest.mark.parametrize("n, w", [("1024", "4"), ("64", "8")])
     def test_unviable_search_exits_2_at_once(self, capsys, n, w):
         start = time.perf_counter()
@@ -377,6 +391,20 @@ class TestFloatOptionsMustBeFinite:
         code, _, _ = run(capsys, "optimize", "--strategy", "window", "--d", "1",
                          "--points", "4", "--snr-db", "100")
         assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep-rate", "--d", "1", "--points", "2"),
+        ("sweep-window", "--d", "1", "--points", "2"),
+        ("sweep-threshold", "--d", "1", "--points", "2"),
+        ("optimize", "--strategy", "rate", "--d", "1", "--points", "4"),
+        ("simulate", "--d", "1", "--bits", "8", "--n", "8", "--window", "0.5"),
+    ])
+    def test_snr_db_that_underflows_to_zero_exits_2(self, capsys, argv):
+        # 10**(-400) underflows to 0.0, on which a sweep prints BER 0.5 rows
+        code, out, err = run(capsys, *argv, "--snr-db", "-4000")
+        assert code == 2
+        assert out == ""
+        assert "--snr-db" in err
 
 
 _EDGES = st.one_of(

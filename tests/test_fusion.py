@@ -178,6 +178,26 @@ class TestSchedule:
     def test_zero_blocks(self):
         assert schedule_uplink(1000, 4, 2, 0, 1000).packets == ()
 
+    def test_full_packets_defer_retransmission_spans(self):
+        # R3,1 and R3,2 find the packets they are due in full and move one
+        # packet later each
+        with pytest.warns(UserWarning, match="irregular"):
+            plan = schedule_uplink(100, 60, 2, 3, 100)
+        assert serialize_plan(plan).splitlines() == [
+            "D1(100)",
+            "R1,1(60), D2(40)",
+            "R1,2(60), D2(40)",
+            "D2(20), D3(80)",
+            "R2,1(60), D3(20)",
+            "R2,2(60)",
+            "R3,1(60)",
+            "R3,2(60)",
+        ]
+        rounds = [(s.block, s.round) for packet in plan.packets for s in packet
+                  if isinstance(s, RetxSpan)]
+        assert sorted(rounds) == [(b, r) for b in (1, 2, 3) for r in (1, 2)]
+        assert all(rounds.index((b, 1)) < rounds.index((b, 2)) for b in (1, 2, 3))
+
     def test_heavy_retx_warns(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -11,6 +11,7 @@ from bitarq.analytic import (_band_prob, _ber_approx, _ber_exact, _retx_fraction
     _shared_threshold_fractions, DEFAULT_PRONY)
 from bitarq.optimize import (
     _GOLDEN,
+    _GOLDEN_STEPS,
     _GOLDEN_TOL,
     _LOOKAHEAD,
     equal_probability_thresholds,
@@ -105,6 +106,29 @@ class TestGoldenSection:
     def test_rejects_an_empty_bracket(self):
         with pytest.raises(InvalidParameterError):
             golden_section(lambda x: x, 1.0, 1.0)
+
+    def test_step_count_is_derived_from_the_tolerance(self):
+        # the fewest steps that shrink the bracket below _GOLDEN_TOL, in whole
+        # look-ahead rounds
+        assert _GOLDEN_STEPS == 20
+        assert _GOLDEN**_GOLDEN_STEPS <= _GOLDEN_TOL < _GOLDEN ** (_GOLDEN_STEPS - 1)
+        assert _GOLDEN_STEPS % _LOOKAHEAD == 0
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 1.0 + 1e-12), (1.0, 1.0 + 1e-13),
+                                      (-3e-300, 5e-300), (1e300, 1.5e300)])
+    def test_every_search_makes_the_same_calls(self, a, b):
+        # a stop on the rounded bracket width could call f without end on a
+        # bracket narrower than about 2e-12 of its magnitude, such as [1, 1 + 1e-12]
+        calls = []
+
+        def f(xs):
+            calls.append(len(xs))
+            assert len(calls) <= 1 + _GOLDEN_STEPS // _LOOKAHEAD, "the search does not stop"
+            return np.abs(xs - (a + 0.3 * (b - a)))
+
+        x, fx = golden_section(f, a, b)
+        assert calls == [2] + [2**_LOOKAHEAD - 1] * (_GOLDEN_STEPS // _LOOKAHEAD)
+        assert a <= x <= b and fx == abs(x - (a + 0.3 * (b - a)))
 
     @pytest.mark.parametrize("kind", ["rate", "window", "threshold"])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -370,12 +394,38 @@ class TestSweepBlocks:
         (xs, _, _), = sweep_blocks("threshold", 4, 64, 1, 3.0, u_max=2.0)
         assert xs == [0.5, 1.0, 1.5, 2.0]
 
+    def test_grids_keep_their_doubles(self):
+        # one formula, lo + (hi - lo)(i + 1)/points, gives every grid
+        lo, hi = 1.0 / 3.0, 64 / 66
+        (xs, _, _), = sweep_blocks("rate", 7, 64, 2, 3.0)
+        assert xs == [lo + (hi - lo) * (i + 1) / 7 for i in range(7)]
+        (xs, _, _), = sweep_blocks("threshold", 7, 64, 2, 3.0, u_max=3.7)
+        assert xs == [3.7 * (i + 1) / 7 for i in range(7)]
+        (xs, _, _), = sweep_blocks("threshold", 4, 64, 1, 3.0, u_max=1e308)
+        assert xs == [2.5e307, math.inf, math.inf, math.inf]
+
+    def test_unknown_kind_raises_on_the_first_block(self):
+        with pytest.raises(InvalidParameterError):
+            next(sweep_blocks("power", 4, 64, 1, 3.0))
+
 
 class TestOptimizers:
     @pytest.mark.parametrize("runner", [optimize_rate, optimize_window, optimize_threshold])
     def test_rejects_an_empty_grid(self, runner):
         with pytest.raises(InvalidParameterError):
             runner(16, 1, LinkModel(1.0), points=0)
+
+    def test_non_unimodal_sweep_falls_back_to_the_grid_minimum(self):
+        # the one non-unimodal sweep found over -15..30 dB in 1 dB steps,
+        # d = 1..3, every strategy, 64 and 16 points
+        with pytest.warns(UserWarning) as caught:
+            res = optimize_window(1024, 3, LinkModel(10**-1.0), points=64)
+        assert [str(w.message) for w in caught] == [
+            "sweep is not unimodal; falling back to the dense-grid argmin"
+        ]
+        assert (res.unimodal, res.refined, res.boundary) == (False, False, False)
+        assert res.min_ber == min(b for _, b in res.grid)
+        assert (res.minimizer, res.min_ber) in res.grid
 
     def test_rate_minimum_dominates_endpoints(self):
         res = optimize_rate(1024, 1, LINK5, points=32)
