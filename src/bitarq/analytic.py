@@ -110,15 +110,35 @@ def _between(lo, hi):
     return ndtr(np.where(upper, -lo, hi)) - ndtr(np.where(upper, -hi, lo))
 
 
-def _rect_nodes(lo, hi, c, e, m, i):
-    """Quadrature form of the rectangle probabilities
-    P(lo < r0 <= hi, c < r0 + S <= e).
+def _gauss(x):
+    """exp(-x*x/2), computed in place of the temporary array ``x``."""
+    np.square(x, out=x)
+    x *= -0.5
+    return np.exp(x, out=x)
+
+
+def _nodes(lo, hi, centre, m):
+    """Nodes ``r`` and weights ``w`` (first-pass density N(m, 1) included)
+    of the rule on (lo, hi] clipped to centre +- _WINDOW, with the nodes
+    on a new last axis; ``m`` broadcasts against them."""
+    start, stop = centre - _WINDOW, centre + _WINDOW
+    a = np.minimum(np.maximum(lo, start), stop)
+    width = (np.minimum(np.maximum(hi, a), stop) - a)[..., None]
+    r = width * _NODES
+    r += a[..., None]
+    w = _gauss(r - m)
+    w *= width
+    return r, w
+
+
+def _rect(lo, hi, c, e, m, i):
+    """Rectangle probabilities P(lo < r0 <= hi, c < r0 + S <= e) of the
+    first-pass sample r0 ~ N(m, 1) and the sum S ~ N(i m, i) of i further
+    copies, by the node rule of :func:`_nodes`.
 
     ``lo``, ``hi``, ``c`` and ``e`` broadcast to shape (..., J), ``m`` to
-    (...) and ``i`` (copies in S) to (J,).  Returns the node weights
-    ``w`` (first-pass density included) and the standardized bounds ``zc``
-    and ``ze`` of S given r0, each of shape (..., J, nodes): the
-    probabilities are ``(w * _between(zc, ze)) @ _WEIGHTS``.  The integrand
+    (...) and ``i`` to (J,).  The integrand over r0, the density times the
+    probability of the bounds ``zc`` and ``ze`` of S standardized given r0,
     is log-concave with curvature at least 1 and peaks within about one
     unit of m clipped to [c, e] / (i+1), so the window around that point
     leaves out below exp(-40) of its mass.
@@ -126,20 +146,10 @@ def _rect_nodes(lo, hi, c, e, m, i):
     s = np.sqrt(i)
     m = np.asarray(m, dtype=float)[..., None]
     centre = np.minimum(np.maximum(m, c / (i + 1.0)), e / (i + 1.0))
-    start, stop = centre - _WINDOW, centre + _WINDOW
-    a = np.minimum(np.maximum(lo, start), stop)
-    width = (np.minimum(np.maximum(hi, a), stop) - a)[..., None]
-    r = a[..., None] + width * _NODES
-    w = width * np.exp(-0.5 * (r - m[..., None]) ** 2)
-    mean = (r + (i * m)[..., None]) / s[:, None]
-    return w, (c / s)[..., None] - mean, (e / s)[..., None] - mean
-
-
-def _rect(lo, hi, c, e, m, i):
-    """Rectangle probabilities of the first-pass sample r0 ~ N(m, 1) and
-    the sum S ~ N(i m, i) of i further copies (see :func:`_rect_nodes`)."""
-    w, zc, ze = _rect_nodes(lo, hi, c, e, m, i)
-    return (w * _between(zc, ze)) @ _WEIGHTS
+    mean, w = _nodes(lo, hi, centre, m[..., None])
+    mean += (i * m)[..., None]
+    mean /= s[:, None]
+    return (w * _between((c / s)[..., None] - mean, (e / s)[..., None] - mean)) @ _WEIGHTS
 
 
 def _mean_and_ladder(snr, us):
@@ -201,15 +211,16 @@ def ber_exact(config: ProtocolConfig, link: LinkModel) -> float:
     return float(_ber_exact(link.snr_per_symbol, us))
 
 
-def _prony_tail(d: int, u, m, prony):
+def _prony_tail(d, u, m, prony):
     """Closed form of integral(chi_d(x, u), x = -inf..0), chi_d the density of
     the (d+1)-copy MRC average for first samples in [-u, u], minus its
-    Q(m*sqrt(d+1)) offset: two Gaussian-times-Q corrections (0 for u = inf)."""
+    Q(m*sqrt(d+1)) offset: two Gaussian-times-Q corrections (0 for u = inf).
+    ``d`` may be an array that broadcasts against ``u`` and ``m``."""
     total = 0.0
     for a_k, b_k in prony:
         s2 = 1.0 + 2.0 * b_k / d
-        s = math.sqrt(s2)
-        scale = math.sqrt(s2 / (d + 1))
+        s = np.sqrt(s2)
+        scale = np.sqrt(s2 / (d + 1))
         e_minus = np.exp(-b_k * (d + 1) * np.square(m - u) / (d * s2))
         e_plus = np.exp(-b_k * (d + 1) * np.square(m + u) / (d * s2))
         arg_plus = (m + 2.0 * b_k * u / d) / scale
@@ -224,10 +235,12 @@ def _prony_ber(snr, us: Sequence, prony=DEFAULT_PRONY):
     u = np.minimum(u, _U_CAP)
     d_total = u.shape[-1]
     total = q_function(m + u[..., -1]) + q_function(m * math.sqrt(d_total + 1))
-    total = total - _prony_tail(d_total, u[..., 0], m, prony)
-    for i in range(1, d_total):
-        total = total + _prony_tail(i, u[..., d_total - i - 1], m, prony)
-        total = total - _prony_tail(i, u[..., d_total - i], m, prony)
+    # every tail on a last axis: minus (D, U_0), then plus (i, U_{D-i-1}), minus (i, U_{D-i})
+    ds = [d_total] + [i for i in range(1, d_total) for _ in "+-"]
+    cols = [0] + [j for i in range(1, d_total) for j in (d_total - i - 1, d_total - i)]
+    tails = _prony_tail(np.array(ds, dtype=float), u[..., cols], m[..., None], prony)
+    for k in range(len(cols)):
+        total = total + tails[..., k] if k % 2 else total - tails[..., k]
     return total
 
 
@@ -246,24 +259,50 @@ def ber_approx(config: ProtocolConfig, link: LinkModel) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _retx_rung(d: int, snr, prefix: Sequence):
+    """:func:`_retx_fraction` of round d+1 as a function of its top
+    threshold u alone, given the SNR(s) ``snr`` and the d thresholds of
+    ``prefix``.  What these fix is built once: the prefix bands, copies,
+    i*m and the Q terms of the lower bound.  The nodes of :func:`_rect`'s
+    rule are rebuilt on every call: their window centre, m clipped to
+    [-u, u], moves with u wherever u < m, as at most design optima."""
+    m, ladder = _mean_and_ladder(snr, prefix)
+    low = ladder[..., d - 1] if d else 0.0
+    q_low = (q_function(low - m), q_function(low + m))
+    if d:
+        lo, hi, copies = _bands(ladder)
+        gain, s = copies + 1.0, np.sqrt(copies)
+        m1, im = m[..., None], (copies * m[..., None])[..., None]
+
+    def fraction(u):
+        u = np.asarray(u, dtype=float)
+        value = (q_low[0] - q_function(u - m)) + (q_low[1] - q_function(u + m))
+        slope = np.exp(-0.5 * np.square(u - m)) + np.exp(-0.5 * np.square(u + m))
+        if d:
+            with np.errstate(over="ignore"):  # an infinite bound is the right one
+                top = gain * u[..., None]
+            bound = top / gain
+            mean, w = _nodes(lo, hi, np.minimum(np.maximum(m1, -bound), bound), m1[..., None])
+            mean += im
+            mean /= s[:, None]
+            ze = (top / s)[..., None]
+            zc, ze = -ze - mean, np.subtract(ze, mean, out=mean)
+            value = value + ((w * _between(zc, ze)) @ _WEIGHTS).sum(axis=-1)
+            density = _gauss(zc)
+            density += _gauss(ze)
+            density *= w
+            slope = slope + ((density @ _WEIGHTS) * gain / s).sum(axis=-1)
+        return value[()], (slope / math.sqrt(2.0 * math.pi))[()]
+
+    return fraction
+
+
 def _retx_fraction(d: int, snr, us: Sequence):
     """Expected fraction of the packet retransmitted in round d+1: bits whose
     reliability after d rounds is <= us[d], minus fresh bits below us[d-1]
     (for d = 0, P(|r0| <= us[0])); and its derivative with respect to us[d].
     ``us`` holds the d+1 thresholds U_0..U_d (scalars or arrays)."""
-    m, u = _mean_and_ladder(snr, us)
-    h = u[..., d]
-    value = _band_prob(m, u[..., d - 1] if d else 0.0, h)
-    slope = np.exp(-0.5 * np.square(h - m)) + np.exp(-0.5 * np.square(h + m))
-    if d:
-        lo, hi, copies = _bands(u[..., :d])
-        with np.errstate(over="ignore"):  # an infinite bound is the right one
-            top = (copies + 1.0) * u[..., d:]
-        w, zc, ze = _rect_nodes(lo, hi, -top, top, m, copies)
-        density = (w * (np.exp(-0.5 * zc * zc) + np.exp(-0.5 * ze * ze))) @ _WEIGHTS
-        value = value + ((w * _between(zc, ze)) @ _WEIGHTS).sum(axis=-1)
-        slope = slope + (density * (copies + 1.0) / np.sqrt(copies)).sum(axis=-1)
-    return value[()], (slope / math.sqrt(2.0 * math.pi))[()]
+    return _retx_rung(d, snr, us[:d])(us[d])
 
 
 def _shared_threshold_fractions(d: int, u, snr):

@@ -135,7 +135,7 @@ def _run_sweep(kind: str, args) -> _Output:
     name = {"rate": "rf", "window": "w_over_n", "threshold": "u_norm"}[kind]
     out.row(name, "ber_approx", "ber_exact", "ber_mc", "mc_stderr")
     jobs = _n_jobs()
-    for block, us, snr_eff in sweep_blocks(kind, args.points, args.n, args.d, base_snr, u_max):
+    for block, us, _, snr_eff in sweep_blocks(kind, args.points, args.n, args.d, base_snr, u_max):
         approx = _ber_approx(snr_eff, us)
         exact = _ber_exact(snr_eff, us)
         for k, x in enumerate(block):

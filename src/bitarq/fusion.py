@@ -221,15 +221,6 @@ class FusionPlan:
     packet_bits: int
     packets: tuple[tuple[Span, ...], ...]
 
-    def packet_fill(self, index: int) -> int:
-        """Occupied bits of the packet at 0-based ``index``."""
-        return sum(s.bits for s in self.packets[index])
-
-    @property
-    def trailing_free_bits(self) -> tuple[int, ...]:
-        """Unused capacity of each packet, reported rather than refilled."""
-        return tuple(self.packet_bits - self.packet_fill(i) for i in range(len(self.packets)))
-
 
 def schedule_uplink(n: int, w: int, d: int, blocks: int, block_bits: int) -> FusionPlan:
     """FIFO uplink schedule for ``blocks`` buffered information blocks.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .analytic import _ber_approx, _ber_exact, _retx_fraction, _shared_threshold_fractions
+from .analytic import _ber_approx, _ber_exact, _retx_rung, _shared_threshold_fractions
 from .errors import InvalidParameterError, NumericFailureError
 from .model import LinkModel, ProtocolConfig, round_half_away
 
@@ -43,8 +43,9 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-4
-# Golden-section steps scored per objective call (2**4 - 1 = 15 probes);
-# 4 beat 3 and 5 on the design workload's optimizer calls.
+# Golden-section steps scored per objective call (2**4 - 1 = 15 probes).
+# 3 (as 7 calls of 7 probes, one step more), 4 and 5 cost the same within
+# noise on the design workload's optimizer calls; 4 divides the 20 steps.
 _LOOKAHEAD = 4
 # The fewest golden-section steps that shrink a bracket below _GOLDEN_TOL: 20
 _GOLDEN_STEPS = math.ceil(math.log(_GOLDEN_TOL) / math.log(_GOLDEN))
@@ -147,8 +148,8 @@ _ROOT_MAXITER = 100
 def _find_root(f, a, b, fa, fb):
     """Elementwise root of ``f`` inside brackets [a, b] where fa and fb
     differ in sign (Chandrupatla's method: inverse quadratic interpolation
-    safeguarded by bisection).  ``f`` maps an array of abscissae to an
-    array of the same shape."""
+    safeguarded by bisection).  ``f(x, live)`` maps an array of abscissae
+    to an array of the same shape, valued only where ``live`` is set."""
     x1, f1, x2, f2 = b, fb, a, fa
     t, root, found = 0.5, b, False
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -164,7 +165,7 @@ def _find_root(f, a, b, fa, fb):
                 return root
             tl = np.minimum(0.5 * tol / dx, 0.5)
             xt = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
-            ft = f(xt)
+            ft = f(xt, ~found)
             same = np.sign(ft) == np.sign(f1)
             x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
             x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
@@ -237,8 +238,8 @@ def _ladder_thresholds(d: int, p, snr) -> tuple:
     us = ()
     for j in range(d):
 
-        def rung(u, _prefix=us, _j=j):
-            value, slope = _retx_fraction(_j, snr, _prefix + (u,))
+        def rung(u, _fraction=_retx_rung(j, snr, us)):
+            value, slope = _fraction(u)
             return value - p, slope
 
         us += (_invert_monotone(rung, lo, lo + m + 4.0),)
@@ -280,9 +281,13 @@ def fixed_threshold_rate(d: int, u, base_snr: float):
     """
     floor = 1.0 / (1.0 + d)
 
-    def residual(r):
-        total = np.minimum(_shared_threshold_fractions(d, u, base_snr * r).sum(axis=-1), d)
-        return r - 1.0 / (1.0 + total)
+    def residual(r, live=...):
+        """g(r) where ``live`` (everywhere by default), 0 elsewhere."""
+        g, r = np.zeros(np.shape(r)), r[live]
+        fractions = _shared_threshold_fractions(d, np.asarray(u)[live], base_snr * r)
+        total = np.minimum(fractions.sum(axis=-1), d)
+        g[live] = r - 1.0 / (1.0 + total)
+        return g
 
     hi = np.ones(np.shape(u))
     g_hi = residual(hi)
@@ -296,7 +301,7 @@ def fixed_threshold_rate(d: int, u, base_snr: float):
             slope = (g_prev - g_hi) / (prev - hi)  # nan on the first, plain step
             x = hi - g_hi / np.where(np.isnan(slope), 1.0, slope)
             x = np.where(slope <= 0.0, floor, np.maximum(x, floor))
-            g_x = residual(x)
+            g_x = residual(x, ~done)
             stop = ~done & ((g_x <= 0.0) | (hi - x <= 4.0 * np.finfo(float).eps + _ROOT_XTOL))
             lo, g_lo = np.where(stop, x, lo), np.where(stop, g_x, g_lo)
             down = ~done & ~stop
@@ -390,8 +395,8 @@ def sweep_blocks(kind: str, points: int, n: int, d: int, base_snr: float, u_max=
     The values are lo + (hi - lo)(i + 1)/points, i < points, over (lo, hi]:
     (1/(1+d), n/(d+n)] for rates, (0, 1] for window fractions and (0, u_max]
     for shared thresholds, u_max defaulting to :func:`threshold_u_max`.
-    Yields (values, thresholds, effective SNRs) per block of at most
-    _SWEEP_BLOCK values, the last two as arrays.
+    Yields (values, thresholds, forward rates, effective SNRs) per block of
+    at most _SWEEP_BLOCK values, the last three as arrays.
     """
     if kind == "rate":
         lo, hi = _rate_range(n, d)
@@ -402,8 +407,7 @@ def sweep_blocks(kind: str, points: int, n: int, d: int, base_snr: float, u_max=
     xs = [lo + (hi - lo) * (i + 1) / points for i in range(points)]
     for start in range(0, len(xs), _SWEEP_BLOCK):
         block = xs[start:start + _SWEEP_BLOCK]
-        us, _, snr_eff = resolve_strategy(kind, np.array(block), d, base_snr)
-        yield block, us, snr_eff
+        yield (block, *resolve_strategy(kind, np.array(block), d, base_snr))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +417,7 @@ def sweep_blocks(kind: str, points: int, n: int, d: int, base_snr: float, u_max=
 
 def _sweep(blocks) -> tuple[tuple, int, bool]:
     grid = tuple(
-        (x, float(b)) for xs, us, snr_eff in blocks for x, b in zip(xs, _ber_approx(snr_eff, us))
+        (x, float(b)) for xs, us, _, snr in blocks for x, b in zip(xs, _ber_approx(snr, us))
     )
     bers = [b for _, b in grid]
     j = min(range(len(bers)), key=bers.__getitem__)
@@ -443,16 +447,21 @@ def _optimize(kind: str, n: int, d: int, link: LinkModel, points: int) -> SweepR
     if d < 1 or points < 1:
         raise InvalidParameterError("need d >= 1 and points >= 1")
     base = link.snr_per_symbol
+    # (values, thresholds, rates, SNRs) of every grid block and probe
+    resolved = list(sweep_blocks(kind, points, n, d, base))
 
     def objective(x):
-        us, _, snr_eff = resolve_strategy(kind, x, d, base)
+        us, rate, snr_eff = resolve_strategy(kind, x, d, base)
+        resolved.append((x, us, rate, snr_eff))
         return _ber_approx(snr_eff, us)
 
-    grid, j, uni = _sweep(sweep_blocks(kind, points, n, d, base))
+    grid, j, uni = _sweep(resolved)
     minimizer, min_ber, refined, boundary = _refine(objective, grid, j, uni)
 
-    us, rate, snr_eff = resolve_strategy(kind, minimizer, d, base)
-    us, rate, snr_eff = tuple(float(u) for u in us), float(rate), float(snr_eff)
+    # the block or probe that scored the minimizer resolved it as a scalar call would
+    xs, us, rate, snr_eff = next(r for r in resolved if minimizer in r[0])
+    i = list(xs).index(minimizer)
+    us, rate, snr_eff = tuple(float(u[i]) for u in us), float(rate[i]), float(snr_eff[i])
     if kind == "threshold":
         windows = fixed_threshold_windows(n, d, minimizer, snr_eff)
     else:

@@ -20,9 +20,11 @@ from bitarq import (
     q_function,
 )
 from bitarq.analytic import (
+    _U_CAP,
     _band_prob,
     _ber_approx,
     _ber_exact,
+    _prony_ber,
     _prony_tail,
     _quad,
     _retx_fraction,
@@ -146,6 +148,21 @@ class TestBerApprox:
         got = _ber_approx(snr, (u, u), DEFAULT_PRONY)
         manual = q(m + u) + q(m * math.sqrt(3)) - _prony_tail(2, u, m, DEFAULT_PRONY)
         assert got == pytest.approx(manual, rel=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_tails_in_one_call_equal_the_per_tail_loop(self, d):
+        # the reference values each tail in its own call and sums them in the
+        # order the closed form adds them
+        snr = np.array([0.5, 1.0, 10**0.5, 10.0])[:, None]
+        us = np.sort(np.random.default_rng(d).uniform(0.0, 5.0, (d, 8)), axis=0)
+        us[:, 0] = math.inf
+        m, u = np.sqrt(2.0 * snr), np.minimum(us, _U_CAP)
+        want = q_function(m + u[-1]) + q_function(m * math.sqrt(d + 1))
+        want = want - _prony_tail(d, u[0], m, DEFAULT_PRONY)
+        for i in range(1, d):
+            want = want + _prony_tail(i, u[d - i - 1], m, DEFAULT_PRONY)
+            want = want - _prony_tail(i, u[d - i], m, DEFAULT_PRONY)
+        assert np.array_equal(_prony_ber(snr, tuple(us)), want)
 
     def test_equal_probability_ladder_gap_small(self):
         from bitarq.optimize import equal_probability_thresholds

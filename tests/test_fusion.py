@@ -127,10 +127,10 @@ class TestSchedule:
 
     def test_full_packets_up_front(self):
         plan = schedule_uplink(1064, 4, 3, 10, 1064)
-        for i in range(10):
-            assert plan.packet_fill(i) == 1064
-        assert all(plan.packet_fill(i) < 1064 for i in range(10, 14))
-        assert plan.trailing_free_bits[-1] == 1064 - 4
+        fill = [sum(s.bits for s in packet) for packet in plan.packets]
+        assert fill[:10] == [1064] * 10
+        assert all(f < 1064 for f in fill[10:14])
+        assert fill[-1] == 4  # 1060 trailing free bits, left unfilled
 
     def test_blocks_split_over_two_packets(self):
         plan = schedule_uplink(1064, 4, 3, 10, 1064)

@@ -14,6 +14,7 @@ from bitarq.optimize import (
     _GOLDEN_STEPS,
     _GOLDEN_TOL,
     _LOOKAHEAD,
+    _ladder_thresholds,
     equal_probability_thresholds,
     fixed_threshold_rate,
     fixed_threshold_windows,
@@ -243,6 +244,145 @@ def test_optimizer_results_are_pinned(kind, d):
     assert repr(dataclasses.replace(res, grid=())) == rest
 
 
+# the same pins at 0 and 10 dB, recorded before the ladder and rate solvers
+# built each rung's fixed parts once and valued only unsettled elements;
+# 10 dB window d = 1 stops on the grid boundary
+PINNED_AT_0DB = {
+    ("rate", 1): (
+        "1724e802527914c9b080fcb4b0ab530beede3223136be52a909fa4aca4284b5c",
+        'SweepResult(grid=(), minimizer=0.7661146979886259, min_ber=0.04916957041843488, '
+        'refined=True, boundary=False, unimodal=True, min_ber_exact=0.04839963094144156, '
+        'thresholds=(0.788638512544508,), windows=(313,), forward_rate=0.7661146979886259)'
+    ),
+    ("rate", 2): (
+        "4aa6387e50e1a33d68abeb2e3b6dd466984c9d91d48b92c00ea215d6ac9a32f2",
+        'SweepResult(grid=(), minimizer=0.6947498988036506, min_ber=0.042117128774007334, '
+        'refined=True, boundary=False, unimodal=True, min_ber_exact=0.04335214911675997, '
+        'thresholds=(0.5424621755487231, 0.759399760753348), windows=(225, 225), '
+        'forward_rate=0.6947498988036506)'
+    ),
+    ("rate", 3): (
+        "48b9f30c25eec4b39725006b5cf6e2fe7c7b645d3bae478217ecfe6508b3e41f",
+        'SweepResult(grid=(), minimizer=0.6737881473808224, min_ber=0.039995311384788734, '
+        'refined=True, boundary=False, unimodal=True, min_ber_exact=0.04170462731967292, '
+        'thresholds=(0.39349047646964685, 0.5936347294530503, 0.7115835520597847), '
+        'windows=(165, 165, 165), forward_rate=0.6737881473808224)'
+    ),
+    ("threshold", 1): (
+        "d3e745d8988621b7ed5e6e4de7906c7ae110b6192410d946a5591c210d280282",
+        'SweepResult(grid=(), minimizer=0.7954076287778554, min_ber=0.038510081394704236, '
+        'refined=True, boundary=False, unimodal=True, min_ber_exact=0.03802321226219273, '
+        'thresholds=(0.7954076287778554,), windows=(146,), forward_rate=0.8753406345711523)'
+    ),
+    ("threshold", 2): (
+        "7f316e7317f34c5a1d41a6b7e494d41411ecee545978aab3aa911310d22eec47",
+        'SweepResult(grid=(), minimizer=0.7544515918709429, min_ber=0.030528300825823532, '
+        'refined=True, boundary=False, unimodal=True, min_ber_exact=0.030459292011177027, '
+        'thresholds=(0.7544515918709429, 0.7544515918709429), windows=(147, 107), '
+        'forward_rate=0.8011059466881619)'
+    ),
+    ("threshold", 3): (
+        "88907c5effe63c61c114a1ff42e57ac0d4ef88835fd4d74653c5778b9caf8d94",
+        'SweepResult(grid=(), minimizer=0.7000714980157089, min_ber=0.029646786210398623, '
+        'refined=True, boundary=False, unimodal=True, min_ber_exact=0.029620204341440068, '
+        'thresholds=(0.7000714980157089, 0.7000714980157089, 0.7000714980157089), '
+        'windows=(133, 95, 72), forward_rate=0.7732187962765963)'
+    ),
+    ("window", 1): (
+        "3a646e5e0c5579c01f8163584a88ff8906a3ead76d2dd8e3fe11118f3f0537a9",
+        'SweepResult(grid=(), minimizer=0.30528801958276314, min_ber=0.04916957041845027, '
+        'refined=True, boundary=False, unimodal=True, min_ber_exact=0.04839963403802779, '
+        'thresholds=(0.7886394236487081,), windows=(313,), forward_rate=0.7661144398763816)'
+    ),
+    ("window", 2): (
+        "a3268ae1a7565c087371d016542bf133160e9c08b8eed89a68691fb8ae5428be",
+        'SweepResult(grid=(), minimizer=0.21968328551324803, min_ber=0.04211712877400747, '
+        'refined=True, boundary=False, unimodal=True, min_ber_exact=0.04335214954818972, '
+        'thresholds=(0.5424618680120531, 0.7593994507243774), windows=(225, 225), '
+        'forward_rate=0.6947500519529517)'
+    ),
+    ("window", 3): (
+        "dd4b8797904ef106fb456308b8cacbe6da9fb8b0333b30563bfde76eec9efdb8",
+        'SweepResult(grid=(), minimizer=0.16138222787764342, min_ber=0.039995311384780796, '
+        'refined=True, boundary=False, unimodal=True, min_ber_exact=0.04170462643382025, '
+        'thresholds=(0.3934908941977872, 0.5936351958337367, 0.7115839963524434), '
+        'windows=(165, 165, 165), forward_rate=0.6737878479451747)'
+    ),
+}
+
+PINNED_AT_10DB = {
+    ("rate", 1): (
+        "ba87dcba04456ed464e02d269e7d596be96061436f70b29a1906d2f318ee737c",
+        'SweepResult(grid=(), minimizer=0.9883841774581318, min_ber=1.7779847915144687e-10, '
+        'refined=True, boundary=False, unimodal=True, min_ber_exact=1.7779347563129885e-10, '
+        'thresholds=(2.180955797610495,), windows=(12,), forward_rate=0.9883841774581318)'
+    ),
+    ("rate", 2): (
+        "519f3f1a37d81b87a9d3ca70b565467d3d8d4b43ff8786ee56e4bbea3133feb5",
+        'SweepResult(grid=(), minimizer=0.9068685489800166, min_ber=6.616029102725486e-13, '
+        'refined=True, boundary=False, unimodal=True, min_ber_exact=6.58098689930251e-13, '
+        'thresholds=(2.6268759442620144, 2.9107824833579534), windows=(53, 53), '
+        'forward_rate=0.9068685489800166)'
+    ),
+    ("rate", 3): (
+        "f42dbf5bbe4cf1ebbedc6c3be0678d08553ad7163da98d41113a5135b4628a31",
+        'SweepResult(grid=(), minimizer=0.8924663968371498, min_ber=4.803921747104576e-13, '
+        'refined=True, boundary=False, unimodal=True, min_ber_exact=4.775852905481528e-13, '
+        'thresholds=(2.4760540984054873, 2.75743821421865, 2.94878489506677), windows=(41, '
+        '41, 41), forward_rate=0.8924663968371498)'
+    ),
+    ("threshold", 1): (
+        "513c0c819e189f4ca35e3e36524bf747b7614cd072d676b2cf3f74b2981698b5",
+        'SweepResult(grid=(), minimizer=2.4466199038703014, min_ber=1.3260537142607457e-10, '
+        'refined=True, boundary=False, unimodal=True, min_ber_exact=1.3260623805410654e-10, '
+        'thresholds=(2.4466199038703014,), windows=(1,), forward_rate=0.9987116996104111)'
+    ),
+    ("threshold", 2): (
+        "2c9e7074bae2f3f2c09e660360c3e7472d82c2e941ba5cae63a243a631679e55",
+        'SweepResult(grid=(), minimizer=3.185147874443773, min_ber=3.4218849379349114e-14, '
+        'refined=True, boundary=False, unimodal=True, min_ber_exact=3.4218915462637605e-14, '
+        'thresholds=(3.185147874443773, 3.185147874443773), windows=(30, 12), '
+        'forward_rate=0.9611658241334795)'
+    ),
+    ("threshold", 3): (
+        "04879fd953e82ccc54ce474a6c45a5d013e913109ca38edff31a8f51c55f834f",
+        'SweepResult(grid=(), minimizer=3.2520339314498523, min_ber=1.8482416479939726e-14, '
+        'refined=True, boundary=False, unimodal=True, min_ber_exact=1.848241649833615e-14, '
+        'thresholds=(3.2520339314498523, 3.2520339314498523, 3.2520339314498523), '
+        'windows=(44, 20, 10), forward_rate=0.932790254040738)'
+    ),
+    ("window", 1): (
+        "19e1905fe0e1dcb2b2435b3425b6e99db9e30c310d3060670d643e2f00cfc784",
+        'SweepResult(grid=(), minimizer=0.015625, min_ber=1.8273922188518318e-10, '
+        'refined=False, boundary=True, unimodal=True, min_ber_exact=1.8273806465717142e-10, '
+        'thresholds=(2.2837268759699367,), windows=(16,), forward_rate=0.9846153846153847)'
+    ),
+    ("window", 2): (
+        "f1407753869495bcad7627980738b942aa54ad2c23d25abbf32d4f4cc1cb5755",
+        'SweepResult(grid=(), minimizer=0.05134792912002371, min_ber=6.616029102720213e-13, '
+        'refined=True, boundary=False, unimodal=True, min_ber_exact=6.580986788308532e-13, '
+        'thresholds=(2.6268765431866576, 2.910783099107435), windows=(53, 53), '
+        'forward_rate=0.9068683740193287)'
+    ),
+    ("window", 3): (
+        "d80f8e7b8d42d022e0f51719f449a3ec17b415841e27f507855ccb654cb62b87",
+        'SweepResult(grid=(), minimizer=0.04016370896646633, min_ber=4.803921747242982e-13, '
+        'refined=True, boundary=False, unimodal=True, min_ber_exact=4.775852667528533e-13, '
+        'thresholds=(2.4760555966331075, 2.7574397897167136, 2.9487865249958363), '
+        'windows=(41, 41, 41), forward_rate=0.8924657911099934)'
+    ),
+}
+
+
+@pytest.mark.parametrize("db,kind,d", [(0, *key) for key in sorted(PINNED_AT_0DB)]
+                         + [(10, *key) for key in sorted(PINNED_AT_10DB)])
+def test_optimizer_results_are_pinned_at_0_and_10_db(db, kind, d):
+    res = RUNNERS[kind](1024, d, LinkModel(10.0 ** (db / 10.0)), points=64)
+    grid_sha, rest = {0: PINNED_AT_0DB, 10: PINNED_AT_10DB}[db][kind, d]
+    assert hashlib.sha256(repr(res.grid).encode()).hexdigest() == grid_sha
+    assert repr(dataclasses.replace(res, grid=())) == rest
+
+
 class TestUnimodal:
     def test_patterns(self):
         assert is_unimodal([5, 3, 2, 4, 9])
@@ -267,6 +407,15 @@ class TestThresholdInversion:
     def test_thresholds_nondecreasing(self):
         us = equal_probability_thresholds(3, 0.25, LINK5)
         assert all(a <= b for a, b in zip(us, us[1:]))
+
+    def test_array_matches_scalar_where_a_rung_clamps(self):
+        # at this SNR the round-3 fraction reaches p >= 0.9 already at u = U_1,
+        # so U_2 clamps at that lower bound without a Newton step
+        p = np.array([0.05, 0.3, 0.6, 0.9, 0.99])
+        us = _ladder_thresholds(3, p, 1.0)
+        assert np.all(us[2][3:] == us[1][3:]) and np.all(us[2][:3] > us[1][:3])
+        for i, p_i in enumerate(p):
+            assert [u[i] for u in us] == list(equal_probability_thresholds(3, p_i, LinkModel(1.0)))
 
     def test_degenerate_probabilities(self):
         assert equal_probability_thresholds(2, 1.0, LINK5) == (math.inf, math.inf)
@@ -380,28 +529,29 @@ class TestResolveProtocol:
 class TestSweepBlocks:
     def test_blocks_cover_the_grid_as_one_array_call(self):
         blocks = list(sweep_blocks("window", 1030, 64, 2, 3.0))
-        assert [len(xs) for xs, _, _ in blocks] == [512, 512, 6]
-        xs = [x for block, _, _ in blocks for x in block]
+        assert [len(xs) for xs, *_ in blocks] == [512, 512, 6]
+        xs = [x for block, *_ in blocks for x in block]
         assert xs == [(i + 1) / 1030 for i in range(1030)]
-        us, _, snr_eff = resolve_strategy("window", np.array(xs), 2, 3.0)
+        us, rate, snr_eff = resolve_strategy("window", np.array(xs), 2, 3.0)
         for j in range(2):
             assert np.array_equal(np.concatenate([b[1][j] for b in blocks]), us[j])
-        assert np.array_equal(np.concatenate([b[2] for b in blocks]), snr_eff)
+        assert np.array_equal(np.concatenate([b[2] for b in blocks]), rate)
+        assert np.array_equal(np.concatenate([b[3] for b in blocks]), snr_eff)
 
     def test_threshold_grid_tops_out_at_u_max(self):
-        (xs, _, _), = sweep_blocks("threshold", 4, 64, 1, 3.0)
+        (xs, *_), = sweep_blocks("threshold", 4, 64, 1, 3.0)
         assert xs[-1] == pytest.approx(math.sqrt(6.0) + 4.0, rel=1e-15)
-        (xs, _, _), = sweep_blocks("threshold", 4, 64, 1, 3.0, u_max=2.0)
+        (xs, *_), = sweep_blocks("threshold", 4, 64, 1, 3.0, u_max=2.0)
         assert xs == [0.5, 1.0, 1.5, 2.0]
 
     def test_grids_keep_their_doubles(self):
         # one formula, lo + (hi - lo)(i + 1)/points, gives every grid
         lo, hi = 1.0 / 3.0, 64 / 66
-        (xs, _, _), = sweep_blocks("rate", 7, 64, 2, 3.0)
+        (xs, *_), = sweep_blocks("rate", 7, 64, 2, 3.0)
         assert xs == [lo + (hi - lo) * (i + 1) / 7 for i in range(7)]
-        (xs, _, _), = sweep_blocks("threshold", 7, 64, 2, 3.0, u_max=3.7)
+        (xs, *_), = sweep_blocks("threshold", 7, 64, 2, 3.0, u_max=3.7)
         assert xs == [3.7 * (i + 1) / 7 for i in range(7)]
-        (xs, _, _), = sweep_blocks("threshold", 4, 64, 1, 3.0, u_max=1e308)
+        (xs, *_), = sweep_blocks("threshold", 4, 64, 1, 3.0, u_max=1e308)
         assert xs == [2.5e307, math.inf, math.inf, math.inf]
 
     def test_unknown_kind_raises_on_the_first_block(self):
@@ -504,10 +654,13 @@ class TestFixedThresholdRate:
         assert len(recwarn) == 0
 
     def test_array_matches_scalar(self):
-        us = np.array([0.3, 1.2, 2.5, 4.0])
-        rates, _ = fixed_threshold_rate(3, us, 3.0)
-        for u, r in zip(us, rates):
-            assert fixed_threshold_rate(3, float(u), 3.0)[0] == pytest.approx(r, abs=1e-12)
+        # 3.4476 is the near-tangency threshold of test_slow_fixed_point_is_solved
+        us = np.array([0.3, 1.2, 2.5, 3.4476, 4.0])
+        for d in (1, 2, 3):
+            for base in (0.5, 3.0, 10.0, 10**1.00275):
+                rates, snrs = fixed_threshold_rate(d, us, base)
+                for u, r, snr in zip(us, rates, snrs):
+                    assert fixed_threshold_rate(d, float(u), base) == (r, snr), (d, base, u)
 
     def test_zero_threshold_retransmits_nothing(self):
         assert fixed_threshold_rate(2, 0.0, 3.0) == (1.0, 3.0)
