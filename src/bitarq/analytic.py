@@ -131,25 +131,30 @@ def _nodes(lo, hi, centre, m):
     return r, w
 
 
-def _rect(lo, hi, c, e, m, i):
-    """Rectangle probabilities P(lo < r0 <= hi, c < r0 + S <= e) of the
-    first-pass sample r0 ~ N(m, 1) and the sum S ~ N(i m, i) of i further
-    copies, by the node rule of :func:`_nodes`.
+def _sums(lo, hi, c, e, m, i, s):
+    """Weights ``w`` of the rule of :func:`_nodes` on (lo, hi] and the bounds
+    ``zc``, ``ze`` of the copy sum S, standardized given each node r0, for
+    the rectangle (lo < r0 <= hi, c < r0 + S <= e) of the first-pass sample
+    r0 ~ N(m, 1) and the sum S ~ N(i m, i) of i further copies; s = sqrt(i).
 
     ``lo``, ``hi``, ``c`` and ``e`` broadcast to shape (..., J), ``m`` to
     (...) and ``i`` to (J,).  The integrand over r0, the density times the
-    probability of the bounds ``zc`` and ``ze`` of S standardized given r0,
-    is log-concave with curvature at least 1 and peaks within about one
-    unit of m clipped to [c, e] / (i+1), so the window around that point
-    leaves out below exp(-40) of its mass.
+    probability of (zc, ze], is log-concave with curvature at least 1 and
+    peaks within about one unit of m clipped to [c, e] / (i+1), so the
+    window around that point leaves out below exp(-40) of its mass.
     """
-    s = np.sqrt(i)
     m = np.asarray(m, dtype=float)[..., None]
     centre = np.minimum(np.maximum(m, c / (i + 1.0)), e / (i + 1.0))
     mean, w = _nodes(lo, hi, centre, m[..., None])
     mean += (i * m)[..., None]
     mean /= s[:, None]
-    return (w * _between((c / s)[..., None] - mean, (e / s)[..., None] - mean)) @ _WEIGHTS
+    return w, (c / s)[..., None] - mean, np.subtract((e / s)[..., None], mean, out=mean)
+
+
+def _rect(lo, hi, c, e, m, i):
+    """Rectangle probabilities P(lo < r0 <= hi, c < r0 + S <= e), see :func:`_sums`."""
+    w, zc, ze = _sums(lo, hi, c, e, m, i, np.sqrt(i))
+    return (w * _between(zc, ze)) @ _WEIGHTS
 
 
 def _mean_and_ladder(snr, us):
@@ -171,11 +176,6 @@ def _bands(u):
     hi = np.concatenate([u[..., :1], u[..., 1:], -u[..., :-1]], axis=-1)
     copies = [big_d] + [big_d - b for b in range(1, big_d)] * 2
     return lo, hi, np.array(copies, dtype=float)
-
-
-def _band_prob(m, lo, hi):
-    """P(lo < |r0| <= hi) for a fresh sample r0 ~ N(m, 1), 0 <= lo <= hi."""
-    return (q_function(lo - m) - q_function(hi - m)) + (q_function(lo + m) - q_function(hi + m))
 
 
 # ---------------------------------------------------------------------------
@@ -260,19 +260,19 @@ def ber_approx(config: ProtocolConfig, link: LinkModel) -> float:
 
 
 def _retx_rung(d: int, snr, prefix: Sequence):
-    """:func:`_retx_fraction` of round d+1 as a function of its top
-    threshold u alone, given the SNR(s) ``snr`` and the d thresholds of
-    ``prefix``.  What these fix is built once: the prefix bands, copies,
-    i*m and the Q terms of the lower bound.  The nodes of :func:`_rect`'s
-    rule are rebuilt on every call: their window centre, m clipped to
-    [-u, u], moves with u wherever u < m, as at most design optima."""
+    """(fraction, slope) of round d+1 as a function of its top threshold u,
+    given the SNR(s) ``snr`` and the d thresholds of ``prefix`` (all scalars
+    or arrays): the expected fraction of bits whose reliability after d
+    rounds is <= u, minus fresh bits below prefix[-1] (for d = 0,
+    P(|r0| <= u)), and its u-derivative.  What ``snr`` and ``prefix`` fix is
+    built once; the nodes of :func:`_sums` move with u, as their window
+    centre is m clipped to [-u, u], and u < m at most design optima."""
     m, ladder = _mean_and_ladder(snr, prefix)
     low = ladder[..., d - 1] if d else 0.0
     q_low = (q_function(low - m), q_function(low + m))
     if d:
         lo, hi, copies = _bands(ladder)
         gain, s = copies + 1.0, np.sqrt(copies)
-        m1, im = m[..., None], (copies * m[..., None])[..., None]
 
     def fraction(u):
         u = np.asarray(u, dtype=float)
@@ -281,12 +281,7 @@ def _retx_rung(d: int, snr, prefix: Sequence):
         if d:
             with np.errstate(over="ignore"):  # an infinite bound is the right one
                 top = gain * u[..., None]
-            bound = top / gain
-            mean, w = _nodes(lo, hi, np.minimum(np.maximum(m1, -bound), bound), m1[..., None])
-            mean += im
-            mean /= s[:, None]
-            ze = (top / s)[..., None]
-            zc, ze = -ze - mean, np.subtract(ze, mean, out=mean)
+            w, zc, ze = _sums(lo, hi, -top, top, m, copies, s)
             value = value + ((w * _between(zc, ze)) @ _WEIGHTS).sum(axis=-1)
             density = _gauss(zc)
             density += _gauss(ze)
@@ -295,14 +290,6 @@ def _retx_rung(d: int, snr, prefix: Sequence):
         return value[()], (slope / math.sqrt(2.0 * math.pi))[()]
 
     return fraction
-
-
-def _retx_fraction(d: int, snr, us: Sequence):
-    """Expected fraction of the packet retransmitted in round d+1: bits whose
-    reliability after d rounds is <= us[d], minus fresh bits below us[d-1]
-    (for d = 0, P(|r0| <= us[0])); and its derivative with respect to us[d].
-    ``us`` holds the d+1 thresholds U_0..U_d (scalars or arrays)."""
-    return _retx_rung(d, snr, us[:d])(us[d])
 
 
 def _shared_threshold_fractions(d: int, u, snr):

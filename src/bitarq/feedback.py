@@ -99,9 +99,8 @@ class PermutationMessage:
 
 def pack_bits(value: int, width: int) -> bytes:
     """Big-endian bit packing of ``value`` into exactly ``width`` bits."""
-    if width < 0:
-        raise InvalidParameterError("width must be non-negative")
-    if value < 0 or (width < value.bit_length()):
+    value, width = check_integer("value", value, 0), check_integer("width", width, 0)
+    if width < value.bit_length():
         raise InvalidParameterError("value does not fit in the given width")
     nbytes = (width + 7) // 8
     return (value << (8 * nbytes - width)).to_bytes(nbytes, "big")
@@ -138,6 +137,7 @@ def combinadic_encode(positions: Iterable[int], n: int) -> CombinadicMessage:
 
 def combinadic_decode(message: CombinadicMessage, n: int, w: int) -> tuple[int, ...]:
     """Invert :func:`combinadic_encode`; returns sorted 0-based positions."""
+    n, w = check_integer("n", n, 0), check_integer("w", w, 0)
     total = math.comb(n, w)
     if message.rank >= total:
         raise InvalidParameterError(f"rank {message.rank} >= C({n}, {w}) = {total}")

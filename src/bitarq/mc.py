@@ -68,29 +68,6 @@ class TrialReport:
         return math.sqrt(max(p * (1.0 - p), 1.0 / self.bits_simulated) / self.bits_simulated)
 
 
-def _validate(config: ProtocolConfig, scheme: str, bits: int) -> None:
-    if scheme not in SCHEMES:
-        raise ConfigurationError(f"unknown scheme {scheme!r}")
-    n, d = config.packet_bits, config.retransmissions
-    if bits % n != 0:
-        raise InvalidParameterError("bits must be a positive multiple of packet_bits")
-    if d == 0:
-        return
-    if scheme == "full_repetition":
-        if isinstance(config.strategy, FixedThreshold):
-            raise ConfigurationError(
-                "stop-and-wait repetition ignores thresholds; "
-                "fixed-threshold strategy does not apply"
-            )
-        return
-    if scheme == "preassigned":
-        if config.thresholds is None:
-            raise ConfigurationError("preassigned scheme needs the threshold ladder")
-        return
-    if config.windows is None and config.thresholds is None:
-        raise ConfigurationError("sequential scheme needs window sizes or thresholds")
-
-
 def _window_mask(rel: np.ndarray, w: int) -> np.ndarray:
     """Boolean mask of the w least-reliable bits per packet row.
 
@@ -115,11 +92,21 @@ def _selector(config: ProtocolConfig, scheme: str):
     one small integer per first-pass sample; ``select(r, acc, state)``
     returns the mask of bits retransmitted in round ``r`` (0-based) given
     the combined samples.  Both are None when every round repeats every bit.
+    A config that lacks what the scheme decides on raises ConfigurationError.
     """
-    if scheme == "full_repetition" or config.retransmissions == 0:
-        return None, None
     us, ws = config.thresholds, config.windows
+    if config.retransmissions == 0:
+        return None, None
+    if scheme == "full_repetition":
+        if isinstance(config.strategy, FixedThreshold):
+            raise ConfigurationError(
+                "stop-and-wait repetition ignores thresholds; "
+                "fixed-threshold strategy does not apply"
+            )
+        return None, None
     if scheme == "preassigned":
+        if us is None:
+            raise ConfigurationError("preassigned scheme needs the threshold ladder")
 
         def start(r0: np.ndarray, band: np.ndarray) -> None:
             # the band index #{j : |r0| > U_j}; the ladder is nondecreasing,
@@ -130,6 +117,9 @@ def _selector(config: ProtocolConfig, scheme: str):
                 band += rel0 > u
 
         return start, (lambda r, acc, band: band <= r)
+
+    if ws is None and us is None:
+        raise ConfigurationError("sequential scheme needs window sizes or thresholds")
 
     def select(r: int, acc: np.ndarray, copies: np.ndarray) -> np.ndarray:
         rel = np.abs(acc)
@@ -163,12 +153,15 @@ def simulate(
     bits = check_integer("bits", bits, 1)
     seed = check_integer("seed", seed, 0)
     n_jobs = check_integer("n_jobs", n_jobs, 1)
-    _validate(config, scheme, bits)
+    if scheme not in SCHEMES:
+        raise ConfigurationError(f"unknown scheme {scheme!r}")
+    n, d = config.packet_bits, config.retransmissions
+    if bits % n != 0:
+        raise InvalidParameterError("bits must be a positive multiple of packet_bits")
+    start, select = _selector(config, scheme)
     if link.fading is not None:
         raise ConfigurationError("the Monte Carlo does not simulate fading; give a link without it")
     m = math.sqrt(2.0 * link.snr_per_symbol)
-    n, d = config.packet_bits, config.retransmissions
-    start, select = _selector(config, scheme)
     full, rest = divmod(bits // n, BLOCK_PACKETS)
     plan = [BLOCK_PACKETS] * full + [rest] * (rest > 0)
     children = np.random.SeedSequence(seed).spawn(len(plan))

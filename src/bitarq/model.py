@@ -33,6 +33,7 @@ __all__ = [
     "round_half_away",
     "feedback_bit_width",
     "check_integer",
+    "check_snr",
 ]
 
 
@@ -75,7 +76,8 @@ def check_integer(name: str, value, minimum: int) -> int:
 MAX_SNR_DB = 100.0
 
 
-def _check_snr(name: str, snr: float) -> None:
+def check_snr(name: str, snr: float) -> None:
+    """Raise ``InvalidParameterError`` unless snr is positive and at most :data:`MAX_SNR_DB`."""
     if not 0 < snr <= 10.0 ** (MAX_SNR_DB / 10.0):
         raise InvalidParameterError(f"{name} must be positive and at most {MAX_SNR_DB:g} dB")
 
@@ -92,7 +94,7 @@ class SlowChiSquareFading:
     mean_snr: float
 
     def __post_init__(self):
-        _check_snr("fading mean_snr", self.mean_snr)
+        check_snr("fading mean_snr", self.mean_snr)
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,11 @@ class LinkModel:
     fading: SlowChiSquareFading | None = None
 
     def __post_init__(self):
-        _check_snr("snr_per_symbol", self.snr_per_symbol)
+        check_snr("snr_per_symbol", self.snr_per_symbol)
+        if not isinstance(self.fading, (SlowChiSquareFading, type(None))):
+            raise InvalidParameterError(
+                f"fading must be a SlowChiSquareFading or None, got {self.fading!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -158,11 +164,10 @@ class ProtocolConfig:
     windows: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        n, d = self.packet_bits, self.retransmissions
-        if n < 1:
-            raise InvalidParameterError("packet_bits must be positive")
-        if d < 0:
-            raise InvalidParameterError("retransmissions must be non-negative")
+        n = check_integer("packet_bits", self.packet_bits, 1)
+        d = check_integer("retransmissions", self.retransmissions, 0)
+        object.__setattr__(self, "packet_bits", n)
+        object.__setattr__(self, "retransmissions", d)
         if self.thresholds is not None:
             object.__setattr__(self, "thresholds", tuple(float(u) for u in self.thresholds))
             if len(self.thresholds) != d:
@@ -172,9 +177,10 @@ class ProtocolConfig:
             if any(a > b for a, b in zip(self.thresholds, self.thresholds[1:])):
                 raise InvalidParameterError("thresholds must be nondecreasing")
         if self.windows is not None:
-            object.__setattr__(self, "windows", tuple(int(w) for w in self.windows))
+            windows = tuple(check_integer("window size", w, 1) for w in self.windows)
+            object.__setattr__(self, "windows", windows)
             if len(self.windows) != d:
                 raise InvalidParameterError("need one window size per retransmission")
-            if any(not 1 <= w <= n for w in self.windows):
+            if any(w > n for w in self.windows):
                 raise InvalidParameterError("window sizes must satisfy 1 <= W_d <= N")
 

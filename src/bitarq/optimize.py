@@ -23,7 +23,7 @@ from scipy.special import ndtri
 
 from .analytic import _ber_approx, _ber_exact, _retx_rung, _shared_threshold_fractions
 from .errors import InvalidParameterError, NumericFailureError
-from .model import LinkModel, ProtocolConfig, round_half_away
+from .model import LinkModel, ProtocolConfig, check_integer, check_snr, round_half_away
 
 __all__ = [
     "SweepResult",
@@ -125,15 +125,9 @@ def is_unimodal(values, atol: float = 0.0) -> bool:
     Differences with magnitude at most ``atol`` count as flat and are
     ignored.
     """
-    signs = []
-    for a, b in zip(values, values[1:]):
-        diff = b - a
-        if abs(diff) <= atol:
-            continue
-        s = 1 if diff > 0 else -1
-        if not signs or signs[-1] != s:
-            signs.append(s)
-    return signs in ([], [1], [-1], [-1, 1])
+    diffs = (b - a for a, b in zip(values, values[1:]))
+    rising = [diff > 0 for diff in diffs if not abs(diff) <= atol]
+    return rising == sorted(rising)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +218,7 @@ def _invert_monotone(f, lo, hi):
 def _ladder_thresholds(d: int, p, snr) -> tuple:
     """Equal-probability ladders U_0..U_{d-1} for arrays of band
     probabilities ``p`` and SNRs ``snr`` (broadcast together)."""
-    if d < 1:
-        raise InvalidParameterError("need d >= 1")
+    d = check_integer("d", d, 1)
     p, snr = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(snr, dtype=float))
     if not np.all((p > 0.0) & (p <= 1.0)):
         raise InvalidParameterError("band probability must be in (0, 1]")
@@ -323,6 +316,7 @@ _SWEEP_BLOCK = 512
 
 def threshold_u_max(snr: float) -> float:
     """Default top of the threshold sweep: the mean sample plus four noise std."""
+    check_snr("snr", snr)
     return math.sqrt(2.0 * snr) + 4.0
 
 
@@ -343,8 +337,12 @@ def resolve_strategy(kind: str, x, d: int, base_snr: float) -> tuple:
     """
     if kind not in ("rate", "window", "threshold"):
         raise InvalidParameterError(f"unknown strategy {kind!r}")
+    d = check_integer("d", d, 1)
+    check_snr("base_snr", base_snr)
     if kind == "rate" and not np.all(np.asarray(x) > 0.0):
         raise InvalidParameterError("forward rate must be positive")
+    if kind == "threshold" and not np.all(np.asarray(x) >= 0.0):
+        raise InvalidParameterError("shared threshold must be non-negative")
     if kind == "threshold":
         rate, snr_eff = fixed_threshold_rate(d, x, base_snr)
         return (x,) * d, rate, snr_eff
@@ -357,8 +355,7 @@ def resolve_strategy(kind: str, x, d: int, base_snr: float) -> tuple:
 def _window(kind: str, x: float, n: int, d: int) -> int:
     """Integer window W of a forward rate, round((N/D)(1/R - 1)), or of a
     window fraction, round(F*N): rounded half away and clamped to [1, N]."""
-    if n < 1 or d < 1:
-        raise InvalidParameterError("need n >= 1 and d >= 1")
+    n, d = check_integer("n", n, 1), check_integer("d", d, 1)
     if kind == "rate":
         lo, hi = _rate_range(n, d)
         if not (x > lo and x <= hi * (1.0 + 1e-12)):
@@ -398,6 +395,10 @@ def sweep_blocks(kind: str, points: int, n: int, d: int, base_snr: float, u_max=
     Yields (values, thresholds, forward rates, effective SNRs) per block of
     at most _SWEEP_BLOCK values, the last three as arrays.
     """
+    points = check_integer("points", points, 1)
+    n, d = check_integer("n", n, 1), check_integer("d", d, 1)
+    if u_max is not None and not 0.0 < u_max < math.inf:
+        raise InvalidParameterError(f"u_max must be positive and finite, got {u_max}")
     if kind == "rate":
         lo, hi = _rate_range(n, d)
     elif kind == "window":
@@ -444,8 +445,6 @@ def _refine(objective, grid, j: int, uni: bool):
 def _optimize(kind: str, n: int, d: int, link: LinkModel, points: int) -> SweepResult:
     """Sweep, refine and package one strategy (see :func:`sweep_blocks` and
     :func:`resolve_strategy`)."""
-    if d < 1 or points < 1:
-        raise InvalidParameterError("need d >= 1 and points >= 1")
     base = link.snr_per_symbol
     # (values, thresholds, rates, SNRs) of every grid block and probe
     resolved = list(sweep_blocks(kind, points, n, d, base))

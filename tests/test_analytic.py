@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,13 +22,13 @@ from bitarq import (
 )
 from bitarq.analytic import (
     _U_CAP,
-    _band_prob,
     _ber_approx,
     _ber_exact,
     _prony_ber,
     _prony_tail,
     _quad,
-    _retx_fraction,
+    _retx_rung,
+    _shared_threshold_fractions,
 )
 from bitarq.model import MAX_SNR_DB
 
@@ -78,22 +79,24 @@ class TestPronyFit:
 
 
 class TestSingleTransmission:
-    # P(lo < |r0| <= hi) of a fresh sample at SNR 1 (mean sqrt(2))
-    M1 = math.sqrt(2.0)
+    # P(|r0| <= u) of a fresh sample at SNR 1 (mean sqrt(2)): the first rung
+    @staticmethod
+    def fresh(u):
+        return _retx_rung(0, 1.0, ())(u)[0]
 
     def test_band_probability_limits(self):
-        assert _band_prob(self.M1, 0.0, math.inf) == pytest.approx(1.0)
-        assert _band_prob(self.M1, 0.0, 0.0) == 0.0
+        assert self.fresh(math.inf) == pytest.approx(1.0)
+        assert self.fresh(0.0) == 0.0
 
     def test_band_probability_value(self):
         expected = 0.5 - q(2 * math.sqrt(2))
-        got = _band_prob(self.M1, 0.0, 2.0 / math.sqrt(2.0))
+        got = self.fresh(2.0 / math.sqrt(2.0))
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.49767, abs=1e-5)
 
     def test_partitioned_bands_sum_to_one(self):
         edges = [0.0, 0.4, 1.1, 2.0, math.inf]
-        total = sum(_band_prob(self.M1, a, b) for a, b in zip(edges, edges[1:]))
+        total = sum(self.fresh(b) - self.fresh(a) for a, b in zip(edges, edges[1:]))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -182,8 +185,32 @@ class TestBerApprox:
 class TestProbRetxBand:
     def test_total_probability(self):
         # under infinite thresholds every bit is retransmitted
-        us = (math.inf, math.inf)
-        assert _retx_fraction(1, LINK1.snr_per_symbol, us)[0] == pytest.approx(1.0, abs=1e-9)
+        fraction = _retx_rung(1, LINK1.snr_per_symbol, (math.inf,))
+        assert fraction(math.inf)[0] == pytest.approx(1.0, abs=1e-9)
+
+
+# sha256 of every rectangle-kernel output below, recorded before the BER, the
+# rungs and the shared-threshold fractions came to share one kernel
+KERNEL_DIGEST = "fe5e61c3d85e0078ff455d5c0322ce5818796c5f2583fff9761d35ed5e2982cb"
+
+
+def test_rectangle_kernels_are_bit_identical_to_the_pin():
+    h = hashlib.sha256()
+    for k, shape in enumerate([(), (7,), (3, 5)]):
+        rng = np.random.default_rng(2017 + k)
+        snr = 10.0 ** rng.uniform(-0.5, 1.5, shape)
+        ladder = np.sort(rng.uniform(0.0, 4.0, shape + (5,)), axis=-1)
+        if shape:  # one element's top rungs infinite
+            ladder[(0,) * len(shape)][3:] = math.inf
+        us = tuple(ladder[..., j] for j in range(5))
+        out = [_ber_exact(snr, us[:d]) for d in range(1, 5)]
+        for j in range(5):
+            out += _retx_rung(j, snr, us[:j])(us[j])  # (value, slope)
+        out += [_shared_threshold_fractions(d, us[2], snr) for d in range(1, 4)]
+        for x in out:
+            assert np.all(np.isfinite(x))
+            h.update(np.asarray(x, dtype=float).tobytes())
+    assert h.hexdigest() == KERNEL_DIGEST
 
 
 class TestFading:

@@ -58,6 +58,12 @@ class TestCombinadic:
         with pytest.raises(InvalidParameterError):
             combinadic_decode(msg, 4, 2)
 
+    @pytest.mark.parametrize("n, w", [(3, -1), (-1, 0), (3.0, 1)])
+    def test_decode_rejects_non_counts(self, n, w):
+        # math.comb raised a raw ValueError for a negative n or w
+        with pytest.raises(InvalidParameterError):
+            combinadic_decode(CombinadicMessage(0, 2), n, w)
+
     def test_encode_validation(self):
         with pytest.raises(InvalidParameterError):
             combinadic_encode([1, 1], 4)
@@ -101,6 +107,12 @@ class TestBitPacking:
             pack_bits(8, 3)
         with pytest.raises(InvalidParameterError):
             unpack_bits(b"\x00\x00", 3)
+
+    @pytest.mark.parametrize("value, width", [(1.5, 4), (1, 2.0), (-1, 4), (1, -1)])
+    def test_pack_rejects_non_counts(self, value, width):
+        # a float value raised a raw AttributeError
+        with pytest.raises(InvalidParameterError):
+            pack_bits(value, width)
 
 
 class TestPermutationStream:

@@ -17,7 +17,7 @@ from bitarq import (
     SlowChiSquareFading,
     q_function,
 )
-from bitarq.analytic import _band_prob, _ber_exact, _retx_fraction
+from bitarq.analytic import _ber_exact, _retx_rung
 from bitarq.mc import BLOCK_PACKETS, SCHEMES, TrialReport, _window_mask, compare_schemes, simulate
 from bitarq.optimize import equal_probability_thresholds
 
@@ -137,10 +137,9 @@ class TestSimulateBehavior:
         us = equal_probability_thresholds(2, 0.3, LINK5)
         cfg = ProtocolConfig(1000, 2, thresholds=us)
         rep = simulate(cfg, LINK5, "sequential", 2_000_000, seed=4)
-        m = math.sqrt(2 * LINK5.snr_per_symbol)
         n = rep.bits_simulated
-        p0 = _band_prob(m, 0.0, us[0])
-        p1 = _retx_fraction(1, LINK5.snr_per_symbol, us)[0]
+        p0 = _retx_rung(0, LINK5.snr_per_symbol, ())(us[0])[0]
+        p1 = _retx_rung(1, LINK5.snr_per_symbol, us[:1])(us[1])[0]
         assert abs(rep.retransmitted_bits[0] / n - p0) < 3 * sigma(p0, n)
         assert abs(rep.retransmitted_bits[1] / n - p1) < 3 * sigma(p1, n)
 
@@ -149,10 +148,9 @@ class TestSimulateBehavior:
         cfg = ProtocolConfig(1000, 2, strategy=FixedThreshold(u), thresholds=(u, u))
         rep = simulate(cfg, LINK5, "sequential", 2_000_000, seed=12)
         snr = LINK5.snr_per_symbol
-        m = math.sqrt(2 * snr)
         n = rep.bits_simulated
-        p0 = _band_prob(m, 0.0, u)
-        p1 = _retx_fraction(1, snr, (u, u))[0]
+        p0 = _retx_rung(0, snr, ())(u)[0]
+        p1 = _retx_rung(1, snr, (u,))(u)[0]
         assert abs(rep.retransmitted_bits[0] / n - p0) < 3 * sigma(p0, n)
         assert abs(rep.retransmitted_bits[1] / n - p1) < 3 * sigma(p1, n)
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -85,6 +86,11 @@ class TestLinkModel:
         link = LinkModel(1.0, fading=SlowChiSquareFading(4.0))
         assert link.fading.mean_snr == 4.0
 
+    def test_fading_must_be_a_descriptor(self):
+        # a bare mean SNR was accepted, and ber_fading then raised a raw AttributeError
+        with pytest.raises(InvalidParameterError, match="SlowChiSquareFading"):
+            LinkModel(1.0, fading=3.0)
+
     @pytest.mark.parametrize("mean_snr", [1e300, math.inf, math.nan])
     def test_fading_mean_has_the_link_ceiling(self, mean_snr):
         # ber_fading returned -5.7e-302 at 1e300 and 0.0 at inf
@@ -114,6 +120,22 @@ class TestProtocolConfig:
     def test_rejects_nan_threshold(self):
         with pytest.raises(InvalidParameterError):
             ProtocolConfig(16, 1, thresholds=(math.nan,))
+
+    @pytest.mark.parametrize("args, kwargs, match", [
+        ((1.5, 1), {}, "packet_bits must be an integer"),  # was accepted
+        ((100, 1), {"windows": (2.7,)}, "window size must be an integer"),  # was truncated to 2
+        # reported a window-count mismatch
+        ((100, 1.5), {"windows": (2,)}, "retransmissions must be an integer"),
+        ((100, True), {}, "retransmissions must be an integer"),
+    ])
+    def test_integer_fields_reject_non_integers(self, args, kwargs, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            ProtocolConfig(*args, **kwargs)
+
+    def test_numpy_integers_are_accepted_as_ints(self):
+        cfg = ProtocolConfig(np.int64(100), np.int32(2), windows=(np.int16(3), np.uint8(4)))
+        assert (cfg.packet_bits, cfg.retransmissions, cfg.windows) == (100, 2, (3, 4))
+        assert all(type(v) is int for v in (cfg.packet_bits, cfg.retransmissions, *cfg.windows))
 
 
 def test_round_half_away():

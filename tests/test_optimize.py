@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bitarq import InvalidParameterError, LinkModel, q_function
-from bitarq.analytic import (_band_prob, _ber_approx, _ber_exact, _retx_fraction,
+from bitarq.analytic import (_ber_approx, _ber_exact, _retx_rung,
     _shared_threshold_fractions, DEFAULT_PRONY)
 from bitarq.optimize import (
     _GOLDEN,
@@ -26,6 +26,7 @@ from bitarq.optimize import (
     resolve_protocol,
     resolve_strategy,
     sweep_blocks,
+    threshold_u_max,
 )
 
 LINK5 = LinkModel(10**0.5)
@@ -399,10 +400,8 @@ class TestThresholdInversion:
         for p in (0.1, 0.3, 0.6):
             us = equal_probability_thresholds(3, p, LINK5)
             snr = LINK5.snr_per_symbol
-            m = math.sqrt(2 * snr)
-            assert _band_prob(m, 0.0, us[0]) == pytest.approx(p, abs=1e-8)
-            for j in (1, 2):
-                assert _retx_fraction(j, snr, us[: j + 1])[0] == pytest.approx(p, abs=1e-8)
+            for j in (0, 1, 2):
+                assert _retx_rung(j, snr, us[:j])(us[j])[0] == pytest.approx(p, abs=1e-8)
 
     def test_thresholds_nondecreasing(self):
         us = equal_probability_thresholds(3, 0.25, LINK5)
@@ -559,6 +558,57 @@ class TestSweepBlocks:
             next(sweep_blocks("power", 4, 64, 1, 3.0))
 
 
+class TestInputDomain:
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: optimize_rate(1024, 1.5, LINK5), id="fractional-d"),  # TypeError
+        pytest.param(lambda: optimize_window(1024, 1, LINK5, points=2.5), id="fractional-points"),
+        pytest.param(lambda: optimize_threshold(0, 1, LINK5), id="empty-packet"),  # windows (0,)
+        pytest.param(lambda: list(sweep_blocks("window", 0, 64, 1, 3.0)), id="no-points"),
+        pytest.param(lambda: list(sweep_blocks("threshold", 4, 64, 1, 3.0, u_max=-1.0)),
+                     id="negative-u-max"),  # yielded negative thresholds
+        pytest.param(lambda: threshold_u_max(-1.0), id="u-max-of-negative-snr"),  # ValueError
+        pytest.param(lambda: resolve_protocol("window", 0.2, 1024, 1, -1.0),
+                     id="negative-base-snr"),  # NumericFailureError
+        pytest.param(lambda: resolve_protocol("window", 0.2, 1024, 1, 0.0), id="zero-base-snr"),
+        pytest.param(lambda: resolve_protocol("threshold", math.nan, 1024, 1, 1.0),
+                     id="nan-threshold"),  # NumericFailureError
+    ])
+    def test_out_of_domain_input_is_rejected(self, call):
+        with pytest.raises(InvalidParameterError):
+            call()
+
+
+_REALS = st.one_of(
+    st.floats(), st.floats(1e-3, 1e3),
+    st.sampled_from([0.0, -1.0, 1e-300, 0.2, 0.9, 1.0, 1e10, 1e11, 1e308]),
+)
+_SIZES = st.one_of(st.integers(-2, 4096), st.sampled_from([1.5, 2.0, True, None]))
+_DEPTHS = st.one_of(st.integers(-1, 4), st.sampled_from([1.5, True, None]))
+_KINDS = st.sampled_from(["rate", "window", "threshold", "power"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(_KINDS, _REALS, _SIZES, _DEPTHS, _REALS)
+def test_resolve_protocol_raises_only_typed_errors(kind, x, n, d, base_snr):
+    try:
+        config, snr_eff = resolve_protocol(kind, x, n, d, base_snr)
+    except InvalidParameterError:
+        return
+    assert (config.packet_bits, config.retransmissions) == (n, d)
+    assert 0.0 < snr_eff <= base_snr
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(_KINDS, st.one_of(st.integers(-1, 8), st.just(2.5)), _SIZES, _DEPTHS, _REALS,
+       st.one_of(st.none(), _REALS))
+def test_sweep_blocks_raise_only_typed_errors(kind, points, n, d, base_snr, u_max):
+    try:
+        xs = [x for block in sweep_blocks(kind, points, n, d, base_snr, u_max) for x in block[0]]
+    except InvalidParameterError:
+        return
+    assert len(xs) == points and all(x > 0.0 for x in xs)
+
+
 class TestOptimizers:
     @pytest.mark.parametrize("runner", [optimize_rate, optimize_window, optimize_threshold])
     def test_rejects_an_empty_grid(self, runner):
@@ -678,6 +728,6 @@ def test_no_adaptive_quadrature_behind_the_design_path(monkeypatch):
             runner(256, d, LINK5, points=8)
     snr = LINK5.snr_per_symbol
     _ber_exact(snr, (0.5, 1.0, 1.5))
-    _retx_fraction(1, snr, (0.5, 1.0))
-    _retx_fraction(2, snr, (0.5, 1.0, 1.0))
+    _retx_rung(1, snr, (0.5,))(1.0)
+    _retx_rung(2, snr, (0.5, 1.0))(1.0)
     fixed_threshold_windows(1024, 3, 1.0, snr)

@@ -11,7 +11,7 @@ which holds every term's mass wherever its peak lies.
 import pytest
 
 from bitarq import LinkModel
-from bitarq.analytic import _ber_exact, _retx_fraction
+from bitarq.analytic import _ber_exact, _retx_rung
 from bitarq.optimize import equal_probability_thresholds
 
 mp = pytest.importorskip("mpmath")
@@ -93,7 +93,7 @@ def test_exact_ber_and_band_probabilities_match_oracle(d, db):
         for j in range(1, d + 1):
             ladder = tuple(us[:j]) + (us[j] if j < d else us[-1],)
             want = oracle_retx(j, snr, ladder)
-            assert _rel(_retx_fraction(j, snr, ladder)[0], want) <= REL, (d, db, p, j)
+            assert _rel(_retx_rung(j, snr, ladder[:j])(ladder[j])[0], want) <= REL, (d, db, p, j)
 
 
 def test_deep_tail_values_the_envelope_clip_dropped():
