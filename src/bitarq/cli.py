@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 from datetime import datetime, timezone
+from functools import partial
 
 from . import __version__
 from .errors import BitarqError, ConfigurationError, NumericFailureError
@@ -53,21 +54,14 @@ def _finite(text: str) -> float:
     return value
 
 
-def _positive(kind):
-    def parse(text: str):
+def _number(kind, positive=True):
+    """argparse type: ``kind(text)``, positive or (``positive=False``) non-negative."""
+    problem = "not positive" if positive else "negative"
+
+    def parse(text: str):  # argparse's "invalid parse value" error names this function
         value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"{text} is not positive")
-        return value
-
-    return parse
-
-
-def _non_negative(kind):
-    def parse(text: str):
-        value = kind(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"{text} is negative")
+        if value < 0 or (positive and value == 0):
+            raise argparse.ArgumentTypeError(f"{text} is {problem}")
         return value
 
     return parse
@@ -118,11 +112,10 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _run_sweep(kind: str, args) -> _Output:
+def _run_sweep(kind: str, args, out: _Output) -> None:
     from .analytic import _ber_approx, _ber_exact
     from .optimize import sweep_blocks, threshold_u_max
 
-    out = _Output(f"sweep-{kind}", args.reproducible)
     base_snr = _db_to_linear(args.snr_db)
     u_max = None
     if kind == "threshold":
@@ -150,7 +143,6 @@ def _run_sweep(kind: str, args) -> _Output:
                 )
                 mc, stderr = _fmt(rep.ber), _fmt(rep.stderr)
             out.row(f"{x:.8f}", _fmt(approx[k]), _fmt(exact[k]), mc, stderr)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +150,9 @@ def _run_sweep(kind: str, args) -> _Output:
 # ---------------------------------------------------------------------------
 
 
-def _run_optimize(args) -> _Output:
+def _run_optimize(args, out: _Output) -> None:
     from .optimize import optimize_rate, optimize_threshold, optimize_window
 
-    out = _Output("optimize", args.reproducible)
     base = LinkModel(_db_to_linear(args.snr_db))
     out.config(strategy=args.strategy, snr_db=args.snr_db, n=args.n, d=args.d, points=args.points)
     runner = {"rate": optimize_rate, "window": optimize_window, "threshold": optimize_threshold}
@@ -174,7 +165,6 @@ def _run_optimize(args) -> _Output:
         args.strategy, f"{res.minimizer:.8f}", _fmt(res.min_ber), _fmt(res.min_ber_exact),
         f"{res.forward_rate:.8f}", res.boundary, res.refined, res.unimodal,
     )
-    return out
 
 
 def _build_sim_config(args, base_snr: float) -> tuple[ProtocolConfig, float]:
@@ -196,10 +186,9 @@ def _build_sim_config(args, base_snr: float) -> tuple[ProtocolConfig, float]:
     return resolve_protocol(*given[0], n, d, base_snr)
 
 
-def _run_simulate(args) -> _Output:
+def _run_simulate(args, out: _Output) -> None:
     from .mc import simulate
 
-    out = _Output("simulate", args.reproducible)
     base_snr = _db_to_linear(args.snr_db)
     cfg, snr_eff = _build_sim_config(args, base_snr)
     out.config(
@@ -216,10 +205,9 @@ def _run_simulate(args) -> _Output:
         args.scheme, rep.bits_simulated, rep.bit_errors, _fmt(rep.ber), _fmt(rep.stderr),
         f"{rep.forward_rate_realized:.8f}", ";".join(map(str, rep.retransmitted_bits)),
     )
-    return out
 
 
-def _run_feedback_sim(args) -> _Output:
+def _run_feedback_sim(args, out: _Output) -> None:
     from .feedback import (
         expected_idle_periods,
         optimal_c1,
@@ -227,7 +215,6 @@ def _run_feedback_sim(args) -> _Output:
         throughput_one_retx,
     )
 
-    out = _Output("feedback-sim", args.reproducible)
     c1 = args.c1 if args.c1 is not None else optimal_c1(args.n, args.w)
     out.config(n=args.n, w=args.w, c1=c1, trials=args.trials, seed=args.seed)
     ks, idles = simulate_permutation_search(args.n, args.w, c1, args.trials, args.seed)
@@ -244,7 +231,6 @@ def _run_feedback_sim(args) -> _Output:
         f"{expected_idle_periods(args.n, args.w, c1):.6f}", f"{delay:.6f}",
         f"{throughput_one_retx(args.n, delay):.6f}",
     )
-    return out
 
 
 def _tech(name: str):
@@ -255,23 +241,20 @@ def _tech(name: str):
     return TECHNOLOGIES[name]
 
 
-def _run_fusion_plan(args) -> _Output:
+def _run_fusion_plan(args, out: _Output) -> None:
     from .fusion import schedule_uplink, serialize_plan
 
-    out = _Output("fusion-plan", args.reproducible)
     tech = _tech(args.tech)
     n = args.n if args.n is not None else tech.packet_bits
     block_bits = args.block_bits if args.block_bits is not None else n
     out.config(tech=args.tech, n=n, w=args.w, d=args.d, blocks=args.blocks, block_bits=block_bits)
     plan = schedule_uplink(n, args.w, args.d, args.blocks, block_bits)
     out.raw(serialize_plan(plan))
-    return out
 
 
-def _run_fusion_feasibility(args) -> _Output:
+def _run_fusion_feasibility(args, out: _Output) -> None:
     from .fusion import SegmentedDesign, feasible, segment_feasibility
 
-    out = _Output("fusion-feasibility", args.reproducible)
     tech = _tech(args.tech)
     design = SegmentedDesign(tech, args.pf, args.pr, args.nseg, args.wseg)
     out.config(tech=args.tech, pf=args.pf, pr=args.pr, nseg=args.nseg, wseg=args.wseg)
@@ -282,18 +265,15 @@ def _run_fusion_feasibility(args) -> _Output:
         args.tech, args.pf, args.pr, args.nseg, args.wseg, design.c_tot,
         f"{ppf:.6f}", f"{ppr:.6e}", verdict.feasible, ";".join(verdict.reasons),
     )
-    return out
 
 
-def _run_fit_check(args) -> _Output:
+def _run_fit_check(args, out: _Output) -> None:
     from .fusion import required_snr
 
-    out = _Output("fit-check", args.reproducible)
     tech = _tech(args.tech)
     out.config(tech=args.tech, ber=args.ber)
     out.row("tech", "target_ber", "snr_db")
     out.row(args.tech, args.ber, f"{required_snr(tech, args.ber):.2f}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -301,27 +281,12 @@ def _run_fit_check(args) -> _Output:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-    p.add_argument(
-        "--reproducible", action="store_true",
-        help="suppress the timestamp header for byte-identical reruns",
-    )
-
-
-def _add_sweep(sub, kind: str) -> None:
-    p = sub.add_parser(f"sweep-{kind}", help=f"BER sweep over the {kind} parameter")
+def _add_design(p: argparse.ArgumentParser) -> None:
+    """The link and grid options the sweeps and ``optimize`` share."""
     p.add_argument("--snr-db", type=_finite, required=True)
-    p.add_argument("--n", type=_positive(int), default=1024)
-    p.add_argument("--d", type=_positive(int), required=True)
-    p.add_argument("--points", type=_positive(int), default=64)
-    p.add_argument("--bits", type=_non_negative(int), default=0,
-                   help="Monte Carlo bits per grid point (0 = analytic only)")
-    p.add_argument("--seed", type=_non_negative(int), default=0)
-    if kind == "threshold":
-        p.add_argument("--u-max", type=_positive(_finite), default=None)
-    _add_common(p)
-    p.set_defaults(func=lambda a: _run_sweep(kind, a))
+    p.add_argument("--n", type=_number(int), default=1024)
+    p.add_argument("--d", type=_number(int), required=True)
+    p.add_argument("--points", type=_number(int), default=64)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,77 +298,81 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for kind in ("rate", "window", "threshold"):
-        _add_sweep(sub, kind)
+        p = sub.add_parser(f"sweep-{kind}", help=f"BER sweep over the {kind} parameter")
+        _add_design(p)
+        p.add_argument("--bits", type=_number(int, positive=False), default=0,
+                       help="Monte Carlo bits per grid point (0 = analytic only)")
+        p.add_argument("--seed", type=_number(int, positive=False), default=0)
+        if kind == "threshold":
+            p.add_argument("--u-max", type=_number(_finite), default=None)
+        p.set_defaults(func=partial(_run_sweep, kind))
 
     p = sub.add_parser("optimize", help="minimize BER over one strategy parameter")
     p.add_argument("--strategy", choices=("rate", "window", "threshold"), required=True)
-    p.add_argument("--snr-db", type=_finite, required=True)
-    p.add_argument("--n", type=_positive(int), default=1024)
-    p.add_argument("--d", type=_positive(int), required=True)
-    p.add_argument("--points", type=_positive(int), default=64)
-    _add_common(p)
+    _add_design(p)
     p.set_defaults(func=_run_optimize)
 
     p = sub.add_parser("simulate", help="Monte Carlo link simulation")
     p.add_argument("--scheme", choices=("sequential", "preassigned", "full_repetition"),
                    default="sequential")
     p.add_argument("--snr-db", type=_finite, required=True)
-    p.add_argument("--n", type=_positive(int), default=1024)
-    p.add_argument("--d", type=_non_negative(int), required=True)
-    p.add_argument("--bits", type=_positive(int), required=True)
-    p.add_argument("--seed", type=_non_negative(int), default=0)
-    p.add_argument("--rate", type=_positive(_finite), default=None)
-    p.add_argument("--window", type=_positive(_finite), default=None,
+    p.add_argument("--n", type=_number(int), default=1024)
+    p.add_argument("--d", type=_number(int, positive=False), required=True)
+    p.add_argument("--bits", type=_number(int), required=True)
+    p.add_argument("--seed", type=_number(int, positive=False), default=0)
+    p.add_argument("--rate", type=_number(_finite), default=None)
+    p.add_argument("--window", type=_number(_finite), default=None,
                    help="window fraction W/N in (0, 1]")
-    p.add_argument("--threshold", type=_positive(_finite), default=None,
+    p.add_argument("--threshold", type=_number(_finite), default=None,
                    help="shared normalized reliability threshold")
     p.add_argument("--equalize-energy", action="store_true",
                    help="scale the symbol SNR by the forward rate")
-    _add_common(p)
     p.set_defaults(func=_run_simulate)
 
     p = sub.add_parser("feedback-sim", help="synchronized-permutation search statistics")
-    p.add_argument("--n", type=_positive(int), required=True)
-    p.add_argument("--w", type=_positive(int), required=True)
-    p.add_argument("--c1", type=_positive(int), default=None)
-    p.add_argument("--trials", type=_positive(int), default=10000)
-    p.add_argument("--seed", type=_non_negative(int), default=0)
-    _add_common(p)
+    p.add_argument("--n", type=_number(int), required=True)
+    p.add_argument("--w", type=_number(int), required=True)
+    p.add_argument("--c1", type=_number(int), default=None)
+    p.add_argument("--trials", type=_number(int), default=10000)
+    p.add_argument("--seed", type=_number(int, positive=False), default=0)
     p.set_defaults(func=_run_feedback_sim)
 
     p = sub.add_parser("fusion-plan", help="uplink packet-content schedule")
     p.add_argument("--tech", default="zigbee")
-    p.add_argument("--n", type=_positive(int), default=None)
-    p.add_argument("--w", type=_positive(int), required=True)
-    p.add_argument("--d", type=_non_negative(int), required=True)
-    p.add_argument("--blocks", type=_non_negative(int), required=True)
-    p.add_argument("--block-bits", type=_positive(int), default=None)
-    _add_common(p)
+    p.add_argument("--n", type=_number(int), default=None)
+    p.add_argument("--w", type=_number(int), required=True)
+    p.add_argument("--d", type=_number(int, positive=False), required=True)
+    p.add_argument("--blocks", type=_number(int, positive=False), required=True)
+    p.add_argument("--block-bits", type=_number(int), default=None)
     p.set_defaults(func=_run_fusion_plan)
 
     p = sub.add_parser("fusion-feasibility", help="segmented-design feasibility probabilities")
     p.add_argument("--tech", required=True)
-    p.add_argument("--pf", type=_positive(_finite), required=True)
-    p.add_argument("--pr", type=_positive(_finite), required=True)
-    p.add_argument("--nseg", type=_positive(int), required=True)
-    p.add_argument("--wseg", type=_positive(int), required=True)
-    _add_common(p)
+    p.add_argument("--pf", type=_number(_finite), required=True)
+    p.add_argument("--pr", type=_number(_finite), required=True)
+    p.add_argument("--nseg", type=_number(int), required=True)
+    p.add_argument("--wseg", type=_number(int), required=True)
     p.set_defaults(func=_run_fusion_feasibility)
 
     p = sub.add_parser("fit-check", help="SNR required for a target technology BER")
     p.add_argument("--tech", required=True)
-    p.add_argument("--ber", type=_positive(_finite), required=True)
-    _add_common(p)
+    p.add_argument("--ber", type=_number(_finite), required=True)
     p.set_defaults(func=_run_fit_check)
 
+    for p in sub.choices.values():  # last, so every usage line ends with them
+        p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
+        p.add_argument(
+            "--reproducible", action="store_true",
+            help="suppress the timestamp header for byte-identical reruns",
+        )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out = _Output(args.command, args.reproducible)
     try:
-        out = args.func(args)
+        args.func(args, out)
         out.write(args.output)
     except NumericFailureError as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)

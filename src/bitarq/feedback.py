@@ -59,8 +59,8 @@ class CombinadicMessage:
     bit_width: int
 
     def __post_init__(self):
-        if self.rank < 0:
-            raise InvalidParameterError("rank must be non-negative")
+        check_integer("rank", self.rank, 0)
+        check_integer("bit_width", self.bit_width, 0)
 
     def to_bytes(self) -> bytes:
         return pack_bits(self.rank, self.bit_width)
@@ -78,10 +78,10 @@ class PermutationMessage:
     bit_width: int
 
     def __post_init__(self):
-        if not 0 <= self.residual < (1 << self.bit_width):
+        width = check_integer("bit_width", self.bit_width, 0)
+        if check_integer("residual", self.residual, 0) >= 1 << width:
             raise InvalidParameterError("residual must fit in bit_width bits")
-        if self.idle_periods < 0:
-            raise InvalidParameterError("idle_periods must be non-negative")
+        check_integer("idle_periods", self.idle_periods, 0)
 
     @property
     def stream_index(self) -> int:

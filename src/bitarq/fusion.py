@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Union
 
 from .errors import InvalidParameterError, NumericFailureError
@@ -240,23 +241,20 @@ def schedule_uplink(n: int, w: int, d: int, blocks: int, block_bits: int) -> Fus
     if blocks == 0:
         return FusionPlan(n, ())
 
-    pending: dict[int, list[tuple[int, int]]] = {}
+    # min-heap of (due packet, block, round) over the retransmission spans not
+    # yet sent: each packet takes those due by then, oldest first, while they fit
+    due: list[tuple[int, int, int]] = []
     remaining = block_bits
     current = 1
     packets: list[tuple[Span, ...]] = []
     p = 1
-    while current <= blocks or any(k >= p for k in pending):
+    while current <= blocks or due:
         spans: list[Span] = []
         cap = n
-        deferred: list[tuple[int, int]] = []
-        for block, rnd in pending.pop(p, []):
-            if cap >= w:
-                spans.append(RetxSpan(block, rnd, w))
-                cap -= w
-            else:
-                deferred.append((block, rnd))
-        if deferred:
-            pending[p + 1] = deferred + pending.get(p + 1, [])
+        while due and due[0][0] <= p and cap >= w:
+            _, block, rnd = heappop(due)
+            spans.append(RetxSpan(block, rnd, w))
+            cap -= w
         while cap > 0 and current <= blocks:
             take = min(cap, remaining)
             spans.append(DataSpan(current, take))
@@ -264,7 +262,7 @@ def schedule_uplink(n: int, w: int, d: int, blocks: int, block_bits: int) -> Fus
             remaining -= take
             if remaining == 0:
                 for rnd in range(1, d + 1):
-                    pending.setdefault(p + rnd, []).append((current, rnd))
+                    heappush(due, (p + rnd, current, rnd))
                 current += 1
                 remaining = block_bits
         packets.append(tuple(spans))

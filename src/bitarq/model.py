@@ -143,6 +143,18 @@ class FixedThreshold:
 Strategy = Union[FixedRate, FixedWindow, FixedThreshold]
 
 
+def _items(name: str, values, convert) -> tuple:
+    """``tuple(map(convert, values))``, raising ``InvalidParameterError`` where
+    ``values`` is not a sequence or ``convert`` fails with a raw error."""
+    try:
+        return tuple(map(convert, values))
+    except InvalidParameterError:
+        raise
+    except (TypeError, ValueError):
+        message = f"{name} must be a sequence of numbers, got {values!r}"
+        raise InvalidParameterError(message) from None
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Static parameters of a bitwise retransmission protocol.
@@ -169,7 +181,7 @@ class ProtocolConfig:
         object.__setattr__(self, "packet_bits", n)
         object.__setattr__(self, "retransmissions", d)
         if self.thresholds is not None:
-            object.__setattr__(self, "thresholds", tuple(float(u) for u in self.thresholds))
+            object.__setattr__(self, "thresholds", _items("thresholds", self.thresholds, float))
             if len(self.thresholds) != d:
                 raise InvalidParameterError("need one threshold per retransmission")
             if any(not u >= 0 for u in self.thresholds):
@@ -177,7 +189,7 @@ class ProtocolConfig:
             if any(a > b for a, b in zip(self.thresholds, self.thresholds[1:])):
                 raise InvalidParameterError("thresholds must be nondecreasing")
         if self.windows is not None:
-            windows = tuple(check_integer("window size", w, 1) for w in self.windows)
+            windows = _items("windows", self.windows, lambda w: check_integer("window size", w, 1))
             object.__setattr__(self, "windows", windows)
             if len(self.windows) != d:
                 raise InvalidParameterError("need one window size per retransmission")

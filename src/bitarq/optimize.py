@@ -252,6 +252,7 @@ def equal_probability_thresholds(d: int, p: float, link: LinkModel) -> tuple[flo
 
 def fixed_threshold_windows(n: int, d: int, u: float, snr: float) -> tuple[int, ...]:
     """Per-round expected windows round(N * P_d) under one shared threshold."""
+    d = check_integer("d", d, 1)
     return tuple(
         min(n, max(0, round_half_away(n * p))) for p in _shared_threshold_fractions(d, u, snr)
     )
@@ -272,6 +273,7 @@ def fixed_threshold_rate(d: int, u, base_snr: float):
     in that convex stretch; the single root left below is bracketed from
     1/(1+d).  ``u`` may be an array.
     """
+    d = check_integer("d", d, 1)
     floor = 1.0 / (1.0 + d)
 
     def residual(r, live=...):

@@ -6,7 +6,9 @@ before the strategy rules moved behind ``optimize.resolve_protocol``; a
 refactor of the strategy path must leave every one unchanged.  A change
 that alters an output on purpose records the new digest and says why: the
 seven ``simulate`` runs that retransmit selectively were re-recorded when the
-Monte Carlo began drawing one normal per retransmitted bit.
+Monte Carlo began drawing one normal per retransmitted bit.  The ``OTHER``
+digests were recorded before the CLI runners and the uplink scheduler's
+queue of due retransmission spans were rewritten.
 
 To print the current digests: ``PYTHONPATH=src python tests/test_cli_pinned.py``.
 """
@@ -48,7 +50,19 @@ SIMULATE["simulate-full-repetition"] = (
 )
 SIMULATE["simulate-rate-too-low"] = "simulate --snr-db 3 --n 1024 --d 2 --bits 204800 --rate 0.3"
 
-COMMANDS = {**README, **SIMULATE}
+# the sweeps and optimizer strategies the README leaves out, and a schedule
+# that defers 15 retransmission spans past their due packet
+OTHER = {
+    "sweep-threshold": "sweep-threshold --snr-db 5 --d 2 --n 1024",
+    "sweep-window": "sweep-window --snr-db 0 --d 2 --n 1024",
+    "optimize-rate": "optimize --strategy rate --snr-db 5 --d 3",
+    "optimize-window": "optimize --strategy window --snr-db 10 --d 1",
+    "fusion-plan-deferred": (
+        "fusion-plan --tech zigbee --n 100 --w 40 --d 3 --blocks 6 --block-bits 30"
+    ),
+}
+
+COMMANDS = {**README, **SIMULATE, **OTHER}
 
 # name -> (exit code, sha256 of stdout, sha256 of stderr or None when unpinned)
 PINNED = {
@@ -102,6 +116,21 @@ PINNED = {
     "simulate-rate-too-low": (
         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None
     ),
+    "sweep-threshold": (
+        0, "6a3cd1ccbb7ee236fff0b4a9d04406e63ec547bcc01313b2227439c4f4cd58a2", None
+    ),
+    "sweep-window": (
+        0, "4b6be7c47dde7a58ca196815fa4715785e36d66d90d821d7b00cc89598a5fda5", None
+    ),
+    "optimize-rate": (
+        0, "709e57f887f8cf414c89c4ca0e9f49f059b5b986503351be1238a1fb37d54060", None
+    ),
+    "optimize-window": (
+        0, "eb788fab3bab1df0c5378f3d00dbfb211f7bc397e1fc43cf0dfdc3e691fe8387", None
+    ),
+    "fusion-plan-deferred": (
+        0, "e91e69fbcfd1db7adef9e04ea5765e61c4802452ec726505a9c1ff0f5a6917a4", None
+    ),
 }
 
 
@@ -122,6 +151,8 @@ def test_every_command_is_pinned():
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
+# fusion-plan-deferred warns of its irregular packets on purpose
+@pytest.mark.filterwarnings("ignore:d\\*w exceeds n/4")
 def test_pinned_output(name, monkeypatch):
     monkeypatch.delenv("BITARQ_THREADS", raising=False)
     code, out, err = outcome(name)

@@ -298,6 +298,20 @@ class TestInputHoles:
         with pytest.raises(InvalidParameterError):
             permutation_search((0, 1, 2), **args)
 
+    @pytest.mark.parametrize("make", [
+        lambda: CombinadicMessage(1.5, 3),  # decoded as the subset of rank 1
+        lambda: CombinadicMessage(1, 2.5),
+        lambda: CombinadicMessage(1, -1),
+        lambda: PermutationMessage(1.5, 0, 3),
+        lambda: PermutationMessage(1, 0.5, 3),
+        lambda: PermutationMessage(1, 0, 2.5),  # raw TypeError at 1 << bit_width
+        lambda: PermutationMessage(0, 0, -1),  # raw ValueError at 1 << bit_width
+    ], ids=["fractional-rank", "fractional-width", "negative-width", "fractional-residual",
+            "fractional-idle-periods", "fractional-stream-width", "negative-stream-width"])
+    def test_message_fields_must_be_integers(self, make):
+        with pytest.raises(InvalidParameterError):
+            make()
+
     def test_numpy_integers_are_accepted(self):
         ks, _ = simulate_permutation_search(16, 3, 9, 20, 5)
         got, _ = simulate_permutation_search(

@@ -132,6 +132,16 @@ class TestProtocolConfig:
         with pytest.raises(InvalidParameterError, match=match):
             ProtocolConfig(*args, **kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"thresholds": ("a",)},  # raw ValueError from float()
+        {"thresholds": (None,)},  # raw TypeError from float()
+        {"thresholds": 1.0},  # raw TypeError: not iterable
+        {"windows": 3},  # raw TypeError: not iterable
+    ], ids=repr)
+    def test_malformed_sequences_raise_typed_errors(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            ProtocolConfig(8, 1, **kwargs)
+
     def test_numpy_integers_are_accepted_as_ints(self):
         cfg = ProtocolConfig(np.int64(100), np.int32(2), windows=(np.int16(3), np.uint8(4)))
         assert (cfg.packet_bits, cfg.retransmissions, cfg.windows) == (100, 2, (3, 4))
