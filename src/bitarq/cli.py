@@ -14,7 +14,7 @@ import os
 import sys
 import tempfile
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 
 from . import __version__
 from .errors import BitarqError, ConfigurationError, NumericFailureError
@@ -36,13 +36,13 @@ def _db_to_linear(db: float) -> float:
     return snr
 
 
-def _n_jobs() -> int:
-    text = os.environ.get(_THREADS_ENV, "1")
+def _n_jobs() -> int | None:
+    text = os.environ.get(_THREADS_ENV)
     try:
-        jobs = int(text)
+        jobs = None if text is None else int(text)  # None: every usable core
     except ValueError:
         jobs = 0
-    if jobs < 1:
+    if jobs is not None and jobs < 1:
         raise ConfigurationError(f"{_THREADS_ENV} must be a positive integer, got {text!r}")
     return jobs
 
@@ -289,6 +289,7 @@ def _add_design(p: argparse.ArgumentParser) -> None:
     p.add_argument("--points", type=_number(int), default=64)
 
 
+@cache  # once per process; argparse reads the terminal width anew for each message
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bitarq",

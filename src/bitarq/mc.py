@@ -11,27 +11,28 @@ Three schemes are simulated:
 * ``full_repetition`` - the stop-and-wait baseline: every round repeats
   the whole packet.
 
-Work is partitioned into independent blocks, each driven by a sub-stream
-derived from (seed, block index); results merge by summation, so a report
-is reproducible regardless of block count or execution order. A block
+Work is partitioned into independent blocks: block i draws from the i-th
+child of ``SeedSequence(seed).spawn``, built as ``SeedSequence(seed,
+spawn_key=(i,))`` when the block starts. Results merge by summation, so a
+report does not depend on the thread count or execution order. A block
 draws one normal per transmitted symbol: the first pass as one
-(packets, N) matrix, then each round one normal per retransmitted bit in
-packet order (a whole matrix when the round repeats every bit). For a
+(packets, N) matrix, then each round one normal per retransmitted bit
+in packet order (a whole matrix when the round repeats every bit). For a
 given seed every scheme shares the first pass, and a round's draws land
 on the same bits in two schemes whenever their masks so far coincide.
 
-A block holds its sample matrix, one small unsigned integer per bit (a
-copy count or a band index, in the smallest dtype that holds d + 1) and
-the temporaries of one slab: each round walks the block in slabs of
-``SLAB`` packets, drawing in row-major order from the one block stream,
-so the draws are those of a whole-block round.  At N = 1024 a full block
-peaks at about 1.3 times its 16.8 MB sample matrix; the sequential
-window scheme at d = 2 runs at about 57 ns/bit on a 2-core Xeon VM.
+A worker holds one block of ``BLOCK_PACKETS`` = 128 packets: the sample
+matrix, a scratch matrix, one small unsigned integer per bit (a copy
+count or a band index) and one round's temporaries.  At N = 1024 it peaks
+at 2.3-4.1 MiB under ``tracemalloc``, so a thread (one per usable core by
+default) costs about 5 MB; the sequential window scheme at d = 2 runs at
+about 57 ns/bit on a 2-core Xeon VM.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -43,8 +44,7 @@ from .model import FixedThreshold, LinkModel, ProtocolConfig, check_integer
 __all__ = ["SCHEMES", "TrialReport", "simulate", "compare_schemes"]
 
 SCHEMES = ("sequential", "preassigned", "full_repetition")
-BLOCK_PACKETS = 2048
-SLAB = 128  # packets per row slab: 1 MB of float64 temporaries at N = 1024
+BLOCK_PACKETS = 128  # 1 MB of float64 samples at N = 1024
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def _window_mask(rel: np.ndarray, w: int) -> np.ndarray:
     A row keeps the bits at or below its w-th smallest reliability.  A tie
     at the w-th place would keep more than w bits, so such a row alone takes
     ``np.argpartition``'s choice of exactly w; every row then selects what
-    ``np.argpartition`` on the whole slab selects.  Continuous samples tie
+    ``np.argpartition`` on the whole block selects.  Continuous samples tie
     with probability zero.
     """
     mask = rel <= np.partition(rel, w - 1, axis=1)[:, w - 1, None]
@@ -86,12 +86,13 @@ def _window_mask(rel: np.ndarray, w: int) -> np.ndarray:
 
 
 def _selector(config: ProtocolConfig, scheme: str):
-    """One scheme's rounds as ``(start, select)``, applied to one row slab.
+    """One scheme's rounds as ``(start, select)``, applied to one block.
 
     ``start(r0, state)`` fills in the per-bit state the scheme decides on,
-    one small integer per first-pass sample; ``select(r, acc, state)``
+    one small integer per first-pass sample; ``select(r, acc, state, spare)``
     returns the mask of bits retransmitted in round ``r`` (0-based) given
-    the combined samples.  Both are None when every round repeats every bit.
+    the combined samples, and may overwrite ``spare``, an array shaped like
+    ``acc``.  Both are None when every round repeats every bit.
     A config that lacks what the scheme decides on raises ConfigurationError.
     """
     us, ws = config.thresholds, config.windows
@@ -116,13 +117,13 @@ def _selector(config: ProtocolConfig, scheme: str):
             for u in us:
                 band += rel0 > u
 
-        return start, (lambda r, acc, band: band <= r)
+        return start, (lambda r, acc, band, spare: band <= r)
 
     if ws is None and us is None:
         raise ConfigurationError("sequential scheme needs window sizes or thresholds")
 
-    def select(r: int, acc: np.ndarray, copies: np.ndarray) -> np.ndarray:
-        rel = np.abs(acc)
+    def select(r: int, acc: np.ndarray, copies: np.ndarray, spare: np.ndarray) -> np.ndarray:
+        rel = np.abs(acc, out=spare)
         if r:  # every copy count is 1 in the first round
             rel /= copies
         mask = rel <= us[r] if ws is None else _window_mask(rel, ws[r])
@@ -139,7 +140,7 @@ def simulate(
     bits: int,
     seed: int,
     *,
-    n_jobs: int = 1,
+    n_jobs: int | None = None,
 ) -> TrialReport:
     """Simulate packet transmission, retransmission and MRC combining.
 
@@ -152,6 +153,8 @@ def simulate(
     """
     bits = check_integer("bits", bits, 1)
     seed = check_integer("seed", seed, 0)
+    if n_jobs is None:  # every core this process may run on
+        n_jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     n_jobs = check_integer("n_jobs", n_jobs, 1)
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
@@ -164,44 +167,40 @@ def simulate(
     m = math.sqrt(2.0 * link.snr_per_symbol)
     full, rest = divmod(bits // n, BLOCK_PACKETS)
     plan = [BLOCK_PACKETS] * full + [rest] * (rest > 0)
-    children = np.random.SeedSequence(seed).spawn(len(plan))
-    state_dtype = np.min_scalar_type(d + 1)  # holds a copy count or a band index
+    jobs = min(n_jobs, len(plan))
 
-    def block(idx: int) -> np.ndarray:
-        """Bit errors, then the retransmitted bits of each round."""
-        rng = np.random.Generator(np.random.PCG64(children[idx]))
-        acc = rng.standard_normal((plan[idx], n))
-        acc += m
-        slabs = [slice(lo, lo + SLAB) for lo in range(0, plan[idx], SLAB)]
-        state = None
-        if start is not None:
-            state = np.empty(acc.shape, state_dtype)
-            for s in slabs:
-                start(acc[s], state[s])
-        sent = [0] * d
-        for r in range(d):
-            for s in slabs:
-                rows = acc[s]
-                if state is None:
-                    z = rng.standard_normal(rows.shape)
-                    z += m
-                    rows += z
-                    sent[r] += rows.size
+    def worker(first: int) -> np.ndarray:
+        """Errors, then each round's retransmitted bits, of blocks first, first + jobs, ...
+        in one set of buffers: arrays allocated anew per block took page faults."""
+        samples, scratch = np.empty((2, BLOCK_PACKETS, n))
+        states = np.empty((BLOCK_PACKETS, n), np.min_scalar_type(d + 1))  # copies or bands
+        fresh, totals = scratch.reshape(-1), np.zeros(d + 1, dtype=np.int64)
+        for idx in range(first, len(plan), jobs):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(idx,))))
+            acc, state, spare = samples[:plan[idx]], states[:plan[idx]], scratch[:plan[idx]]
+            rng.standard_normal(out=acc)
+            acc += m
+            if start is not None:
+                start(acc, state)
+            for r in range(d):
+                # one fresh normal per retransmitted bit (all when the round repeats every bit), in
+                # packet order; the indices are unique, so add.at equals a fancy += at half the cost
+                picked = None if start is None else np.flatnonzero(select(r, acc, state, spare))
+                z = rng.standard_normal(out=fresh[:acc.size if picked is None else picked.size])
+                z += m
+                if picked is None:
+                    acc += z.reshape(acc.shape)
                 else:
-                    # one fresh normal per retransmitted bit, in packet order; the
-                    # indices are unique, so add.at equals flat[picked] += ... at half the cost
-                    picked = np.flatnonzero(select(r, rows, state[s]))
-                    z = rng.standard_normal(picked.size)
-                    z += m
-                    np.add.at(rows.reshape(-1), picked, z)
-                    sent[r] += picked.size
-        return np.array([np.count_nonzero(acc < 0.0), *sent], dtype=np.int64)
+                    np.add.at(acc.reshape(-1), picked, z)
+                totals[r + 1] += z.size
+            totals[0] += np.count_nonzero(acc < 0.0)
+        return totals
 
-    if n_jobs > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            totals = sum(pool.map(block, range(len(plan))))
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            totals = sum(pool.map(worker, range(jobs)))
     else:
-        totals = sum(block(i) for i in range(len(plan)))
+        totals = worker(0)
     retransmitted = tuple(int(c) for c in totals[1:])
     rate = bits / (bits + sum(retransmitted))
     return TrialReport(bits, int(totals[0]), retransmitted, rate, seed)

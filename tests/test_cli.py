@@ -219,6 +219,28 @@ class TestThreadsVariable:
         assert code == 2
         assert "BITARQ_THREADS" in err
 
+    def test_unset_runs_on_every_core_with_the_same_report(self, capsys, monkeypatch):
+        argv = ("simulate", "--snr-db", "3", "--n", "64", "--d", "2", "--bits", str(64 * 300),
+                "--window", "0.25", "--reproducible")  # two full blocks and a partial one
+        monkeypatch.delenv("BITARQ_THREADS", raising=False)
+        want = run(capsys, *argv)
+        assert want[0] == 0
+        for value in ("1", "3"):
+            monkeypatch.setenv("BITARQ_THREADS", value)
+            assert run(capsys, *argv) == want
+
+
+def test_one_parser_serves_every_call(capsys):
+    # built once per process; a failed parse leaves it fit for the next call
+    from bitarq.cli import build_parser
+
+    parser = build_parser()
+    with pytest.raises(SystemExit):
+        main(["simulate", "--snr-db", "x"])
+    code, _, _ = run(capsys, "fit-check", "--tech", "wifi", "--ber", "1e-4")
+    assert code == 0
+    assert build_parser() is parser
+
 
 def test_cli_import_skips_scipy_stats():
     # scipy.integrate serves only the quadrature oracles and scipy.optimize

@@ -127,11 +127,29 @@ class TestSimulateBehavior:
         assert a == b
 
     def test_block_and_thread_invariance(self):
-        cfg = ProtocolConfig(100, 1, thresholds=(0.8,))
-        bits = 100 * (2 * BLOCK_PACKETS + 100)  # two full blocks and a partial one
-        a = simulate(cfg, LINK5, "sequential", bits, seed=9)
-        b = simulate(cfg, LINK5, "sequential", bits, seed=9, n_jobs=4)
-        assert a == b
+        # every scheme's path, on several blocks and a partial one, at one to four
+        # threads and at the default of every usable core
+        for cfg, scheme in [
+            (ProtocolConfig(100, 1, thresholds=(0.8,)), "sequential"),
+            (ProtocolConfig(64, 2, thresholds=LADDER[2]), "preassigned"),
+            (ProtocolConfig(64, 2, windows=(16, 8)), "sequential"),
+            (ProtocolConfig(64, 2), "full_repetition"),
+        ]:
+            bits = cfg.packet_bits * (7 * BLOCK_PACKETS + 45)
+            want = simulate(cfg, LINK5, scheme, bits, seed=9, n_jobs=1)
+            for jobs in (2, 3, 4, None):
+                assert simulate(cfg, LINK5, scheme, bits, seed=9, n_jobs=jobs) == want, jobs
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**40])
+    def test_block_streams_are_the_children_of_the_seed(self, seed):
+        # block i is seeded as SeedSequence(seed, spawn_key=(i,)) when it starts,
+        # which is the i-th child that SeedSequence(seed).spawn would return
+        children = np.random.SeedSequence(seed).spawn(40)
+        for i in (0, 1, 7, 39):
+            own = np.random.SeedSequence(seed, spawn_key=(i,))
+            assert own.state == children[i].state
+            words = np.random.PCG64(own).random_raw(4)
+            assert (words == np.random.PCG64(children[i]).random_raw(4)).all()
 
     def test_sequential_windows_track_round_fractions(self):
         us = equal_probability_thresholds(2, 0.3, LINK5)
@@ -245,8 +263,8 @@ class _CountingGenerator:
     def __init__(self, bit_generator):
         self._g = _REAL_GENERATOR(bit_generator)
 
-    def standard_normal(self, size=None):
-        z = self._g.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        z = self._g.standard_normal(size, out=out)
         type(self).drawn += np.size(z)
         return z
 
@@ -285,44 +303,45 @@ class TestDrawContract:
         assert seq == pre
 
 
-MULTI_BLOCK_BITS = 10 * (2 * BLOCK_PACKETS + 37)
+MULTI_BLOCK_BITS = 10 * (32 * BLOCK_PACKETS + 37)
 
 # (config, link, scheme, bits, seed, n_jobs) -> (bit errors, retransmitted, rate).
-# The draw rule: each block draws its first pass as one (packets, N) matrix,
-# then each round one normal per retransmitted bit in packet order (a whole
-# matrix when the round repeats every bit).  The d = 0 and full-repetition
-# reports are the first recorded ones; the others were re-recorded when
-# rounds stopped drawing a full matrix.
+# The draw rule: each block of BLOCK_PACKETS = 128 packets, seeded by its
+# index, draws its first pass as one (packets, N) matrix, then each round one
+# normal per retransmitted bit in packet order (a whole matrix when the round
+# repeats every bit).  Every report was re-recorded when a block shrank from
+# 2,048 to 128 packets, at unchanged bit counts, which split each run into
+# other streams.
 PINNED = [
-    ((ProtocolConfig(100, 0), LINK1, "sequential", 20_000, 1, 1), (1629, (), 1.0)),
-    ((ProtocolConfig(100, 1), LINK1, "full_repetition", 20_000, 2, 1), (486, (20000,), 0.5)),
+    ((ProtocolConfig(100, 0), LINK1, "sequential", 20_000, 1, 1), (1609, (), 1.0)),
+    ((ProtocolConfig(100, 1), LINK1, "full_repetition", 20_000, 2, 1), (442, (20000,), 0.5)),
     (
         (ProtocolConfig(100, 3), LINK1, "full_repetition", 20_000, 2, 1),
-        (43, (20000, 20000, 20000), 0.25),
+        (36, (20000, 20000, 20000), 0.25),
     ),
     (
         (ProtocolConfig(100, 1, thresholds=LADDER[1]), LINK5, "preassigned", 50_000, 11, 1),
-        (27, (2579,), 0.95094999904905),
+        (30, (2631,), 0.9500104501149512),
     ),
     (
         (ProtocolConfig(100, 1, thresholds=LADDER[1]), LINK5, "sequential", 50_000, 11, 1),
-        (27, (2579,), 0.95094999904905),
+        (30, (2631,), 0.9500104501149512),
     ),
     (
         (ProtocolConfig(100, 2, thresholds=LADDER[2]), LINK5, "preassigned", 50_000, 12, 1),
-        (13, (1366, 3951), 0.9038812661568776),
+        (9, (1391, 3976), 0.9030650026188886),
     ),
     (
         (ProtocolConfig(100, 2, thresholds=LADDER[2]), LINK5, "sequential", 50_000, 12, 1),
-        (13, (1366, 2993), 0.9198108868816571),
+        (10, (1391, 2952), 0.9200817032552491),
     ),
     (
         (ProtocolConfig(100, 3, thresholds=LADDER[3]), LINK5, "preassigned", 50_000, 13, 1),
-        (13, (983, 2101, 4656), 0.8659508139937652),
+        (6, (1037, 2158, 4774), 0.8625299729165589),
     ),
     (
         (ProtocolConfig(100, 3, thresholds=LADDER[3]), LINK5, "sequential", 50_000, 13, 1),
-        (11, (983, 1261, 3121), 0.9030976248532466),
+        (1, (1037, 1276, 3213), 0.900479054857184),
     ),
     (
         (
@@ -331,42 +350,42 @@ PINNED = [
             ),
             LINK1, "sequential", 50_000, 21, 1,
         ),
-        (756, (12500, 12500), 0.6666666666666666),
+        (768, (12500, 12500), 0.6666666666666666),
     ),
     (
         (
             ProtocolConfig(100, 1, strategy=FixedRate(0.8), windows=(25,)),
             LINK1, "sequential", 50_000, 22, 1,
         ),
-        (1513, (12500,), 0.8),
+        (1464, (12500,), 0.8),
     ),
     (
         (
             ProtocolConfig(100, 2, strategy=FixedThreshold(0.9), thresholds=(0.9, 0.9)),
             LINK5, "sequential", 50_000, 23, 1,
         ),
-        (19, (2502, 316), 0.9466469764095573),
+        (21, (2638, 317), 0.9441979038806534),
     ),
     (
         (
             ProtocolConfig(100, 3, thresholds=LADDER[3], windows=(20, 20, 20)),
             LINK1, "sequential", 50_000, 24, 1,
         ),
-        (544, (10000, 10000, 10000), 0.625),
+        (600, (10000, 10000, 10000), 0.625),
     ),
     (
         (
             ProtocolConfig(10, 2, thresholds=LADDER[2]),
             LINK1, "preassigned", MULTI_BLOCK_BITS, 31, 2,
         ),
-        (681, (7688, 15412), 0.6414713642713021),
+        (667, (7780, 15184), 0.6428282576912309),
     ),
     (
         (
             ProtocolConfig(10, 2, thresholds=LADDER[2], windows=(3, 3)),
             LINK1, "sequential", MULTI_BLOCK_BITS, 32, 2,
         ),
-        (568, (12399, 12399), 0.625),
+        (587, (12399, 12399), 0.625),
     ),
 ]
 
@@ -410,14 +429,20 @@ def test_pinned_reports_with_300_rounds(case, expected):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_pinned_windowed_report_at_1024_bits(jobs):
-    # one full block and a partial one, at the packet size the CLI uses
-    bits = 1024 * (BLOCK_PACKETS + 300)
+    # 18 full blocks and a partial one, at the packet size the CLI uses
+    bits = 1024 * (18 * BLOCK_PACKETS + 44)
     cfg = ProtocolConfig(1024, 2, windows=(205, 82))
     rep = simulate(cfg, LINK1, "sequential", bits, 7, n_jobs=jobs)
-    assert rep == TrialReport(bits, 57108, (481340, 192536), 0.7810831426392068, 7)
+    assert rep == TrialReport(bits, 56676, (481340, 192536), 0.7810831426392068, 7)
 
 
-BLOCK_SAMPLE_BYTES = 8 * BLOCK_PACKETS * 1024  # one block's float64 sample matrix at N = 1024
+def _traced_peak(cfg, scheme, packets):
+    tracemalloc.start()
+    try:
+        simulate(cfg, LINK1, scheme, 1024 * packets, seed=1, n_jobs=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("cfg, scheme", [
@@ -429,11 +454,8 @@ BLOCK_SAMPLE_BYTES = 8 * BLOCK_PACKETS * 1024  # one block's float64 sample matr
 ], ids=["preassigned-d3", "sequential-threshold", "sequential-w205", "sequential-w820",
         "full-repetition"])
 def test_block_memory_stays_near_its_sample_matrix(cfg, scheme):
-    # a block holds its samples, one small integer per bit and one slab's temporaries
-    tracemalloc.start()
-    try:
-        simulate(cfg, LINK1, scheme, 1024 * BLOCK_PACKETS, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.4 * BLOCK_SAMPLE_BYTES, peak / BLOCK_SAMPLE_BYTES
+    # a worker holds one block: 1 MB of samples, 1 MB of scratch, one small
+    # integer per bit and one round's temporaries, however many blocks it runs
+    peak = _traced_peak(cfg, scheme, 2048)
+    assert peak <= 6 * 2**20, peak / 2**20
+    assert _traced_peak(cfg, scheme, 4 * 2048) <= 1.1 * peak
