@@ -409,7 +409,9 @@ def appendix_integral(kind: str, h: Sequence[float], bound: float | None = None)
     """
     _check_appendix_args(kind, h, bound)
     h1, h2, h3, h4, h5 = (float(v) for v in h)
-    gap = h2 - h5 if kind.endswith("minus") else h2 + h5
+    # the fit is even in its argument, so a minus kind is its plus kind with h5 negated
+    s5 = -h5 if kind.endswith("minus") else h5
+    gap = h2 + s5
     total = 0.0
     for a_k, b_k in DEFAULT_PRONY:
         # the Gaussian product's width, exponent, centre and bounds are taken
@@ -423,20 +425,12 @@ def appendix_integral(kind: str, h: Sequence[float], bound: float | None = None)
             # 0, or nan where h4 is so large that c = t = inf: either way the
             # term's 0 limit, as every bracket below lies in [-2, 2]
             continue
-        if kind == "semiinf_minus":
-            total += pref * math.erfc((h2 / h3 + c * h5) / sq_a)
-        elif kind == "semiinf_plus":
-            total += pref * math.erfc((h2 / h3 - c * h5) / sq_a)
-        elif kind == "finite_minus":
+        if kind.startswith("semiinf"):
+            total += pref * math.erfc((h2 / h3 - c * s5) / sq_a)
+        else:
             big_h = float(bound)
-            mu = (h2 / h3 + c * h5) / t
-            bracket = math.erf(((h2 + big_h) / h3 + c * (h5 + big_h)) / sq_a)
-            bracket += math.copysign(1.0, big_h - mu) * math.erf(sq_a * abs(big_h - mu))
-            total += pref * bracket
-        else:  # finite_plus
-            big_h = float(bound)
-            bracket = math.erf(((big_h + h2) / h3 + c * (big_h - h5)) / sq_a)
-            bracket += math.erf(((big_h - h2) / h3 + c * (big_h + h5)) / sq_a)
+            bracket = math.erf(((big_h + h2) / h3 + c * (big_h - s5)) / sq_a)
+            bracket += math.erf(((big_h - h2) / h3 + c * (big_h + s5)) / sq_a)
             total += pref * bracket
     return total
 

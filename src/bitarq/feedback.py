@@ -107,6 +107,7 @@ def pack_bits(value: int, width: int) -> bytes:
 
 
 def unpack_bits(data: bytes, width: int) -> int:
+    width = check_integer("width", width, 0)
     if len(data) != (width + 7) // 8:
         raise InvalidParameterError("payload length does not match the width")
     return int.from_bytes(data, "big") >> (8 * len(data) - width)
@@ -118,18 +119,19 @@ def unpack_bits(data: bytes, width: int) -> int:
 
 
 def _check_positions(positions: Iterable[int], n: int) -> tuple[int, ...]:
-    pos = tuple(sorted(int(p) for p in positions))
+    pos = tuple(sorted(check_integer("position", p, 0) for p in positions))
     if len(pos) == 0:
         raise InvalidParameterError("need at least one position")
     if len(set(pos)) != len(pos):
         raise InvalidParameterError("positions must be distinct")
-    if pos[0] < 0 or pos[-1] >= n:
+    if pos[-1] >= n:
         raise InvalidParameterError("positions must lie in [0, n)")
     return pos
 
 
 def combinadic_encode(positions: Iterable[int], n: int) -> CombinadicMessage:
     """Rank a sorted set of 0-based positions in colexicographic order."""
+    n = check_integer("n", n, 1)
     pos = _check_positions(positions, n)
     rank = sum(math.comb(p, i + 1) for i, p in enumerate(pos))
     return CombinadicMessage(rank, feedback_bit_width(n, len(pos)))
@@ -177,8 +179,6 @@ _streams = threading.local()
 def _stream_generator(seed: int, start_index: int, n: int) -> np.random.Generator:
     if not 0 <= seed < 1 << 128:
         raise InvalidParameterError(f"the session seed must lie in [0, 2**128), got {seed}")
-    if start_index < 0:
-        raise InvalidParameterError(f"stream indexes are non-negative, got {start_index}")
     counter = start_index * _blocks_per_permutation(n)
     # one generator per thread, re-keyed in place: constructing a Philox
     # builds an unused SeedSequence from OS entropy, which costs more than this
@@ -206,6 +206,8 @@ def permutation_at(seed: int, index: int, n: int) -> np.ndarray:
     whole 4-word counter blocks, so one generator drawn sequentially yields
     the same permutations.
     """
+    seed, index = check_integer("seed", seed, 0), check_integer("index", index, 0)
+    n = check_integer("n", n, 1)
     g = _stream_generator(seed, index, n)
     u = g.random(_blocks_per_permutation(n) * _WORDS_PER_COUNTER)[:n]
     return np.argsort(u)
@@ -315,8 +317,9 @@ def expected_idle_periods(n: int, w: int, c1: int) -> float:
     exp(l - a) / (1 - exp(-a)). Scaling by powers of two keeps this finite
     when C(n, w) or 2**c1 lies beyond the float range.
     """
-    if not 0 <= w <= n or c1 < 0:
-        raise InvalidParameterError("need 0 <= w <= n and c1 >= 0")
+    n, w, c1 = check_integer("n", n, 0), check_integer("w", w, 0), check_integer("c1", c1, 0)
+    if w > n:
+        raise InvalidParameterError("need 0 <= w <= n")
     c = math.comb(n, w)
     if c == 1:  # the first permutation always qualifies: K = 1
         return float(c1 == 0)
@@ -344,21 +347,20 @@ def mean_report_delay(n: int, w: int, c1: int) -> float:
 def optimal_c1(n: int, w: int) -> int:
     """Residual width minimizing the expected report delay:
     round(-0.5 + log2(E[K])) with E[K] = C(n, w), at least 1."""
-    if not 0 <= w <= n:
+    n, w = check_integer("n", n, 0), check_integer("w", w, 0)
+    if w > n:
         raise InvalidParameterError("need 0 <= w <= n")
     return max(1, round_half_away(-0.5 + math.log2(math.comb(n, w))))
 
 
 def throughput_one_retx(n: int, mean_idle_plus_one: float) -> float:
     """Forward throughput with one retransmission: n / E[delay periods]."""
-    if mean_idle_plus_one <= 0:
+    if not mean_idle_plus_one > 0:  # rejects nan too
         raise InvalidParameterError("the mean delay must be positive")
-    return n / mean_idle_plus_one
+    return check_integer("n", n, 1) / mean_idle_plus_one
 
 
 def feedback_error_tolerance(c_bits: int) -> float:
     """Largest per-bit feedback error probability keeping a C-bit message
     intact with probability at least 0.999: 1 - 0.999**(1/C)."""
-    if c_bits < 1:
-        raise InvalidParameterError("c_bits must be positive")
-    return -math.expm1(math.log(0.999) / c_bits)
+    return -math.expm1(math.log(0.999) / check_integer("c_bits", c_bits, 1))

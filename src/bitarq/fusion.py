@@ -16,7 +16,7 @@ from heapq import heappop, heappush
 from typing import Union
 
 from .errors import InvalidParameterError, NumericFailureError
-from .model import feedback_bit_width
+from .model import check_integer, feedback_bit_width
 
 __all__ = [
     "Technology",
@@ -52,10 +52,9 @@ class Technology:
     packet_bits: int
 
     def __post_init__(self):
-        if any(c <= 0 or k <= 0 for c, k in self.ber_fit):
-            raise InvalidParameterError("fit coefficients must be positive")
-        if self.packet_bits < 1:
-            raise InvalidParameterError("packet_bits must be positive")
+        if any(not (c > 0 and k > 0) for c, k in self.ber_fit):
+            raise InvalidParameterError("fit coefficients must be positive (nan is not)")
+        check_integer("packet_bits", self.packet_bits, 1)
 
 
 # The bluetooth fit carries a duplicated exponential term; it is kept as
@@ -119,11 +118,11 @@ class SegmentedDesign:
     w_seg: int
 
     def __post_init__(self):
-        if self.n_seg < 1 or self.tech.packet_bits % self.n_seg != 0:
+        if self.tech.packet_bits % check_integer("n_seg", self.n_seg, 1) != 0:
             raise InvalidParameterError("packet size must divide into n_seg >= 1 equal segments")
         if not 0.0 <= self.p_f < 1.0 or not 0.0 <= self.p_r < 1.0:
             raise InvalidParameterError("link BERs must be in [0, 1)")
-        if not 1 <= self.w_seg <= self.segment_bits:
+        if check_integer("w_seg", self.w_seg, 1) > self.segment_bits:
             raise InvalidParameterError("window must fit inside a segment")
 
     @property
@@ -232,8 +231,9 @@ def schedule_uplink(n: int, w: int, d: int, blocks: int, block_bits: int) -> Fus
     retransmission load d*w to stay well below the packet size for the
     regular packet structure; warns otherwise.
     """
-    if n < 1 or w < 1 or d < 0 or blocks < 0 or block_bits < 1:
-        raise InvalidParameterError("bad schedule parameters")
+    n, w, d = check_integer("n", n, 1), check_integer("w", w, 1), check_integer("d", d, 0)
+    blocks = check_integer("blocks", blocks, 0)
+    block_bits = check_integer("block_bits", block_bits, 1)
     if d and w > n:
         raise InvalidParameterError("window cannot exceed the packet size")
     if d * w > n / 4:
@@ -294,8 +294,8 @@ def max_sensor_nodes(n: int, overhead_bits: int, d: int, c_tot: int) -> int:
     floor((n - overhead) / (d * c_tot)): the floor guarantees the fit (the
     nearest-integer reading can overshoot the slot by half a message).
     """
-    if d * c_tot <= 0:
-        raise InvalidParameterError("need d >= 1 and c_tot >= 1")
+    n, overhead_bits = check_integer("n", n, 1), check_integer("overhead_bits", overhead_bits, 0)
+    d, c_tot = check_integer("d", d, 1), check_integer("c_tot", c_tot, 1)
     if n <= overhead_bits:
         raise InvalidParameterError("no payload left after overhead")
     return (n - overhead_bits) // (d * c_tot)

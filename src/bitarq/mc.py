@@ -8,8 +8,8 @@ Three schemes are simulated:
 * ``preassigned`` - the analysis model: the number of retransmissions of
   every bit is fixed up front by quantizing its first-pass reliability
   against the threshold ladder.
-* ``full_repetition`` - the stop-and-wait baseline: every round repeats
-  the whole packet.
+* ``full_repetition`` - every round repeats every bit of every packet;
+  nothing detects errors, so a correct packet is repeated too.
 
 Work is partitioned into independent blocks: block i draws from the i-th
 child of ``SeedSequence(seed).spawn``, built as ``SeedSequence(seed,
@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, InvalidParameterError
-from .model import FixedThreshold, LinkModel, ProtocolConfig, check_integer
+from .model import LinkModel, ProtocolConfig, check_integer
 
 __all__ = ["SCHEMES", "TrialReport", "simulate", "compare_schemes"]
 
@@ -86,51 +86,44 @@ def _window_mask(rel: np.ndarray, w: int) -> np.ndarray:
 
 
 def _selector(config: ProtocolConfig, scheme: str):
-    """One scheme's rounds as ``(start, select)``, applied to one block.
+    """One scheme's rounds on one block as a hook ``select(r, acc, state, spare)``,
+    or None when every round repeats every bit.
 
-    ``start(r0, state)`` fills in the per-bit state the scheme decides on,
-    one small integer per first-pass sample; ``select(r, acc, state, spare)``
-    returns the mask of bits retransmitted in round ``r`` (0-based) given
-    the combined samples, and may overwrite ``spare``, an array shaped like
-    ``acc``.  Both are None when every round repeats every bit.
-    A config that lacks what the scheme decides on raises ConfigurationError.
+    The hook returns the mask of bits retransmitted in round ``r`` (0-based) given
+    the combined samples ``acc``, and may overwrite ``spare``, shaped like ``acc``.
+    In round 0, while ``acc`` holds the first pass, it builds ``state``: the one
+    small integer per bit that the scheme decides on.  A config that lacks what
+    the scheme decides on raises ConfigurationError.
     """
     us, ws = config.thresholds, config.windows
-    if config.retransmissions == 0:
-        return None, None
-    if scheme == "full_repetition":
-        if isinstance(config.strategy, FixedThreshold):
-            raise ConfigurationError(
-                "stop-and-wait repetition ignores thresholds; "
-                "fixed-threshold strategy does not apply"
-            )
-        return None, None
+    if config.retransmissions == 0 or scheme == "full_repetition":
+        return None
     if scheme == "preassigned":
         if us is None:
             raise ConfigurationError("preassigned scheme needs the threshold ladder")
 
-        def start(r0: np.ndarray, band: np.ndarray) -> None:
-            # the band index #{j : |r0| > U_j}; the ladder is nondecreasing,
-            # so |r0| <= U_r exactly when the band is at most r
-            rel0 = np.abs(r0)
-            band[...] = 0
-            for u in us:
-                band += rel0 > u
-
-        return start, (lambda r, acc, band, spare: band <= r)
-
+        def preassigned(r: int, acc: np.ndarray, band: np.ndarray, spare: np.ndarray) -> np.ndarray:
+            if r == 0:  # band #{j : |r0| > U_j} <= r iff |r0| <= U_r, as the ladder is sorted
+                rel0 = np.abs(acc, out=spare)
+                band[...] = 0
+                for u in us:
+                    band += rel0 > u
+            return band <= r
+        return preassigned
     if ws is None and us is None:
         raise ConfigurationError("sequential scheme needs window sizes or thresholds")
 
-    def select(r: int, acc: np.ndarray, copies: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    def sequential(r: int, acc: np.ndarray, copies: np.ndarray, spare: np.ndarray) -> np.ndarray:
         rel = np.abs(acc, out=spare)
-        if r:  # every copy count is 1 in the first round
+        if r:
             rel /= copies
+        else:  # every bit has one copy so far
+            copies.fill(1)
         mask = rel <= us[r] if ws is None else _window_mask(rel, ws[r])
         copies += mask
         return mask
 
-    return (lambda r0, copies: copies.fill(1)), select
+    return sequential
 
 
 def simulate(
@@ -151,8 +144,7 @@ def simulate(
     Deterministic for a given (config, link, scheme, bits, seed); every
     scheme sees the same first-pass samples for a given seed.
     """
-    bits = check_integer("bits", bits, 1)
-    seed = check_integer("seed", seed, 0)
+    bits, seed = check_integer("bits", bits, 1), check_integer("seed", seed, 0)
     if n_jobs is None:  # every core this process may run on
         n_jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     n_jobs = check_integer("n_jobs", n_jobs, 1)
@@ -161,7 +153,7 @@ def simulate(
     n, d = config.packet_bits, config.retransmissions
     if bits % n != 0:
         raise InvalidParameterError("bits must be a positive multiple of packet_bits")
-    start, select = _selector(config, scheme)
+    select = _selector(config, scheme)
     if link.fading is not None:
         raise ConfigurationError("the Monte Carlo does not simulate fading; give a link without it")
     m = math.sqrt(2.0 * link.snr_per_symbol)
@@ -180,12 +172,10 @@ def simulate(
             acc, state, spare = samples[:plan[idx]], states[:plan[idx]], scratch[:plan[idx]]
             rng.standard_normal(out=acc)
             acc += m
-            if start is not None:
-                start(acc, state)
             for r in range(d):
                 # one fresh normal per retransmitted bit (all when the round repeats every bit), in
                 # packet order; the indices are unique, so add.at equals a fancy += at half the cost
-                picked = None if start is None else np.flatnonzero(select(r, acc, state, spare))
+                picked = None if select is None else np.flatnonzero(select(r, acc, state, spare))
                 z = rng.standard_normal(out=fresh[:acc.size if picked is None else picked.size])
                 z += m
                 if picked is None:

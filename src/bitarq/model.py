@@ -165,7 +165,7 @@ class ProtocolConfig:
     per-round retransmission window sizes W_1..W_D.  Fields that a given
     strategy does not need may be left unset.  The sequential scheme
     retransmits the W_d least reliable bits when ``windows`` is set and the
-    bits below U_d otherwise; ``strategy`` only labels the config
+    bits below U_d otherwise.  ``strategy`` is a label that no code reads
     (:func:`bitarq.optimize.resolve_protocol` builds configs without it).
     """
 

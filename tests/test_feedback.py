@@ -312,6 +312,22 @@ class TestInputHoles:
         with pytest.raises(InvalidParameterError):
             make()
 
+    @pytest.mark.parametrize("call", [
+        lambda: expected_idle_periods(16.0, 3, 4),  # raw TypeError from math.comb
+        lambda: optimal_c1(16.0, 3),  # raw TypeError from math.comb
+        lambda: mean_report_delay(16, 3, 2.5),  # raw TypeError from math.ldexp
+        lambda: combinadic_encode([0.5, 1], 4),  # position 0.5 was truncated to 0
+        lambda: combinadic_encode([0, 1], 4.0),  # raw TypeError from math.comb
+        lambda: permutation_at(1, 0.5, 4),  # a fractional stream index was accepted
+        lambda: unpack_bits(b"", -3),  # returned 0
+        lambda: feedback_error_tolerance(math.nan),  # returned nan
+        lambda: throughput_one_retx(16, math.nan),  # returned nan
+    ], ids=["idle-float-n", "c1-float-n", "delay-float-c1", "fractional-position", "float-n",
+            "fractional-index", "negative-width", "nan-message-bits", "nan-delay"])
+    def test_integer_inputs_raise_typed_errors(self, call):
+        with pytest.raises(InvalidParameterError):
+            call()
+
     def test_numpy_integers_are_accepted(self):
         ks, _ = simulate_permutation_search(16, 3, 9, 20, 5)
         got, _ = simulate_permutation_search(

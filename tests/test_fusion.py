@@ -259,6 +259,27 @@ def test_required_snr_matches_brentq(name):
         assert required_snr(tech, float(ber)) == pytest.approx(10 * math.log10(snr), rel=1e-12)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: SegmentedDesign(ZIGBEE, 1e-3, 1e-5, 2.0, 3).c_tot,  # raw TypeError from math.comb
+    lambda: SegmentedDesign(ZIGBEE, 1e-3, 1e-5, 2, 3.0).c_tot,  # raw TypeError from math.comb
+    lambda: schedule_uplink(10.5, 2, 1, 2, 10),  # a plan with packet_bits=10.5
+    lambda: schedule_uplink("10", 2, 1, 2, 10),  # raw TypeError from the range checks
+    lambda: max_sensor_nodes(100.0, 10, 1, 3.5),  # returned 25.0
+    lambda: Technology("t", ((1.0, 1.0),), 1064.5),  # accepted
+    lambda: Technology("t", ((math.nan, 1.0),), 1064),  # accepted
+], ids=["float-n-seg", "float-w-seg", "fractional-packet", "string-packet", "fractional-c-tot",
+        "fractional-tech-packet", "nan-fit"])
+def test_integer_inputs_raise_typed_errors(call):
+    with pytest.raises(InvalidParameterError):
+        call()
+
+
+def test_numpy_integers_are_accepted():
+    want = schedule_uplink(1064, 4, 3, 10, 1064)
+    assert schedule_uplink(np.int64(1064), np.int32(4), np.uint8(3), np.int64(10), 1064) == want
+    assert max_sensor_nodes(np.int64(1064), 106, np.int8(1), 36) == (1064 - 106) // 36
+
+
 def test_required_snr_rejects_a_target_above_the_fit():
     weak = Technology("weak", ((1e-3, 1.0),), 64)
     with pytest.raises(InvalidParameterError):
