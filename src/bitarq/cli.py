@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scale the symbol SNR by the forward rate")
     p.set_defaults(func=_run_simulate)
 
-    p = sub.add_parser("feedback-sim", help="synchronized-permutation search statistics")
+    p = sub.add_parser("feedback-sim", help="synchronized subset-stream search statistics")
     p.add_argument("--n", type=_number(int), required=True)
     p.add_argument("--w", type=_number(int), required=True)
     p.add_argument("--c1", type=_number(int), default=None)

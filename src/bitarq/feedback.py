@@ -4,18 +4,15 @@ Two codecs report the retransmission set to the sender:
 
 * combinadic: the W-subset of bit positions is ranked in colexicographic
   order and the rank is sent verbatim in ceil(log2(C(N, W))) bits.
-* synchronized-permutation: sender and receiver step an identical
-  pseudo-random permutation stream, advancing 2**C1 permutations per
-  symbol period.  The receiver searches for a permutation that maps the
-  target positions into the first W slots and reports only the stream
-  index modulo 2**C1; the idle-period count carries the rest implicitly.
+* synchronized stream: sender and receiver step an identical stream of
+  W-subsets, 2**C1 entries per symbol period.  Entry i is word i of a Philox
+  stream keyed by the session seed, mapped to a colex rank by multiply-shift,
+  so the sender jumps straight to any entry.  The receiver sends the index K
+  of the first entry naming its targets modulo 2**C1; the idle-period count
+  carries the rest; K is geometric with mean C(N, W), as the models assume.
 
-The permutation stream is counter based (keyed by the session seed), so
-the sender can jump straight to any stream index without replaying.
-
-Wire format: messages are bit-packed big endian, most significant bit
-first, exactly C (or C1) bits wide, zero-padded at the tail of the last
-byte.
+Wire format: messages are bit-packed big endian, most significant bit first,
+exactly C (or C1) bits wide, zero-padded at the tail of the last byte.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ __all__ = [
     "combinadic_decode",
     "pack_bits",
     "unpack_bits",
-    "permutation_at",
+    "subset_at",
     "permutation_search",
     "MAX_SEARCH_SUBSETS",
     "permutation_recover",
@@ -108,6 +105,9 @@ def pack_bits(value: int, width: int) -> bytes:
 
 def unpack_bits(data: bytes, width: int) -> int:
     width = check_integer("width", width, 0)
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise InvalidParameterError(f"the payload must be bytes, got {type(data).__name__}")
+    data = bytes(data)  # a memoryview's len counts items, not bytes
     if len(data) != (width + 7) // 8:
         raise InvalidParameterError("payload length does not match the width")
     return int.from_bytes(data, "big") >> (8 * len(data) - width)
@@ -156,30 +156,22 @@ def combinadic_decode(message: CombinadicMessage, n: int, w: int) -> tuple[int, 
 
 
 # ---------------------------------------------------------------------------
-# synchronized permutation stream
+# synchronized subset stream
 # ---------------------------------------------------------------------------
 
 _WORDS_PER_COUNTER = 4
-_SEARCH_CHUNK = 256  # permutations generated per search step; 256 measured faster than 512
-# Largest C(n, w) searched.  At n = 64 a permutation costs about 0.85 us (2-core
-# Xeon VM), so a mean search of 10**6 permutations takes about 0.85 s.
+# Largest C(n, w) searched.  A searched entry costs about 20 ns (2-core Xeon VM),
+# so a mean search of 10**6 entries takes about 20 ms.
 MAX_SEARCH_SUBSETS = 10**6
 _SEARCH_MEANS = 64  # a search gives up after this many mean search lengths, C(n, w) each
 
-
-def _blocks_per_permutation(n: int) -> int:
-    return -(-n // _WORDS_PER_COUNTER)
-
-
-_WORD = (1 << 64) - 1
-_LOW_BITS = (1 << 11) - 1  # the bits of a Philox word that Generator.random() drops
 _streams = threading.local()
 
 
-def _stream_generator(seed: int, start_index: int, n: int) -> np.random.Generator:
+def _stream_generator(seed: int, block: int) -> np.random.Generator:
+    """The session's keyed Philox generator, set to counter ``block``."""
     if not 0 <= seed < 1 << 128:
         raise InvalidParameterError(f"the session seed must lie in [0, 2**128), got {seed}")
-    counter = start_index * _blocks_per_permutation(n)
     # one generator per thread, re-keyed in place: constructing a Philox
     # builds an unused SeedSequence from OS entropy, which costs more than this
     g = getattr(_streams, "generator", None)
@@ -188,8 +180,8 @@ def _stream_generator(seed: int, start_index: int, n: int) -> np.random.Generato
     g.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {
-            "counter": np.array([counter, 0, 0, 0], dtype=np.uint64),
-            "key": np.array([seed & _WORD, seed >> 64], dtype=np.uint64),
+            "counter": np.array([block, 0, 0, 0], dtype=np.uint64),
+            "key": np.array([seed % 2**64, seed >> 64], dtype=np.uint64),
         },
         "buffer": np.zeros(_WORDS_PER_COUNTER, dtype=np.uint64),
         "buffer_pos": _WORDS_PER_COUNTER,
@@ -199,18 +191,18 @@ def _stream_generator(seed: int, start_index: int, n: int) -> np.random.Generato
     return g
 
 
-def permutation_at(seed: int, index: int, n: int) -> np.ndarray:
-    """The ``index``-th (0-based) permutation of 0..n-1 in the shared stream.
+def subset_at(seed: int, index: int, n: int, w: int) -> tuple[int, ...]:
+    """The ``index``-th (0-based) w-subset of the shared stream, sorted.
 
-    Counter-based: any index is reachable directly.  Each permutation takes
-    whole 4-word counter blocks, so one generator drawn sequentially yields
-    the same permutations.
+    Entry i is word x_i of the session's keyed Philox stream (counter block
+    i // 4, word i % 4): the subset of colex rank (x_i * C(n, w)) >> 64.
     """
     seed, index = check_integer("seed", seed, 0), check_integer("index", index, 0)
-    n = check_integer("n", n, 1)
-    g = _stream_generator(seed, index, n)
-    u = g.random(_blocks_per_permutation(n) * _WORDS_PER_COUNTER)[:n]
-    return np.argsort(u)
+    n, w = check_integer("n", n, 1), check_integer("w", w, 1)
+    block, word = divmod(index, _WORDS_PER_COUNTER)
+    x = int(_stream_generator(seed, block).bit_generator.random_raw(_WORDS_PER_COUNTER)[word])
+    rank = (x * math.comb(n, w)) >> 64
+    return combinadic_decode(CombinadicMessage(rank, feedback_bit_width(n, w)), n, w)
 
 
 def _check_search(n: int, w: int, c1: int) -> tuple[int, int, int]:
@@ -226,63 +218,57 @@ def _check_search(n: int, w: int, c1: int) -> tuple[int, int, int]:
     return n, w, c1
 
 
-def _search(targets: np.ndarray, n: int, w: int, seed: int) -> int:
-    """1-based stream index K of the first permutation that maps the w
-    ``targets`` into the leading w slots; gives up after 64 * C(n, w)."""
-    is_other = np.ones(n, dtype=bool)
-    is_other[targets] = False
-    others = np.flatnonzero(is_other)
-    max_tries = _SEARCH_MEANS * math.comb(n, w)
-    words = _blocks_per_permutation(n) * _WORDS_PER_COUNTER
-    raw = _stream_generator(seed, 0, n).bit_generator.random_raw
+def _rank_words(rank: int, total: int) -> tuple[int, int]:
+    """[lo, hi): the 64-bit words x with (x * total) >> 64 == rank."""
+    return -(-(rank << 64) // total), -(-((rank + 1) << 64) // total)
+
+
+def _search(rank: int, total: int, seed: int) -> int:
+    """1-based stream index K of the first entry of colex rank ``rank`` among
+    ``total`` = C(n, w) subsets; gives up after 64 * C(n, w) entries."""
+    raw = _stream_generator(seed, 0).bit_generator.random_raw
+    if total == 1:  # every word names the only subset, and hi - lo = 2**64 fits no uint64
+        return 1
+    lo, hi = _rank_words(rank, total)
+    lo, width = np.uint64(lo), np.uint64(hi - lo)
+    max_tries = _SEARCH_MEANS * total
+    chunk = max(256, 2 * total)  # most searches end in the first chunk
     base = 0
     while base < max_tries:
-        count = min(_SEARCH_CHUNK, max_tries - base)
-        u = raw(count * words).reshape(count, words)
-        # a permutation's keys are Generator.random() doubles, (word >> 11) * 2**-53: the
-        # targets fill the window iff no target key exceeds another key, that is iff the
-        # largest target word is at most the smallest other word with its low 11 bits set
-        top = u[:, targets].max(axis=1)
-        hit = top <= (u[:, others].min(axis=1, initial=_WORD) | _LOW_BITS)
+        count = min(chunk, max_tries - base)
+        u = raw(count)
+        hit = np.subtract(u, lo, out=u) < width  # words below lo wrap past width
         first = int(hit.argmax())
         if hit[first]:
             return base + first + 1
         base += count
-    raise SearchExhaustedError("no qualifying permutation found", max_tries)
+    raise SearchExhaustedError("no qualifying subset found", max_tries)
 
 
 def permutation_search(
-    unreliable_positions: Iterable[int],
-    n: int,
-    w: int,
-    c1: int,
-    rng_seed: int,
+    unreliable_positions: Iterable[int], n: int, w: int, c1: int, rng_seed: int
 ) -> PermutationMessage:
-    """Find the first stream permutation mapping the targets into the
-    leading w slots and encode its index as (idle periods, residual).
+    """Encode the index of the first stream entry naming the w target
+    positions as (idle periods, residual).
 
-    The stream index K is 1-based; on average C(n, w) permutations are
-    searched, so C(n, w) above :data:`MAX_SEARCH_SUBSETS` is rejected.  It
-    gives up after 64 * C(n, w): a search overruns that with probability
-    about e^-64.  All w targets must land in the window.
+    The 1-based index K is geometric with mean C(n, w), so C(n, w) above
+    :data:`MAX_SEARCH_SUBSETS` is rejected.  It gives up after 64 * C(n, w)
+    entries, which a search overruns with probability about e^-64.
     """
     n, w, c1 = _check_search(n, w, c1)
     rng_seed = check_integer("rng_seed", rng_seed, 0)
     targets = _check_positions(unreliable_positions, n)
     if len(targets) != w:
         raise InvalidParameterError("the target set must contain exactly w positions")
-    k = _search(np.array(targets), n, w, rng_seed)
+    k = _search(combinadic_encode(targets, n).rank, math.comb(n, w), rng_seed)
     return PermutationMessage(k % (1 << c1), k >> c1, c1)
 
 
-def permutation_recover(
-    message: PermutationMessage, n: int, w: int, rng_seed: int
-) -> tuple[int, ...]:
-    """Sender side: regenerate the reported permutation and read the window."""
+def permutation_recover(message: PermutationMessage, n: int, w: int, rng_seed: int) -> tuple[int, ...]:
+    """Sender side: jump to the reported stream entry and unrank its subset."""
     if message.stream_index < 1:
         raise InvalidParameterError("stream indexes are 1-based: the message decodes to 0")
-    perm = permutation_at(rng_seed, message.stream_index - 1, n)
-    return tuple(sorted(int(p) for p in perm[:w]))
+    return subset_at(rng_seed, message.stream_index - 1, n, w)
 
 
 def simulate_permutation_search(
@@ -293,14 +279,12 @@ def simulate_permutation_search(
     Returns the per-trial stream indexes K and idle-period counts I.
     """
     n, w, c1 = _check_search(n, w, c1)
-    trials = check_integer("trials", trials, 1)
-    seed = check_integer("seed", seed, 0)
+    trials, seed = check_integer("trials", trials, 1), check_integer("seed", seed, 0)
+    total = math.comb(n, w)
     picker = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    session_seeds = picker.integers(0, 2**63, size=trials)
-    ks = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        targets = picker.choice(n, size=w, replace=False)
-        ks[t] = _search(targets, n, w, int(session_seeds[t]))
+    session_seeds = picker.integers(0, 2**63, size=trials).tolist()
+    ranks = picker.integers(0, total, size=trials).tolist()
+    ks = np.array([_search(r, total, s) for r, s in zip(ranks, session_seeds)], dtype=np.int64)
     return ks, ks >> c1
 
 

@@ -10,7 +10,9 @@ Monte Carlo began drawing one normal per retransmitted bit, and all eight
 ``simulate`` runs that exit 0 when a Monte Carlo block shrank from 2,048 to
 128 packets, which split each run into other streams.  The ``OTHER``
 digests were recorded before the CLI runners and the uplink scheduler's
-queue of due retransmission spans were rewritten.
+queue of due retransmission spans were rewritten.  ``feedback-sim`` was
+re-recorded when each entry of the synchronized stream became one Philox
+word naming a subset rank, which changes every search length K.
 
 To print the current digests: ``PYTHONPATH=src python tests/test_cli_pinned.py``.
 """
@@ -83,7 +85,7 @@ PINNED = {
         0, "68fa13928eaa0ad81c4932eed922991b1c70c399d22856a0eb543fa6e257bff0", None
     ),
     "feedback-sim": (
-        0, "8e890663ac4bca82f5516acb966d9115238740108345a02f87ba18c237b6ebbd", None
+        0, "fc243daeae24cefbb72303d24192a001758aaf871aaa55edcdb07f5aab930af8", None
     ),
     "fusion-plan": (
         0, "7a85a533a6a2baa1095c81533bc24c370f76ff0cf72357adb66402c1b6940f18", None

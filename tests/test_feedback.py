@@ -21,10 +21,10 @@ from bitarq.feedback import (
     mean_report_delay,
     optimal_c1,
     pack_bits,
-    permutation_at,
     permutation_recover,
     permutation_search,
     simulate_permutation_search,
+    subset_at,
     throughput_one_retx,
     unpack_bits,
 )
@@ -101,6 +101,9 @@ class TestBitPacking:
         data = msg.to_bytes()
         assert len(data) == (msg.bit_width + 7) // 8
         assert unpack_bits(data, msg.bit_width) == msg.rank
+        # bytes-like payloads are read as their raw bytes, whatever a view's item size
+        for view in (bytearray(data), memoryview(data), memoryview(data).cast("H")):
+            assert unpack_bits(view, msg.bit_width) == msg.rank
 
     def test_width_checks(self):
         with pytest.raises(InvalidParameterError):
@@ -115,29 +118,48 @@ class TestBitPacking:
             pack_bits(value, width)
 
 
+def _unrank(word: int, n: int, w: int) -> tuple[int, ...]:
+    """The stream contract: a 64-bit word names the w-subset of colex rank
+    (word * C(n, w)) >> 64."""
+    rank = (word * math.comb(n, w)) >> 64
+    return combinadic_decode(CombinadicMessage(rank, feedback_bit_width(n, w)), n, w)
+
+
+def _planted(words):
+    """A stand-in for the session generator: it emits ``words``, then repeats the last."""
+    stream, last = list(words), words[-1]
+
+    class Planted:
+        class bit_generator:
+            @staticmethod
+            def random_raw(size):
+                head = stream[:size]
+                del stream[:size]
+                return np.array(head + [last] * (size - len(head)), dtype=np.uint64)
+
+    return lambda *args: Planted()
+
+
 class TestPermutationStream:
     def test_jump_equals_sequence(self):
-        # one keyed Philox generator drawn sequentially, in uneven chunks as
-        # permutation_search draws it, yields permutation_at(seed, i, n):
-        # every permutation takes whole 4-word counter blocks, the unused
-        # words of the last block (n = 10, 13) included
+        # one keyed Philox generator drawn sequentially, in uneven chunks as a
+        # search draws it, yields subset_at(seed, i, n, w): entry i is word i
         seed = 77
-        for n in (10, 13, 16):
-            words = -(-n // 4) * 4
-            g = np.random.Generator(np.random.Philox(key=seed))
-            keys = np.concatenate([g.random(k * words) for k in (1, 7, 256, 736)])
-            keys = keys.reshape(-1, words)[:, :n]
-            assert len(keys) == 1000
-            for i, u in enumerate(keys):
-                assert (np.argsort(u) == permutation_at(seed, i, n)).all(), (n, i)
+        g = np.random.Philox(key=seed)
+        words = np.concatenate([g.random_raw(k) for k in (1, 7, 256, 736)]).tolist()
+        assert len(words) == 1000
+        for n, w in ((10, 2), (13, 4), (16, 3)):
+            for i, x in enumerate(words):
+                assert subset_at(seed, i, n, w) == _unrank(x, n, w), (n, w, i)
 
     @pytest.mark.parametrize("seed", [2**64 - 1, 2**64 + 77, 2**128 - 1])
     def test_both_key_words_follow_the_seed(self, seed):
         # the reused generator is re-keyed in place; its 128-bit key must
         # match a Philox constructed from the same seed
-        for index in (0, 1, 999):
-            g = np.random.Generator(np.random.Philox(key=seed, counter=[index * 4, 0, 0, 0]))
-            assert (np.argsort(g.random(16)) == permutation_at(seed, index, 16)).all()
+        for index in (0, 1, 3, 4, 999):
+            g = np.random.Philox(key=seed, counter=[index // 4, 0, 0, 0])
+            x = int(g.random_raw(4)[index % 4])
+            assert subset_at(seed, index, 16, 3) == _unrank(x, 16, 3), index
 
     def test_searches_in_threads_match_one_thread(self):
         # each thread re-keys its own generator: a search interleaved with
@@ -156,15 +178,17 @@ class TestPermutationStream:
             assert (ks == want).all()
 
     def test_distinct_indexes_give_distinct_permutations(self):
-        a = permutation_at(5, 0, 16)
-        b = permutation_at(5, 1, 16)
-        assert not (a == b).all()
+        assert subset_at(5, 0, 16, 3) != subset_at(5, 1, 16, 3)
 
     def test_whole_packet_window_hits_first_permutation(self):
-        msg = permutation_search(range(8), 8, 8, 3, rng_seed=99)
-        assert msg.stream_index == 1
-        assert msg.idle_periods == 0
-        assert msg.residual == 1
+        # C(n, w) = 1: every entry names the whole packet, so K = 1; the
+        # rank interval is all 2**64 words, one more than a uint64 holds
+        for n in (8, 1):
+            msg = permutation_search(range(n), n, n, 3, rng_seed=99)
+            assert msg.stream_index == 1
+            assert msg.idle_periods == 0
+            assert msg.residual == 1
+            assert permutation_recover(msg, n, n, rng_seed=99) == tuple(range(n))
 
     def test_round_trip(self):
         targets = (2, 9, 13)
@@ -184,47 +208,52 @@ class TestPermutationStream:
         assert unpack_bits(msg.to_bytes(), 4) == 5
 
     def test_search_cap(self, monkeypatch):
-        # with seed 1 the first match is permutation 608, past one mean search of C(16, 3) = 560
+        # with seed 1 the first match is entry 1979, past one mean search of C(16, 3) = 560
+        assert permutation_search((0, 2, 4), 16, 3, 4, rng_seed=1).stream_index == 1979
         monkeypatch.setattr(feedback, "_SEARCH_MEANS", 1)
         with pytest.raises(SearchExhaustedError) as exc:
             permutation_search((0, 2, 4), 16, 3, 4, rng_seed=1)
         assert exc.value.tried == 560
 
     def test_default_budget_is_64_mean_searches(self, monkeypatch):
-        class NeverMatches:  # position 0 always draws the largest key
-            class bit_generator:
-                @staticmethod
-                def random_raw(size):
-                    return np.tile(np.array([2**64 - 1, 0, 0, 0], dtype=np.uint64), size // 4)
+        # word 0 names the targets (rank 0), the largest word the last rank: a
+        # match at entry 64 * C(n, w) is found, one entry later it is not, as
+        # the last chunk is cut to the budget
+        for targets, n, w in (((0,), 2, 1), ((0, 1), 10, 2), ((0, 1, 2), 16, 3)):
+            budget = 64 * math.comb(n, w)
+            for misses in (budget - 1, budget):
+                planted = _planted([2**64 - 1] * misses + [0])
+                monkeypatch.setattr(feedback, "_stream_generator", planted)
+                if misses < budget:
+                    assert permutation_search(targets, n, w, 1, rng_seed=1).stream_index == budget
+                    continue
+                with pytest.raises(SearchExhaustedError) as exc:
+                    permutation_search(targets, n, w, 1, rng_seed=1)
+                assert exc.value.tried == budget
 
-        monkeypatch.setattr(feedback, "_stream_generator", lambda *args: NeverMatches())
-        with pytest.raises(SearchExhaustedError) as exc:
-            permutation_search((0,), 2, 1, 1, rng_seed=1)
-        assert exc.value.tried == 64 * math.comb(2, 1)
+    @pytest.mark.parametrize("total", [2, 3, 20, 560, 10**6])
+    def test_rank_intervals_tile_the_word_range(self, total):
+        # [lo, hi) holds exactly the words x with (x * total) >> 64 == rank;
+        # the intervals are contiguous, cover [0, 2**64) and differ in width by at most one
+        ranks = range(total) if total < 10**6 else [0, 1, 2, 499_999, 500_000, 10**6 - 2, 10**6 - 1]
+        floor, ceil = (1 << 64) // total, -(-(1 << 64) // total)
+        for rank in ranks:
+            lo, hi = feedback._rank_words(rank, total)
+            assert (lo == 0) == (rank == 0) and (hi == 1 << 64) == (rank == total - 1)
+            assert hi - lo in (floor, ceil)
+            assert (lo * total) >> 64 == rank == ((hi - 1) * total) >> 64
+            if rank:
+                assert ((lo - 1) * total) >> 64 == rank - 1
+                assert feedback._rank_words(rank - 1, total)[1] == lo
 
-    def test_double_keys_are_raw_words_shifted(self):
-        # the search compares raw words on the premise that a key is
-        # random() = (word >> 11) * 2**-53; a NumPy that changed it fails here
-        for seed, index in ((5, 0), (2**100 + 3, 777)):
-            doubles = feedback._stream_generator(seed, index, 16).random(4096)
-            words = feedback._stream_generator(seed, index, 16).bit_generator.random_raw(4096)
-            assert (doubles == (words >> 11) * 2.0**-53).all()
-
-    def test_words_tied_as_keys_count_as_a_hit(self, monkeypatch):
-        # permutation 1: the target word is one key above the other word;
-        # permutation 2: it differs only in the 11 low bits, so both keys tie
-        low = 0x5A5A_5A5A_5A5A_5800
-
-        class Planted:
-            class bit_generator:
-                @staticmethod
-                def random_raw(size):
-                    rows = [[low + 2048, low, 0, 0], [low | 2047, low, 0, 0]]
-                    return np.array(rows * (size // 8), dtype=np.uint64).reshape(-1)
-
-        assert (low + 2048) >> 11 > low >> 11 == (low | 2047) >> 11
-        monkeypatch.setattr(feedback, "_stream_generator", lambda *args: Planted())
-        assert permutation_search((0,), 2, 1, 1, rng_seed=1).stream_index == 2
+    def test_search_boundaries(self, monkeypatch):
+        # lo - 1 and hi name the neighbouring ranks; lo and hi - 1 the target's own
+        rank = combinadic_encode((2, 9, 13), 16).rank
+        lo, hi = feedback._rank_words(rank, 560)
+        assert [(x * 560) >> 64 for x in (lo - 1, lo, hi - 1, hi)] == [rank - 1, rank, rank, rank + 1]
+        for words, k in (([lo - 1, hi, lo], 3), ([hi - 1, lo - 1], 1)):
+            monkeypatch.setattr(feedback, "_stream_generator", _planted(words))
+            assert permutation_search((2, 9, 13), 16, 3, 4, rng_seed=1).stream_index == k
 
     @pytest.mark.parametrize("n, w", [(1024, 4), (64, 8), (1024, 512)])
     def test_unviable_search_points_to_combinadic_codec(self, n, w):
@@ -241,14 +270,14 @@ class TestPermutationStream:
         assert ks.mean() == pytest.approx(math.comb(16, 3), rel=0.10)
 
     @pytest.mark.parametrize("args, total, head, digest", [
-        ((16, 3, 9, 10000, 0), 5579763, [179, 501, 421, 67, 34, 373, 715, 1032],
-         "d6e72ffcb971aa29bc75eada78e18bec824bc356d618b67438b9e46e2f33ac69"),
-        ((64, 2, optimal_c1(64, 2), 300, 7), 545034, [436, 414, 611, 1688, 618, 3218, 243, 1679],
-         "263581bc14ebed1bec033cc62464a57aa3eddde25a3fd1c538686d5572ed816e"),
+        ((16, 3, 9, 10000, 0), 5578854, [661, 1038, 528, 129, 312, 336, 513, 200],
+         "f99a6a4c6c534d89603d036a8e497f0457110b02970da77e353de1db7680e715"),
+        ((64, 2, optimal_c1(64, 2), 300, 7), 609030, [2857, 68, 179, 3372, 8854, 652, 4743, 3138],
+         "bccc261a567e150b386fb386fd4347f3052d46136718422ab3b31a4fa3358300"),
     ], ids=["n16w3", "n64w2"])
     def test_pinned_search_lengths(self, args, total, head, digest):
-        # the stream indexes K as recorded before the search drew all its
-        # chunks from one generator (sha256 of the little-endian int64 array)
+        # the stream indexes K as recorded when each stream entry became one
+        # Philox word (sha256 of the little-endian int64 array)
         ks, idles = simulate_permutation_search(*args)
         assert int(ks.sum()) == total
         assert ks[:8].tolist() == head
@@ -260,7 +289,7 @@ class TestInputHoles:
     def test_negative_stream_index(self):
         # the Philox counter wrapped to 2**64 - 4 and gave a permutation
         with pytest.raises(InvalidParameterError):
-            permutation_at(1, -1, 16)
+            subset_at(1, -1, 16, 3)
 
     def test_message_decoding_to_stream_index_0(self):
         # K is 1-based; this message recovered (0, 6, 10) from index -1
@@ -270,12 +299,15 @@ class TestInputHoles:
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_outside_the_philox_key_range(self, seed):
         with pytest.raises(InvalidParameterError):
-            permutation_at(seed, 0, 16)
-        with pytest.raises(InvalidParameterError):
-            permutation_search((0, 1, 2), 16, 3, 4, rng_seed=seed)
+            subset_at(seed, 0, 16, 3)
+        for targets, n, w in (((0, 1, 2), 16, 3), (range(8), 8, 8), ((0,), 1, 1)):
+            # C(n, w) = 1 needs no search, but its seed is checked all the same
+            with pytest.raises(InvalidParameterError):
+                permutation_search(targets, n, w, 4, rng_seed=seed)
 
     def test_largest_seed_is_accepted(self):
-        assert sorted(permutation_at(2**128 - 1, 0, 16)) == list(range(16))
+        got = subset_at(2**128 - 1, 0, 16, 3)
+        assert len(got) == 3 and list(got) == sorted(set(got)) and got[-1] < 16
 
     @pytest.mark.parametrize("n, w, trials, seed", [
         (16, 3, -1, 0), (16, 3, 0, 0), (3, 4, 10, 0), (16, 0, 10, 0), (16, 3, 10, -1),
@@ -318,7 +350,7 @@ class TestInputHoles:
         lambda: mean_report_delay(16, 3, 2.5),  # raw TypeError from math.ldexp
         lambda: combinadic_encode([0.5, 1], 4),  # position 0.5 was truncated to 0
         lambda: combinadic_encode([0, 1], 4.0),  # raw TypeError from math.comb
-        lambda: permutation_at(1, 0.5, 4),  # a fractional stream index was accepted
+        lambda: subset_at(1, 0.5, 4, 2),  # a fractional stream index was accepted
         lambda: unpack_bits(b"", -3),  # returned 0
         lambda: feedback_error_tolerance(math.nan),  # returned nan
         lambda: throughput_one_retx(16, math.nan),  # returned nan
@@ -327,6 +359,12 @@ class TestInputHoles:
     def test_integer_inputs_raise_typed_errors(self, call):
         with pytest.raises(InvalidParameterError):
             call()
+
+    @pytest.mark.parametrize("data", ["ab", None, [1, 2]], ids=["str", "none", "list"])
+    def test_payload_must_be_bytes_like(self, data):
+        # "ab" and None raised raw TypeErrors; the list [1, 2] unpacked to 2
+        with pytest.raises(InvalidParameterError):
+            unpack_bits(data, 9)
 
     def test_numpy_integers_are_accepted(self):
         ks, _ = simulate_permutation_search(16, 3, 9, 20, 5)
