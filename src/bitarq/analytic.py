@@ -73,15 +73,15 @@ DEFAULT_PRONY = ((0.208, 0.971), (0.147, 0.525))
 
 
 def _quad(f, a: float, b: float) -> float:
-    """Adaptive quadrature of f over [a, b], aiming at 1e-10 relative; raises
-    NumericFailureError on non-convergence or an error above 1e-6 relative."""
+    """Adaptive quadrature of f over [a, b], aiming at 1e-10 relative; raises NumericFailureError
+    on non-convergence, a value that is not finite or an error above 1e-6 relative."""
     if a >= b:
         return 0.0
     from scipy import integrate
 
     out = integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-10, limit=300, full_output=1)
     value, abserr = out[0], out[1]
-    if len(out) > 3 or abserr > 1e-6 * abs(value):
+    if len(out) > 3 or not math.isfinite(value) or abserr > 1e-6 * abs(value):
         raise NumericFailureError("adaptive quadrature did not converge", abserr)
     return value
 
@@ -229,15 +229,19 @@ def _prony_tail(d, u, m, prony):
     return total
 
 
+def _tail_terms(d_total: int) -> tuple[list[int], list[int]]:
+    """The closed form's tails in summation order as (copies, threshold indexes), odd
+    positions added: minus (D, U_0), then plus (i, U_{D-i-1}), minus (i, U_{D-i})."""
+    ds = [d_total] + [i for i in range(1, d_total) for _ in "+-"]
+    return ds, [0] + [j for i in range(1, d_total) for j in (d_total - i - 1, d_total - i)]
+
+
 def _prony_ber(snr, us: Sequence, prony=DEFAULT_PRONY):
     """Closed-form BER, uncapped: ber_fading averages it; above 0.5 below about -12 dB."""
     m, u = _mean_and_ladder(snr, us)
     u = np.minimum(u, _U_CAP)
-    d_total = u.shape[-1]
-    total = q_function(m + u[..., -1]) + q_function(m * math.sqrt(d_total + 1))
-    # every tail on a last axis: minus (D, U_0), then plus (i, U_{D-i-1}), minus (i, U_{D-i})
-    ds = [d_total] + [i for i in range(1, d_total) for _ in "+-"]
-    cols = [0] + [j for i in range(1, d_total) for j in (d_total - i - 1, d_total - i)]
+    total = q_function(m + u[..., -1]) + q_function(m * math.sqrt(len(us) + 1))
+    ds, cols = _tail_terms(len(us))  # every tail on a last axis
     tails = _prony_tail(np.array(ds, dtype=float), u[..., cols], m[..., None], prony)
     for k in range(len(cols)):
         total = total + tails[..., k] if k % 2 else total - tails[..., k]
@@ -347,21 +351,17 @@ def ber_fading(config: ProtocolConfig, link: LinkModel) -> float:
     """
     us = tuple(min(v, _U_CAP) for v in _check_thresholds(config))
     mean_snr = _require_fading(link)
-    d_total = config.retransmissions
-    v_last = us[-1]
-    total = 1.0
-    total -= 0.5 / math.sqrt(1.0 + 1.0 / (mean_snr * (1.0 + v_last) ** 2))
-    total -= 0.5 / math.sqrt(1.0 + 1.0 / (mean_snr * (d_total + 1)))
-    total -= _fading_tail(d_total, us[0], mean_snr)
-    for i in range(1, d_total):
-        total += _fading_tail(i, us[d_total - i - 1], mean_snr)
-        total -= _fading_tail(i, us[d_total - i], mean_snr)
+    # the means of Q(m + U_{D-1}) and Q(m sqrt(D+1)), m = sqrt(2g): no 1 - ... cancellation
+    total = _gauss_exp_tail_mean(0.0, math.sqrt(2.0) * (1.0 + us[-1]), mean_snr)
+    total += _gauss_exp_tail_mean(0.0, math.sqrt(2.0 * (len(us) + 1)), mean_snr)
+    for k, (d, j) in enumerate(zip(*_tail_terms(len(us)))):
+        total += (1.0 if k % 2 else -1.0) * _fading_tail(d, us[j], mean_snr)
     return total
 
 
 def ber_fading_quadrature(config: ProtocolConfig, link: LinkModel, integrand: str = "approx") -> float:
-    """Numeric average of the fixed-SNR BER over the exponential SNR density,
-    truncated at 50 times the mean SNR.
+    """Numeric average of the fixed-SNR BER over the exponential SNR density on
+    [1e-12 * min(mean SNR, 1), min(50 * mean SNR, 750)]: Q(sqrt(2g)) underflows near 745.
 
     The oracle twin of :func:`ber_fading`; ``integrand`` selects the
     uncapped closed form (the one it averages) or the exact evaluator.
@@ -379,7 +379,7 @@ def ber_fading_quadrature(config: ProtocolConfig, link: LinkModel, integrand: st
         zs = tuple(v * math.sqrt(2.0 * g) for v in us)
         return fixed(g, zs) * math.exp(-g / mean_snr) / mean_snr
 
-    return _quad(f, 1e-12, 50.0 * mean_snr)
+    return _quad(f, 1e-12 * min(mean_snr, 1.0), min(50.0 * mean_snr, 750.0))
 
 
 # ---------------------------------------------------------------------------

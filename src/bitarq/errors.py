@@ -27,8 +27,8 @@ class NumericFailureError(BitarqError, RuntimeError):
 
 
 class SearchExhaustedError(BitarqError, RuntimeError):
-    """Permutation search hit its iteration cap without a match."""
+    """Subset-stream search hit its iteration cap without a match."""
 
     def __init__(self, message: str, tried: int):
-        super().__init__(f"{message} (tried {tried} permutations)")
+        super().__init__(f"{message} (tried {tried} stream entries)")
         self.tried = tried

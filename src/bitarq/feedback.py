@@ -82,7 +82,7 @@ class PermutationMessage:
 
     @property
     def stream_index(self) -> int:
-        """1-based index of the matching permutation in the shared stream."""
+        """1-based index of the matching entry in the shared stream."""
         return (self.idle_periods << self.bit_width) + self.residual
 
     def to_bytes(self) -> bytes:
@@ -196,8 +196,11 @@ def subset_at(seed: int, index: int, n: int, w: int) -> tuple[int, ...]:
 
     Entry i is word x_i of the session's keyed Philox stream (counter block
     i // 4, word i % 4): the subset of colex rank (x_i * C(n, w)) >> 64.
+    The counter block is one uint64, so the stream ends at index 4 * 2**64.
     """
     seed, index = check_integer("seed", seed, 0), check_integer("index", index, 0)
+    if index >= _WORDS_PER_COUNTER << 64:
+        raise InvalidParameterError(f"stream indexes stop at 4 * 2**64, got {index}")
     n, w = check_integer("n", n, 1), check_integer("w", w, 1)
     block, word = divmod(index, _WORDS_PER_COUNTER)
     x = int(_stream_generator(seed, block).bit_generator.random_raw(_WORDS_PER_COUNTER)[word])
@@ -212,7 +215,7 @@ def _check_search(n: int, w: int, c1: int) -> tuple[int, int, int]:
         raise InvalidParameterError("need 1 <= w <= n")
     if math.comb(n, w) > MAX_SEARCH_SUBSETS:
         raise InvalidParameterError(
-            f"C({n}, {w}) exceeds the permutation-search limit {MAX_SEARCH_SUBSETS}; "
+            f"C({n}, {w}) exceeds the subset-stream search limit {MAX_SEARCH_SUBSETS}; "
             "report the subset with the combinadic codec (combinadic_encode) instead"
         )
     return n, w, c1
@@ -305,7 +308,7 @@ def expected_idle_periods(n: int, w: int, c1: int) -> float:
     if w > n:
         raise InvalidParameterError("need 0 <= w <= n")
     c = math.comb(n, w)
-    if c == 1:  # the first permutation always qualifies: K = 1
+    if c == 1:  # the first stream entry always qualifies: K = 1
         return float(c1 == 0)
     k = c.bit_length()
     # l * 2**k is a normal float; once 1/C is tiny, l = 1/C to a relative 1/(2C)

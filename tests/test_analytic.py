@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from bitarq import (
     DEFAULT_PRONY,
+    BitarqError,
     InvalidParameterError,
     LinkModel,
     NumericFailureError,
@@ -24,6 +26,7 @@ from bitarq.analytic import (
     _U_CAP,
     _ber_approx,
     _ber_exact,
+    _gauss_exp_tail_mean,
     _prony_ber,
     _prony_tail,
     _quad,
@@ -33,6 +36,7 @@ from bitarq.analytic import (
 from bitarq.model import MAX_SNR_DB
 
 LINK1 = LinkModel(1.0)
+FADING_LADDERS = {1: (0.4,), 2: (0.3, 0.6), 3: (0.2, 0.5, 0.9)}
 
 
 def q(x: float) -> float:
@@ -214,9 +218,7 @@ def test_rectangle_kernels_are_bit_identical_to_the_pin():
 
 
 class TestFading:
-    @pytest.mark.parametrize(
-        "d,rel", [(1, (0.4,)), (2, (0.3, 0.6)), (3, (0.2, 0.5, 0.9))]
-    )
+    @pytest.mark.parametrize("d,rel", FADING_LADDERS.items())
     @pytest.mark.parametrize("mean_snr", [1.0, 10.0])
     def test_closed_form_matches_average_of_closed_ber(self, d, rel, mean_snr):
         link = LinkModel(mean_snr, fading=SlowChiSquareFading(mean_snr))
@@ -232,8 +234,8 @@ class TestFading:
         assert val == pytest.approx(0.5, rel=0.02)
 
     def test_repetition_term_identity(self):
-        # E[Q(sqrt(2(d+1)g))] over the exponential density has the closed
-        # square-root form used by the second term
+        # E[Q(sqrt(2(d+1)g))] over the exponential density has a closed
+        # square-root form, which the kernel gives at theta = 0
         for d in (1, 2):
             for mean_snr in (1.0, 10.0):
                 def f(g):
@@ -242,6 +244,38 @@ class TestFading:
                 numeric, _ = integrate.quad(f, 0, 60 * mean_snr, epsabs=1e-12, limit=300)
                 closed = 0.5 * (1.0 - 1.0 / math.sqrt(1.0 + 1.0 / (mean_snr * (d + 1))))
                 assert numeric == pytest.approx(closed, rel=1e-9)
+                kernel = _gauss_exp_tail_mean(0.0, math.sqrt(2.0 * (d + 1)), mean_snr)
+                assert kernel == pytest.approx(closed, rel=1e-14)
+
+    @pytest.mark.parametrize("theta, alpha", [(0.3, 1.2), (0.3, -0.7), (2.0, 0.0)])
+    def test_kernel_matches_the_numeric_mean(self, theta, alpha):
+        # E[exp(-theta g) Q(alpha sqrt(g))]; a negative alpha is the complement of a positive one
+        mean_snr = 3.0
+
+        def f(g):
+            return math.exp(-theta * g) * q(alpha * math.sqrt(g)) * math.exp(-g / mean_snr) / mean_snr
+
+        numeric, _ = integrate.quad(f, 0, 60 * mean_snr, epsabs=1e-14, limit=300)
+        assert _gauss_exp_tail_mean(theta, alpha, mean_snr) == pytest.approx(numeric, rel=1e-9)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("db", [-10, 0, 20, 40, 60, 80, 100])
+    def test_oracle_covers_every_accepted_mean_snr(self, d, db):
+        # the oracle integrated over [1e-12, 50 * mean SNR], while the mass lies
+        # below g = 50: it raised at 30 dB and returned 0.0 from 40 dB up
+        mean_snr = 10.0 ** (db / 10.0)
+        link = LinkModel(mean_snr, fading=SlowChiSquareFading(mean_snr))
+        cfg = ProtocolConfig(16, d, thresholds=FADING_LADDERS[d])
+        values = {i: ber_fading_quadrature(cfg, link, integrand=i) for i in ("approx", "exact")}
+        assert all(0.0 < v < math.inf for v in values.values()), values
+        assert values["approx"] == pytest.approx(ber_fading(cfg, link), rel=1e-9)
+
+    def test_oracle_keeps_the_density_mass_below_its_lower_bound(self):
+        # the lower bound was 1e-12 at any mean SNR: at 1e-13 it cut away all
+        # but e^-10 of the density, 2.3e-5 for a BER of 0.5
+        link = LinkModel(1.0, fading=SlowChiSquareFading(1e-13))
+        cfg = ProtocolConfig(16, 1, thresholds=(0.4,))
+        assert ber_fading_quadrature(cfg, link, integrand="exact") == pytest.approx(0.5, rel=1e-6)
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("v", [1e200, math.inf])
@@ -272,6 +306,43 @@ class TestQuadrature:
         # an absolute error test would pass a result that is about 50% off
         with pytest.raises(NumericFailureError):
             _quad(lambda x: 1e-9 * math.sin(1.0 / x) / x, 1e-6, 1.0)
+
+    def test_an_infinite_value_is_a_failure(self):
+        # abserr > 1e-6 * abs(value) is False for an infinite value, so inf was returned
+        h = (7.912117890603252e+299, 1.0, 2.3249043457027254e+32, 1.0, 1.0)
+        with pytest.raises(NumericFailureError):
+            appendix_integral_quadrature("finite_minus", h, 227207538.0)
+
+
+def _finite_non_negative_or_typed(call):
+    try:
+        value = call()
+    except BitarqError:
+        return
+    assert isinstance(value, float) and 0.0 <= value < math.inf, value
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    ladder=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=3).map(sorted),
+    db=st.floats(-3000.0, 100.0),
+    integrand=st.sampled_from(["approx", "exact"]),
+)
+def test_fading_oracle_returns_a_value_or_a_typed_error(ladder, db, integrand):
+    mean_snr = 10.0 ** (db / 10.0)
+    link = LinkModel(1.0, fading=SlowChiSquareFading(mean_snr))
+    cfg = ProtocolConfig(16, len(ladder), thresholds=ladder)
+    _finite_non_negative_or_typed(lambda: ber_fading_quadrature(cfg, link, integrand=integrand))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["semiinf_minus", "semiinf_plus", "finite_minus", "finite_plus"]),
+    h=st.lists(st.floats(1e-300, 1e300), min_size=5, max_size=5),
+    bound=st.floats(1e-300, 1e300),
+)
+def test_appendix_oracle_returns_a_value_or_a_typed_error(kind, h, bound):
+    _finite_non_negative_or_typed(lambda: appendix_integral_quadrature(kind, h, bound))
 
 
 class TestAppendixIntegrals:

@@ -291,6 +291,14 @@ class TestInputHoles:
         with pytest.raises(InvalidParameterError):
             subset_at(1, -1, 16, 3)
 
+    def test_stream_index_past_the_philox_counter(self):
+        # the counter block went into one uint64 word: a raw OverflowError
+        assert subset_at(1, 4 * 2**64 - 1, 16, 3) == (2, 10, 12)
+        with pytest.raises(InvalidParameterError):
+            subset_at(1, 4 * 2**64, 16, 3)
+        with pytest.raises(InvalidParameterError):
+            permutation_recover(PermutationMessage(0, 2**70, 4), 16, 3, 1)
+
     def test_message_decoding_to_stream_index_0(self):
         # K is 1-based; this message recovered (0, 6, 10) from index -1
         with pytest.raises(InvalidParameterError):

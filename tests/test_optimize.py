@@ -734,12 +734,27 @@ class TestFixedThresholdRate:
 @pytest.mark.parametrize("db", [-5.0, 0.0, 2.5, 5.0, 7.5, 10.0, 12.0])
 def test_closed_form_stays_within_five_percent_of_the_exact_ber_at_the_minima(db):
     # measured -4.1% to +4.8% over this grid; at 15 dB the closed form is
-    # 14.6% low (rate, d = 3), so 15 dB is left out
+    # 14.6% low (rate, d = 3), so 15 dB has its own test below
     base = LinkModel(10 ** (db / 10))
     for d in (1, 2, 3):
         for kind, runner in RUNNERS.items():
             res = runner(1024, d, base)
             assert abs(res.min_ber / res.min_ber_exact - 1.0) <= 0.05, (kind, d)
+
+
+def test_closed_form_gap_at_15_db_is_the_documented_band():
+    # the README quotes the closed form as up to 14.6% low at 15 dB (rate, d = 3);
+    # the threshold strategy reads 0.00% at every d
+    want = {(1, "rate"): 0.0, (1, "window"): 0.0, (2, "rate"): -4.49, (2, "window"): -1.49,
+            (3, "rate"): -14.56, (3, "window"): -11.72}
+    base = LinkModel(10**1.5)
+    gaps = {}
+    for d in (1, 2, 3):
+        for kind, runner in RUNNERS.items():
+            res = runner(1024, d, base)
+            gaps[d, kind] = 100.0 * (res.min_ber / res.min_ber_exact - 1.0)
+            assert gaps[d, kind] == pytest.approx(want.get((d, kind), 0.0), abs=0.1), (d, kind)
+    assert min(gaps, key=gaps.get) == (3, "rate")
 
 
 def test_no_adaptive_quadrature_behind_the_design_path(monkeypatch):

@@ -1,5 +1,5 @@
-"""40-digit mpmath oracle for the exact BER and the retransmission-band
-probabilities, deep tails included.
+"""40-digit mpmath oracles for the exact BER and the retransmission-band
+probabilities, deep tails included, and for the slow-fading closed form.
 
 Each term is the rectangle probability P(lo < r0 <= hi, c < r0 + S <= e)
 of the first-pass sample r0 ~ N(m, 1) and the sum S ~ N(i m, i) of i later
@@ -10,7 +10,7 @@ which holds every term's mass wherever its peak lies.
 
 import pytest
 
-from bitarq import LinkModel
+from bitarq import DEFAULT_PRONY, LinkModel, ProtocolConfig, SlowChiSquareFading, ber_fading
 from bitarq.analytic import _ber_exact, _retx_rung
 from bitarq.optimize import equal_probability_thresholds
 
@@ -104,3 +104,38 @@ def test_deep_tail_values_the_envelope_clip_dropped():
     want = oracle_ber(snr, us)
     assert float(want) == pytest.approx(1.476e-28, rel=1e-3)
     assert _rel(_ber_exact(snr, us), want) <= REL
+
+
+def _exp_mean(theta, alpha, mean_snr):
+    """E[exp(-theta g) Q(alpha sqrt(g))] for g exponential with mean ``mean_snr``."""
+    s = 1 / mean_snr + theta
+    return (1 - (alpha / mp.sqrt(2)) / mp.sqrt(s + alpha**2 / 2)) / (2 * mean_snr * s)
+
+
+def oracle_fading(us, mean_snr):
+    """The closed form of ber_fading in 40 digits: the fit's Q(m + U_{D-1}),
+    Q(m sqrt(D+1)) and tails, each averaged over the exponential density."""
+    with mp.workdps(40):
+        g, us, big_d = mp.mpf(mean_snr), [mp.mpf(v) for v in us], len(us)
+        total = _exp_mean(0, mp.sqrt(2) * (1 + us[-1]), g) + _exp_mean(0, mp.sqrt(2 * (big_d + 1)), g)
+        tails = [(-1, big_d, us[0])]
+        for i in range(1, big_d):
+            tails += [(1, i, us[big_d - i - 1]), (-1, i, us[big_d - i])]
+        for sign, d, v in tails:
+            for a, b in DEFAULT_PRONY:
+                s2 = 1 + 2 * mp.mpf(b) / d
+                for w in (v, -v):
+                    theta = 2 * b * (d + 1) * (1 - w) ** 2 / (d * s2)
+                    alpha = mp.sqrt(2 * (d + 1)) * (1 + 2 * b * w / d) / mp.sqrt(s2)
+                    total += sign * a / mp.sqrt(s2) * _exp_mean(theta, alpha, g)
+        return total
+
+
+@pytest.mark.parametrize("db", [-10, 0, 20, 40, 60, 80, 100])
+@pytest.mark.parametrize("d, ladder", [(1, (0.4,)), (2, (0.3, 0.6)), (3, (0.2, 0.5, 0.9))])
+def test_fading_closed_form_matches_oracle(d, ladder, db):
+    # the leading terms were 1 - 0.5/sqrt(...) - 0.5/sqrt(...), which cancels
+    # at high SNR: 6.0e-10 off at 60 dB, 7.2e-6 at 100 dB
+    mean_snr = 10.0 ** (db / 10.0)
+    got = ber_fading(ProtocolConfig(16, d, thresholds=ladder), LinkModel(1.0, fading=SlowChiSquareFading(mean_snr)))
+    assert _rel(got, oracle_fading(ladder, mean_snr)) <= 1e-14
