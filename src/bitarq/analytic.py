@@ -35,13 +35,15 @@ from scipy.special import erfc as _np_erfc
 from scipy.special import ndtr
 
 from .errors import InvalidParameterError, NumericFailureError
-from .model import LinkModel, ProtocolConfig
+from .model import MAX_SNR_DB, LinkModel, ProtocolConfig, check_integer
 
 __all__ = [
     "q_function",
     "DEFAULT_PRONY",
     "ber_exact",
     "ber_approx",
+    "retx_rung",
+    "shared_threshold_fractions",
     "ber_fading",
     "ber_fading_quadrature",
     "appendix_integral",
@@ -49,17 +51,13 @@ __all__ = [
 ]
 
 _ENVELOPE_SIGMAS = 12.0
-_Q_UNDERFLOW = 40.0  # _q(x) is exactly 0.0 for x above about 38.5
+_Q_UNDERFLOW = 40.0  # q_function(x) is exactly 0.0 for x above about 38.5
 _U_CAP = 1e150  # a threshold above this acts as inf in the closed forms; its square stays finite
 
 
 def q_function(x):
     """Gaussian tail probability Q(x), machine accurate for any real x."""
     return 0.5 * _np_erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
-
-
-def _q(x: float) -> float:
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 # The (a_k, b_k) pairs of the two-term exponential fit
@@ -157,13 +155,22 @@ def _rect(lo, hi, c, e, m, i):
     return (w * _between(zc, ze)) @ _WEIGHTS
 
 
-def _mean_and_ladder(snr, us):
-    """(m, U) with the thresholds stacked on a last axis, broadcast to the
-    shape of ``snr`` and the thresholds; m keeps the shape of ``snr``."""
-    m = np.sqrt(2.0 * np.asarray(snr, dtype=float))
+def _mean_and_ladder(snr, us, least: int = 1):
+    """(m, U) with the thresholds stacked on a last axis, broadcast to the shape of ``snr``
+    and the thresholds; m keeps the shape of ``snr``.  InvalidParameterError for fewer than
+    ``least`` thresholds, a ladder with a negative, nan or decreasing entry, or an SNR out of
+    (0, MAX_SNR_DB]."""
+    snr = np.asarray(snr, dtype=float)
+    if len(us) < least:
+        raise InvalidParameterError("need at least one threshold")
+    if not ((snr > 0.0) & (snr <= 10.0 ** (MAX_SNR_DB / 10.0))).all():
+        raise InvalidParameterError(f"snr must be positive and at most {MAX_SNR_DB:g} dB")
+    m = np.sqrt(2.0 * snr)
     ladder = np.empty(np.broadcast_shapes(m.shape, *(np.shape(u) for u in us)) + (len(us),))
     for j, u in enumerate(us):
         ladder[..., j] = u
+    if not ((ladder[..., :1] >= 0.0).all() and (ladder[..., 1:] >= ladder[..., :-1]).all()):
+        raise InvalidParameterError("thresholds must be non-negative and nondecreasing (nan is not)")
     return m, ladder
 
 
@@ -191,24 +198,15 @@ def _check_thresholds(config: ProtocolConfig) -> tuple[float, ...]:
     return config.thresholds
 
 
-def _ber_exact(snr, us: Sequence):
-    """Exact BER at SNR(s) ``snr`` with threshold ladder ``us`` (entries
-    scalars or arrays; the result has their broadcast shape)."""
+def ber_exact(snr, us: Sequence):
+    """Overall BER at SNR(s) ``snr`` with the threshold ladder ``us`` = U_0..U_{D-1}
+    (entries scalars or arrays; the result has their broadcast shape).  First-pass band j
+    in (U_{j-1}, U_j] receives D-j retransmissions, [0, U_0] all D and bits above U_{D-1} none.
+    """
     m, u = _mean_and_ladder(snr, us)
     lo, hi, copies = _bands(u)
     errors = _rect(lo, hi, -math.inf, 0.0, m, copies).sum(axis=-1)
     return (q_function(m + u[..., -1]) + errors)[()]
-
-
-def ber_exact(config: ProtocolConfig, link: LinkModel) -> float:
-    """Overall BER of the quantized retransmission scheme.
-
-    Bits are grouped by their first-pass reliability band: band j in
-    (U_{j-1}, U_j] receives D-j retransmissions, the lowest band receives
-    all D, and bits above U_{D-1} none.
-    """
-    us = _check_thresholds(config)
-    return float(_ber_exact(link.snr_per_symbol, us))
 
 
 def _prony_tail(d, u, m, prony):
@@ -248,14 +246,13 @@ def _prony_ber(snr, us: Sequence, prony=DEFAULT_PRONY):
     return total
 
 
-def _ber_approx(snr, us: Sequence, prony=DEFAULT_PRONY):
+def ber_approx(snr, us: Sequence, prony=DEFAULT_PRONY):
+    """Closed-form counterpart of :func:`ber_exact` (no quadrature), on the
+    exponential fit ``prony`` of the Gaussian tail; capped at 0.5."""
     return np.minimum(_prony_ber(snr, us, prony), 0.5)[()]  # no BER exceeds 0.5
 
 
-def ber_approx(config: ProtocolConfig, link: LinkModel) -> float:
-    """Closed-form counterpart of :func:`ber_exact` (no quadrature)."""
-    us = _check_thresholds(config)
-    return float(_ber_approx(link.snr_per_symbol, us))
+_ber_exact, _ber_approx = ber_exact, ber_approx  # the names the acceptance gate imports
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +260,17 @@ def ber_approx(config: ProtocolConfig, link: LinkModel) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _retx_rung(d: int, snr, prefix: Sequence):
+def retx_rung(snr, prefix: Sequence):
     """(fraction, slope) of round d+1 as a function of its top threshold u,
-    given the SNR(s) ``snr`` and the d thresholds of ``prefix`` (all scalars
-    or arrays): the expected fraction of bits whose reliability after d
-    rounds is <= u, minus fresh bits below prefix[-1] (for d = 0,
+    given the SNR(s) ``snr`` and the d = len(prefix) thresholds of ``prefix``
+    (all scalars or arrays): the expected fraction of bits whose reliability
+    after d rounds is <= u, minus fresh bits below prefix[-1] (for d = 0,
     P(|r0| <= u)), and its u-derivative.  What ``snr`` and ``prefix`` fix is
     built once; the nodes of :func:`_sums` move with u, as their window
     centre is m clipped to [-u, u], and u < m at most design optima."""
-    m, ladder = _mean_and_ladder(snr, prefix)
-    low = ladder[..., d - 1] if d else 0.0
+    m, ladder = _mean_and_ladder(snr, prefix, least=0)
+    d = len(prefix)
+    low = ladder[..., -1] if d else 0.0
     q_low = (q_function(low - m), q_function(low + m))
     if d:
         lo, hi, copies = _bands(ladder)
@@ -296,10 +294,11 @@ def _retx_rung(d: int, snr, prefix: Sequence):
     return fraction
 
 
-def _shared_threshold_fractions(d: int, u, snr):
-    """Expected retransmitted fraction of rounds 1..d under one shared
-    threshold u (last axis): bits with |r0| <= u whose i+1 copy average is
-    still within u, i = 1..d."""
+def shared_threshold_fractions(d: int, u, snr):
+    """Expected retransmitted fraction of rounds 1..d (last axis) under one
+    shared threshold u: bits with |r0| <= u whose i+1 copy average is still
+    within u, i = 1..d."""
+    d = check_integer("d", d, 1)
     m, u = _mean_and_ladder(snr, (u,))
     copies = np.arange(1.0, d + 1.0)
     with np.errstate(over="ignore"):  # an infinite bound is the right one
@@ -314,10 +313,11 @@ def _shared_threshold_fractions(d: int, u, snr):
 
 def _gauss_exp_tail_mean(theta: float, alpha: float, mean_snr: float) -> float:
     """E[exp(-theta*g) * Q(alpha*sqrt(g))] for exponentially distributed g."""
-    half_a2 = 0.5 * alpha * alpha
-    root = math.sqrt(1.0 / mean_snr + theta + half_a2)
-    denom = 1.0 + mean_snr * (theta + (alpha / math.sqrt(2.0)) * (alpha / math.sqrt(2.0) + root))
-    return 0.5 / denom
+    # 0.5 / (1 + g (theta + a (a + sqrt(1/g + theta + a^2)))), a = alpha/sqrt(2), with sqrt(g)
+    # moved inside: no 1/g (inf for a subnormal g), and the bracket stays finite up to 100 dB
+    s, a = math.sqrt(mean_snr), alpha / math.sqrt(2.0)
+    root = math.hypot(1.0, s * math.sqrt(theta + a * a))
+    return 0.5 / (1.0 + s * (s * theta + a * (s * a + root)))
 
 
 def _fading_tail(d: int, v: float, mean_snr: float) -> float:
@@ -368,10 +368,12 @@ def ber_fading_quadrature(config: ProtocolConfig, link: LinkModel, integrand: st
     """
     us = _check_thresholds(config)
     mean_snr = _require_fading(link)
+    if math.isinf(1.0 / mean_snr):  # a subnormal mean SNR: the density overflows
+        raise NumericFailureError("the SNR density 1/mean_snr overflows", math.inf)
     if integrand == "approx":
         fixed = _prony_ber
     elif integrand == "exact":
-        fixed = _ber_exact
+        fixed = ber_exact
     else:
         raise InvalidParameterError(f"unknown integrand {integrand!r}")
 
@@ -444,7 +446,7 @@ def appendix_integral_quadrature(
     sign = -1.0 if kind.endswith("minus") else 1.0
 
     def f(x: float) -> float:
-        return h1 * math.exp(-((x - h2) ** 2) / h3) * _q(h4 * (h5 + sign * x))
+        return h1 * math.exp(-((x - h2) ** 2) / h3) * float(q_function(h4 * (h5 + sign * x)))
 
     sigma = math.sqrt(h3 / 2.0)
     lo = h2 - _ENVELOPE_SIGMAS * sigma

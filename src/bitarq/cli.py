@@ -113,7 +113,7 @@ def _fmt(x: float) -> str:
 
 
 def _run_sweep(kind: str, args, out: _Output) -> None:
-    from .analytic import _ber_approx, _ber_exact
+    from .analytic import ber_approx, ber_exact
     from .optimize import sweep_blocks, threshold_u_max
 
     base_snr = _db_to_linear(args.snr_db)
@@ -129,8 +129,8 @@ def _run_sweep(kind: str, args, out: _Output) -> None:
     out.row(name, "ber_approx", "ber_exact", "ber_mc", "mc_stderr")
     jobs = _n_jobs()
     for block, us, _, snr_eff in sweep_blocks(kind, args.points, args.n, args.d, base_snr, u_max):
-        approx = _ber_approx(snr_eff, us)
-        exact = _ber_exact(snr_eff, us)
+        approx = ber_approx(snr_eff, us)
+        exact = ber_exact(snr_eff, us)
         for k, x in enumerate(block):
             mc = stderr = None
             if args.bits:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .analytic import _ber_approx, _ber_exact, _retx_rung, _shared_threshold_fractions
+from .analytic import ber_approx, ber_exact, retx_rung, shared_threshold_fractions
 from .errors import InvalidParameterError, NumericFailureError
 from .model import LinkModel, ProtocolConfig, check_integer, check_snr, round_half_away
 
@@ -59,7 +59,10 @@ class SweepResult:
     minimizer comes from golden-section refinement unless it sits on the
     search boundary.  ``min_ber_exact`` re-evaluates the minimum by
     the exact evaluator.  ``windows`` and ``forward_rate`` describe the protocol
-    realized at the minimizer.
+    realized at the minimizer.  For the threshold strategy ``windows`` are the
+    model's expected per-round counts floored at 0, not a runnable protocol (they
+    may hold a 0, which :class:`ProtocolConfig` rejects); the runnable one is
+    ``resolve_protocol("threshold", ...)``, which has no windows.
     """
 
     grid: tuple[tuple[float, float], ...]
@@ -229,9 +232,9 @@ def _ladder_thresholds(d: int, p, snr) -> tuple:
     # later rung lies above the one before
     lo = np.maximum(m + ndtri(p), ndtri(0.5 + 0.5 * p))
     us = ()
-    for j in range(d):
+    for _ in range(d):
 
-        def rung(u, _fraction=_retx_rung(j, snr, us)):
+        def rung(u, _fraction=retx_rung(snr, us)):
             value, slope = _fraction(u)
             return value - p, slope
 
@@ -252,9 +255,8 @@ def equal_probability_thresholds(d: int, p: float, link: LinkModel) -> tuple[flo
 
 def fixed_threshold_windows(n: int, d: int, u: float, snr: float) -> tuple[int, ...]:
     """Per-round expected windows round(N * P_d) under one shared threshold."""
-    d = check_integer("d", d, 1)
     return tuple(
-        min(n, max(0, round_half_away(n * p))) for p in _shared_threshold_fractions(d, u, snr)
+        min(n, max(0, round_half_away(n * p))) for p in shared_threshold_fractions(d, u, snr)
     )
 
 
@@ -279,7 +281,7 @@ def fixed_threshold_rate(d: int, u, base_snr: float):
     def residual(r, live=...):
         """g(r) where ``live`` (everywhere by default), 0 elsewhere."""
         g, r = np.zeros(np.shape(r)), r[live]
-        fractions = _shared_threshold_fractions(d, np.asarray(u)[live], base_snr * r)
+        fractions = shared_threshold_fractions(d, np.asarray(u)[live], base_snr * r)
         total = np.minimum(fractions.sum(axis=-1), d)
         g[live] = r - 1.0 / (1.0 + total)
         return g
@@ -343,8 +345,6 @@ def resolve_strategy(kind: str, x, d: int, base_snr: float) -> tuple:
     check_snr("base_snr", base_snr)
     if kind == "rate" and not np.all(np.asarray(x) > 0.0):
         raise InvalidParameterError("forward rate must be positive")
-    if kind == "threshold" and not np.all(np.asarray(x) >= 0.0):
-        raise InvalidParameterError("shared threshold must be non-negative")
     if kind == "threshold":
         rate, snr_eff = fixed_threshold_rate(d, x, base_snr)
         return (x,) * d, rate, snr_eff
@@ -420,7 +420,7 @@ def sweep_blocks(kind: str, points: int, n: int, d: int, base_snr: float, u_max=
 
 def _sweep(blocks) -> tuple[tuple, int, bool]:
     grid = tuple(
-        (x, float(b)) for xs, us, _, snr in blocks for x, b in zip(xs, _ber_approx(snr, us))
+        (x, float(b)) for xs, us, _, snr in blocks for x, b in zip(xs, ber_approx(snr, us))
     )
     bers = [b for _, b in grid]
     j = min(range(len(bers)), key=bers.__getitem__)
@@ -454,7 +454,7 @@ def _optimize(kind: str, n: int, d: int, link: LinkModel, points: int) -> SweepR
     def objective(x):
         us, rate, snr_eff = resolve_strategy(kind, x, d, base)
         resolved.append((x, us, rate, snr_eff))
-        return _ber_approx(snr_eff, us)
+        return ber_approx(snr_eff, us)
 
     grid, j, uni = _sweep(resolved)
     minimizer, min_ber, refined, boundary = _refine(objective, grid, j, uni)
@@ -474,7 +474,7 @@ def _optimize(kind: str, n: int, d: int, link: LinkModel, points: int) -> SweepR
         refined=refined,
         boundary=boundary,
         unimodal=uni,
-        min_ber_exact=float(_ber_exact(snr_eff, us)),
+        min_ber_exact=float(ber_exact(snr_eff, us)),
         thresholds=us,
         windows=windows,
         forward_rate=rate,

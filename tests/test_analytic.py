@@ -24,16 +24,15 @@ from bitarq import (
 )
 from bitarq.analytic import (
     _U_CAP,
-    _ber_approx,
-    _ber_exact,
     _gauss_exp_tail_mean,
     _prony_ber,
     _prony_tail,
     _quad,
-    _retx_rung,
-    _shared_threshold_fractions,
+    retx_rung,
+    shared_threshold_fractions,
 )
 from bitarq.model import MAX_SNR_DB
+from bitarq.optimize import equal_probability_thresholds
 
 LINK1 = LinkModel(1.0)
 FADING_LADDERS = {1: (0.4,), 2: (0.3, 0.6), 3: (0.2, 0.5, 0.9)}
@@ -86,7 +85,7 @@ class TestSingleTransmission:
     # P(|r0| <= u) of a fresh sample at SNR 1 (mean sqrt(2)): the first rung
     @staticmethod
     def fresh(u):
-        return _retx_rung(0, 1.0, ())(u)[0]
+        return retx_rung(1.0, ())(u)[0]
 
     def test_band_probability_limits(self):
         assert self.fresh(math.inf) == pytest.approx(1.0)
@@ -107,32 +106,32 @@ class TestSingleTransmission:
 class TestBerExact:
     def test_degenerate_no_retransmission(self):
         cfg = ProtocolConfig(100, 1, thresholds=(0.0,))
-        assert ber_exact(cfg, LINK1) == pytest.approx(q(math.sqrt(2)), rel=1e-12)
+        assert ber_exact(LINK1.snr_per_symbol, cfg.thresholds) == pytest.approx(q(math.sqrt(2)), rel=1e-12)
 
     def test_everything_retransmitted(self):
         cfg = ProtocolConfig(100, 1, thresholds=(20.0,))
-        assert ber_exact(cfg, LINK1) == pytest.approx(q(2.0), rel=1e-9)
+        assert ber_exact(LINK1.snr_per_symbol, cfg.thresholds) == pytest.approx(q(2.0), rel=1e-9)
 
     def test_bracketed_by_repetition_and_uncoded(self):
         for d, us in [(1, (0.7,)), (2, (0.5, 1.1)), (3, (0.4, 0.8, 1.5))]:
             for snr in (0.7, 10**0.5):
                 link = LinkModel(snr)
                 cfg = ProtocolConfig(100, d, thresholds=us)
-                val = ber_exact(cfg, link)
+                val = ber_exact(link.snr_per_symbol, cfg.thresholds)
                 m = math.sqrt(2 * snr)
                 assert q(m * math.sqrt(d + 1)) - 1e-12 <= val <= q(m) + 1e-12
 
     def test_nonincreasing_in_thresholds(self):
-        cfg_lo = ProtocolConfig(100, 2, thresholds=(0.5, 1.0))
-        cfg_hi = ProtocolConfig(100, 2, thresholds=(0.8, 1.0))
-        cfg_hi2 = ProtocolConfig(100, 2, thresholds=(0.5, 1.6))
-        base = ber_exact(cfg_lo, LINK1)
-        assert ber_exact(cfg_hi, LINK1) <= base + 1e-12
-        assert ber_exact(cfg_hi2, LINK1) <= base + 1e-12
+        snr = LINK1.snr_per_symbol
+        base = ber_exact(snr, (0.5, 1.0))
+        assert ber_exact(snr, (0.8, 1.0)) <= base + 1e-12
+        assert ber_exact(snr, (0.5, 1.6)) <= base + 1e-12
 
     def test_requires_thresholds(self):
-        with pytest.raises(InvalidParameterError):
-            ber_exact(ProtocolConfig(100, 1), LINK1)
+        # an empty ladder: both evaluators raised IndexError
+        for evaluator in (ber_exact, ber_approx):
+            with pytest.raises(InvalidParameterError):
+                evaluator(LINK1.snr_per_symbol, ())
 
 
 class TestBerApprox:
@@ -143,8 +142,8 @@ class TestBerApprox:
     def test_agrees_with_quadrature(self, d, fracs, snr):
         m = math.sqrt(2 * snr)
         us = tuple(f * m for f in fracs)
-        exact = _ber_exact(snr, us)
-        approx = _ber_approx(snr, us, DEFAULT_PRONY)
+        exact = ber_exact(snr, us)
+        approx = ber_approx(snr, us, DEFAULT_PRONY)
         if exact >= 1e-6:
             assert approx == pytest.approx(exact, rel=0.15)
 
@@ -152,7 +151,7 @@ class TestBerApprox:
         snr = 2.0
         m = math.sqrt(2 * snr)
         u = 0.9
-        got = _ber_approx(snr, (u, u), DEFAULT_PRONY)
+        got = ber_approx(snr, (u, u), DEFAULT_PRONY)
         manual = q(m + u) + q(m * math.sqrt(3)) - _prony_tail(2, u, m, DEFAULT_PRONY)
         assert got == pytest.approx(manual, rel=1e-14)
 
@@ -172,25 +171,82 @@ class TestBerApprox:
         assert np.array_equal(_prony_ber(snr, tuple(us)), want)
 
     def test_equal_probability_ladder_gap_small(self):
-        from bitarq.optimize import equal_probability_thresholds
-
         snr = 10**0.5
         us = equal_probability_thresholds(3, 0.25, LinkModel(snr))
-        exact = _ber_exact(snr, us)
-        approx = _ber_approx(snr, us, DEFAULT_PRONY)
+        exact = ber_exact(snr, us)
+        approx = ber_approx(snr, us, DEFAULT_PRONY)
         assert approx == pytest.approx(exact, rel=0.10)
 
     def test_infinite_threshold_reduces_to_repetition(self):
         cfg = ProtocolConfig(100, 2, thresholds=(math.inf, math.inf))
         m = math.sqrt(2.0)
-        assert ber_approx(cfg, LINK1) == pytest.approx(q(m * math.sqrt(3)), rel=1e-12)
+        got = ber_approx(LINK1.snr_per_symbol, cfg.thresholds)
+        assert got == pytest.approx(q(m * math.sqrt(3)), rel=1e-12)
 
 
 class TestProbRetxBand:
     def test_total_probability(self):
         # under infinite thresholds every bit is retransmitted
-        fraction = _retx_rung(1, LINK1.snr_per_symbol, (math.inf,))
+        fraction = retx_rung(LINK1.snr_per_symbol, (math.inf,))
         assert fraction(math.inf)[0] == pytest.approx(1.0, abs=1e-9)
+
+
+class TestEvaluatorInput:
+    """The four public evaluators check the SNR and the ladder once, up front."""
+
+    BAD_LADDERS = {
+        "negative": (-1.0,),
+        "nan": (math.nan,),
+        "decreasing": (1.0, 0.5),
+        "one negative element": (np.array([0.5, -0.1, 1.0]),),
+        "one decreasing element": (np.array([0.5, 1.0]), np.array([1.0, 0.8])),
+    }
+    BAD_SNRS = {
+        "zero": 0.0,
+        "negative": -1.0,
+        "nan": math.nan,
+        "above 100 dB": 1e11,
+        "one zero element": np.array([1.0, 0.0, 2.0]),
+        "one element above 100 dB": np.array([1.0, 1e11]),
+    }
+    BY_SNR = {
+        "ber_exact": lambda snr: ber_exact(snr, (0.5, 1.0)),
+        "ber_approx": lambda snr: ber_approx(snr, (0.5, 1.0)),
+        "retx_rung": lambda snr: retx_rung(snr, (0.5,)),
+        "shared_threshold_fractions": lambda snr: shared_threshold_fractions(2, 0.5, snr),
+    }
+
+    @pytest.mark.parametrize("evaluator", [ber_exact, ber_approx, retx_rung])
+    @pytest.mark.parametrize("ladder", BAD_LADDERS.values(), ids=BAD_LADDERS)
+    def test_bad_ladder(self, evaluator, ladder):
+        with pytest.raises(InvalidParameterError):
+            evaluator(3.0, ladder)
+
+    @pytest.mark.parametrize("u", [-1.0, math.nan, np.array([0.5, -0.1, 1.0])])
+    def test_bad_shared_threshold(self, u):
+        with pytest.raises(InvalidParameterError):
+            shared_threshold_fractions(2, u, 3.0)
+
+    @pytest.mark.parametrize("evaluator", BY_SNR.values(), ids=BY_SNR)
+    @pytest.mark.parametrize("snr", BAD_SNRS.values(), ids=BAD_SNRS)
+    def test_bad_snr(self, evaluator, snr):
+        with pytest.raises(InvalidParameterError):
+            evaluator(snr)
+
+    @pytest.mark.parametrize("d", [1.5, 0, True])
+    def test_bad_round_count(self, d):
+        with pytest.raises(InvalidParameterError):
+            shared_threshold_fractions(d, 0.5, 3.0)
+
+    def test_an_all_infinite_ladder_is_valid(self):
+        # the equal-probability ladder at p = 1 retransmits every bit in every round
+        us = equal_probability_thresholds(2, 1.0, LinkModel(3.0))
+        assert us == (math.inf, math.inf)
+        full = q(math.sqrt(6.0) * math.sqrt(3.0))
+        assert ber_exact(3.0, us) == pytest.approx(full, rel=1e-9)
+        assert ber_approx(3.0, us) == pytest.approx(full, rel=1e-12)
+        assert retx_rung(3.0, us[:1])(math.inf)[0] == pytest.approx(1.0, abs=1e-9)
+        assert np.all(shared_threshold_fractions(2, math.inf, 3.0) == pytest.approx(1.0, abs=1e-9))
 
 
 # sha256 of every rectangle-kernel output below, recorded before the BER, the
@@ -207,10 +263,10 @@ def test_rectangle_kernels_are_bit_identical_to_the_pin():
         if shape:  # one element's top rungs infinite
             ladder[(0,) * len(shape)][3:] = math.inf
         us = tuple(ladder[..., j] for j in range(5))
-        out = [_ber_exact(snr, us[:d]) for d in range(1, 5)]
+        out = [ber_exact(snr, us[:d]) for d in range(1, 5)]
         for j in range(5):
-            out += _retx_rung(j, snr, us[:j])(us[j])  # (value, slope)
-        out += [_shared_threshold_fractions(d, us[2], snr) for d in range(1, 4)]
+            out += retx_rung(snr, us[:j])(us[j])  # (value, slope)
+        out += [shared_threshold_fractions(d, us[2], snr) for d in range(1, 4)]
         for x in out:
             assert np.all(np.isfinite(x))
             h.update(np.asarray(x, dtype=float).tobytes())
@@ -279,12 +335,14 @@ class TestFading:
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("v", [1e200, math.inf])
-    @pytest.mark.parametrize("mean_snr", [1.0, 10.0])
+    @pytest.mark.parametrize("mean_snr", [1.0, 10.0, 1e10])
     def test_huge_threshold_is_full_repetition(self, d, v, mean_snr):
-        # every bit is retransmitted d times: the fading average of Q(sqrt(2(d+1)g))
+        # every bit is retransmitted d times: the fading average of Q(sqrt(2(d+1)g)),
+        # 0.5 - 0.5/sqrt(1 + x) with x = 1/(g(d+1)), written without the cancellation
         cfg = ProtocolConfig(16, d, thresholds=(v,) * d)
         got = ber_fading(cfg, LinkModel(mean_snr, fading=SlowChiSquareFading(mean_snr)))
-        full = 0.5 - 0.5 / math.sqrt(1.0 + 1.0 / (mean_snr * (d + 1)))
+        x = 1.0 / (mean_snr * (d + 1))
+        full = 0.5 * x / (math.sqrt(1.0 + x) * (1.0 + math.sqrt(1.0 + x)))
         assert got == pytest.approx(full, rel=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -293,6 +351,14 @@ class TestFading:
         cfg = ProtocolConfig(16, d, thresholds=(0.5,) * d)
         got = ber_fading(cfg, LinkModel(ceiling, fading=SlowChiSquareFading(ceiling)))
         assert 1e-11 < got < 2e-11
+
+    @pytest.mark.parametrize("integrand", ["approx", "exact"])
+    @pytest.mark.parametrize("mean_snr", [5e-324, 1e-309])
+    def test_oracle_fails_typed_at_a_subnormal_mean_snr(self, integrand, mean_snr):
+        # the density's scale 1/mean_snr overflows; ber_fading keeps its value there
+        link = LinkModel(1.0, fading=SlowChiSquareFading(mean_snr))
+        with pytest.raises(NumericFailureError):
+            ber_fading_quadrature(ProtocolConfig(16, 1, thresholds=(0.4,)), link, integrand=integrand)
 
     def test_requires_fading_descriptor(self):
         cfg = ProtocolConfig(100, 1, thresholds=(0.4,))

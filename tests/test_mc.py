@@ -17,7 +17,7 @@ from bitarq import (
     SlowChiSquareFading,
     q_function,
 )
-from bitarq.analytic import _ber_exact, _retx_rung
+from bitarq.analytic import ber_exact, retx_rung
 from bitarq.mc import BLOCK_PACKETS, SCHEMES, TrialReport, _window_mask, compare_schemes, simulate
 from bitarq.optimize import equal_probability_thresholds
 
@@ -91,7 +91,7 @@ class TestSimulateBaselines:
         us = equal_probability_thresholds(1, 0.3, LINK5)
         cfg = ProtocolConfig(1000, 1, strategy=FixedWindow(0.3), thresholds=us)
         rep = simulate(cfg, LINK5, "preassigned", 2_000_000, seed=3)
-        p = _ber_exact(LINK5.snr_per_symbol, us)
+        p = ber_exact(LINK5.snr_per_symbol, us)
         assert abs(rep.ber - p) < 3 * sigma(p, rep.bits_simulated)
 
 
@@ -156,8 +156,8 @@ class TestSimulateBehavior:
         cfg = ProtocolConfig(1000, 2, thresholds=us)
         rep = simulate(cfg, LINK5, "sequential", 2_000_000, seed=4)
         n = rep.bits_simulated
-        p0 = _retx_rung(0, LINK5.snr_per_symbol, ())(us[0])[0]
-        p1 = _retx_rung(1, LINK5.snr_per_symbol, us[:1])(us[1])[0]
+        p0 = retx_rung(LINK5.snr_per_symbol, ())(us[0])[0]
+        p1 = retx_rung(LINK5.snr_per_symbol, us[:1])(us[1])[0]
         assert abs(rep.retransmitted_bits[0] / n - p0) < 3 * sigma(p0, n)
         assert abs(rep.retransmitted_bits[1] / n - p1) < 3 * sigma(p1, n)
 
@@ -167,8 +167,8 @@ class TestSimulateBehavior:
         rep = simulate(cfg, LINK5, "sequential", 2_000_000, seed=12)
         snr = LINK5.snr_per_symbol
         n = rep.bits_simulated
-        p0 = _retx_rung(0, snr, ())(u)[0]
-        p1 = _retx_rung(1, snr, (u,))(u)[0]
+        p0 = retx_rung(snr, ())(u)[0]
+        p1 = retx_rung(snr, (u,))(u)[0]
         assert abs(rep.retransmitted_bits[0] / n - p0) < 3 * sigma(p0, n)
         assert abs(rep.retransmitted_bits[1] / n - p1) < 3 * sigma(p1, n)
 

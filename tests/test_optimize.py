@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bitarq import InvalidParameterError, LinkModel, q_function
-from bitarq.analytic import (_ber_approx, _ber_exact, _retx_rung,
-    _shared_threshold_fractions, DEFAULT_PRONY)
+from bitarq.analytic import (ber_approx, ber_exact, retx_rung,
+    shared_threshold_fractions, DEFAULT_PRONY)
 from bitarq.optimize import (
     _GOLDEN,
     _GOLDEN_STEPS,
@@ -82,7 +82,7 @@ def assert_same_search(f, a, b, scalar_f=None):
 def strategy_objective(kind, d, base):
     def objective(x):
         us, _, snr_eff = resolve_strategy(kind, x, d, base)
-        return _ber_approx(snr_eff, us)
+        return ber_approx(snr_eff, us)
 
     return objective
 
@@ -157,12 +157,12 @@ class TestArrayCallsMatchScalarCalls:
                   "threshold": (0.0, math.sqrt(2.0 * base) + 4.0)}[kind]
         xs = lo + (hi - lo) * np.linspace(0.02, 1.0, size) ** 1.5
         us, rate, snr_eff = resolve_strategy(kind, xs, d, base)
-        bers = _ber_approx(snr_eff, us)
+        bers = ber_approx(snr_eff, us)
         for i, x in enumerate(xs):
             us_i, rate_i, snr_i = resolve_strategy(kind, float(x), d, base)
             assert [float(u[i]) for u in us] == [float(u) for u in us_i]
             assert (rate[i], snr_eff[i]) == (rate_i, snr_i)
-            assert bers[i] == _ber_approx(snr_i, us_i)
+            assert bers[i] == ber_approx(snr_i, us_i)
 
 
 # optimize_* at 5 dB, n = 1024, 64 points, recorded before golden_section
@@ -401,7 +401,7 @@ class TestThresholdInversion:
             us = equal_probability_thresholds(3, p, LINK5)
             snr = LINK5.snr_per_symbol
             for j in (0, 1, 2):
-                assert _retx_rung(j, snr, us[:j])(us[j])[0] == pytest.approx(p, abs=1e-8)
+                assert retx_rung(snr, us[:j])(us[j])[0] == pytest.approx(p, abs=1e-8)
 
     def test_thresholds_nondecreasing(self):
         us = equal_probability_thresholds(3, 0.25, LINK5)
@@ -645,7 +645,7 @@ class TestOptimizers:
             p = min(1.0, (1 / rate - 1) / 2)
             snr_eff = LINK5.snr_per_symbol * rate
             us = equal_probability_thresholds(2, p, LinkModel(snr_eff))
-            assert res.min_ber <= _ber_approx(snr_eff, us, DEFAULT_PRONY) + 1e-15
+            assert res.min_ber <= ber_approx(snr_eff, us, DEFAULT_PRONY) + 1e-15
 
     def test_window_boundary_equals_repetition(self):
         res = optimize_window(1024, 2, LINK5, points=16)
@@ -691,7 +691,7 @@ class TestFixedThresholdRate:
         # stopped at 0.76627 after 200 steps; the only root in (1/3, 1] is 0.48350
         d, u, base = 2, 3.4476, 10**1.00275
         rate, snr_eff = fixed_threshold_rate(d, u, base)
-        fractions = _shared_threshold_fractions(d, u, base * rate)
+        fractions = shared_threshold_fractions(d, u, base * rate)
         assert abs(rate - 1.0 / (1.0 + fractions.sum())) <= 1e-12
         assert rate == pytest.approx(0.48350, abs=1e-5)
         assert snr_eff == pytest.approx(base * rate, rel=1e-15)
@@ -702,7 +702,7 @@ class TestFixedThresholdRate:
         # creeps down onto 0.781 (200 steps leave a residual of 7.6e-6)
         d, u, base = 2, 3.44794419, 10**1.00293
         rate, _ = fixed_threshold_rate(d, u, base)
-        fractions = _shared_threshold_fractions(d, u, base * rate)
+        fractions = shared_threshold_fractions(d, u, base * rate)
         assert abs(rate - 1.0 / (1.0 + fractions.sum())) <= 1e-12
         assert rate == pytest.approx(0.78050, abs=1e-5)
         assert len(recwarn) == 0
@@ -727,7 +727,7 @@ class TestFixedThresholdRate:
         # (0.0452, 0.0210), so the rate reads 0.938 for a realized 0.838
         u = 0.9
         rate, snr_eff = fixed_threshold_rate(2, u, 10**0.3)
-        rungs = _retx_rung(0, snr_eff, ())(u)[0] + _retx_rung(1, snr_eff, (u,))(u)[0]
+        rungs = retx_rung(snr_eff, ())(u)[0] + retx_rung(snr_eff, (u,))(u)[0]
         assert rate == pytest.approx(1.0 / (1.0 + rungs), rel=1e-9)
 
 
@@ -768,7 +768,7 @@ def test_no_adaptive_quadrature_behind_the_design_path(monkeypatch):
         for runner in (optimize_rate, optimize_window, optimize_threshold):
             runner(256, d, LINK5, points=8)
     snr = LINK5.snr_per_symbol
-    _ber_exact(snr, (0.5, 1.0, 1.5))
-    _retx_rung(1, snr, (0.5,))(1.0)
-    _retx_rung(2, snr, (0.5, 1.0))(1.0)
+    ber_exact(snr, (0.5, 1.0, 1.5))
+    retx_rung(snr, (0.5,))(1.0)
+    retx_rung(snr, (0.5, 1.0))(1.0)
     fixed_threshold_windows(1024, 3, 1.0, snr)

@@ -11,7 +11,7 @@ which holds every term's mass wherever its peak lies.
 import pytest
 
 from bitarq import DEFAULT_PRONY, LinkModel, ProtocolConfig, SlowChiSquareFading, ber_fading
-from bitarq.analytic import _ber_exact, _retx_rung
+from bitarq.analytic import ber_exact, retx_rung
 from bitarq.optimize import equal_probability_thresholds
 
 mp = pytest.importorskip("mpmath")
@@ -89,11 +89,11 @@ def test_exact_ber_and_band_probabilities_match_oracle(d, db):
     link = LinkModel(snr)
     for p in PROBABILITIES:
         us = equal_probability_thresholds(d, p, link)
-        assert _rel(_ber_exact(snr, us), oracle_ber(snr, us)) <= REL, (d, db, p)
+        assert _rel(ber_exact(snr, us), oracle_ber(snr, us)) <= REL, (d, db, p)
         for j in range(1, d + 1):
             ladder = tuple(us[:j]) + (us[j] if j < d else us[-1],)
             want = oracle_retx(j, snr, ladder)
-            assert _rel(_retx_rung(j, snr, ladder[:j])(ladder[j])[0], want) <= REL, (d, db, p, j)
+            assert _rel(retx_rung(snr, ladder[:j])(ladder[j])[0], want) <= REL, (d, db, p, j)
 
 
 def test_deep_tail_values_the_envelope_clip_dropped():
@@ -103,7 +103,7 @@ def test_deep_tail_values_the_envelope_clip_dropped():
     us = equal_probability_thresholds(3, 0.3, LinkModel(snr))
     want = oracle_ber(snr, us)
     assert float(want) == pytest.approx(1.476e-28, rel=1e-3)
-    assert _rel(_ber_exact(snr, us), want) <= REL
+    assert _rel(ber_exact(snr, us), want) <= REL
 
 
 def _exp_mean(theta, alpha, mean_snr):
@@ -137,5 +137,13 @@ def test_fading_closed_form_matches_oracle(d, ladder, db):
     # the leading terms were 1 - 0.5/sqrt(...) - 0.5/sqrt(...), which cancels
     # at high SNR: 6.0e-10 off at 60 dB, 7.2e-6 at 100 dB
     mean_snr = 10.0 ** (db / 10.0)
+    got = ber_fading(ProtocolConfig(16, d, thresholds=ladder), LinkModel(1.0, fading=SlowChiSquareFading(mean_snr)))
+    assert _rel(got, oracle_fading(ladder, mean_snr)) <= 1e-14
+
+
+@pytest.mark.parametrize("mean_snr", [5e-324, 1e-309, 1e-300])
+@pytest.mark.parametrize("d, ladder", [(1, (0.4,)), (2, (0.3, 0.6)), (3, (0.2, 0.5, 0.9))])
+def test_fading_closed_form_at_a_subnormal_mean_snr(d, ladder, mean_snr):
+    # 1/mean_snr overflowed to inf in the kernel, so ber_fading returned 0.0 below 2.2e-308
     got = ber_fading(ProtocolConfig(16, d, thresholds=ladder), LinkModel(1.0, fading=SlowChiSquareFading(mean_snr)))
     assert _rel(got, oracle_fading(ladder, mean_snr)) <= 1e-14
