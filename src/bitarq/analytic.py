@@ -155,23 +155,33 @@ def _rect(lo, hi, c, e, m, i):
     return (w * _between(zc, ze)) @ _WEIGHTS
 
 
+_SNR_MAX = 10.0 ** (MAX_SNR_DB / 10.0)
+
+
 def _mean_and_ladder(snr, us, least: int = 1):
     """(m, U) with the thresholds stacked on a last axis, broadcast to the shape of ``snr``
-    and the thresholds; m keeps the shape of ``snr``.  InvalidParameterError for fewer than
-    ``least`` thresholds, a ladder with a negative, nan or decreasing entry, or an SNR out of
-    (0, MAX_SNR_DB]."""
+    and the thresholds; m keeps the shape of ``snr``.  InvalidParameterError for a ladder
+    that is not a sequence or has fewer than ``least`` thresholds, a ladder with a negative,
+    nan or decreasing entry, or an SNR out of (0, MAX_SNR_DB]."""
     snr = np.asarray(snr, dtype=float)
-    if len(us) < least:
+    try:
+        count = len(us)
+    except TypeError:
+        message = f"the threshold ladder must be a sequence, got {us!r}"
+        raise InvalidParameterError(message) from None
+    if count < least:
         raise InvalidParameterError("need at least one threshold")
-    if not ((snr > 0.0) & (snr <= 10.0 ** (MAX_SNR_DB / 10.0))).all():
+    if snr.size and not (snr.min() > 0.0 and snr.max() <= _SNR_MAX):  # nan fails both
         raise InvalidParameterError(f"snr must be positive and at most {MAX_SNR_DB:g} dB")
     m = np.sqrt(2.0 * snr)
-    ladder = np.empty(np.broadcast_shapes(m.shape, *(np.shape(u) for u in us)) + (len(us),))
-    for j, u in enumerate(us):
+    shape = np.broadcast_shapes(m.shape, *(np.shape(u) for u in us))
+    # 0, U_0, ..., U_{D-1}: one comparison checks the first rung and every step
+    ladder = np.zeros(shape + (count + 1,))
+    for j, u in enumerate(us, 1):
         ladder[..., j] = u
-    if not ((ladder[..., :1] >= 0.0).all() and (ladder[..., 1:] >= ladder[..., :-1]).all()):
+    if not (ladder[..., 1:] >= ladder[..., :-1]).all():
         raise InvalidParameterError("thresholds must be non-negative and nondecreasing (nan is not)")
-    return m, ladder
+    return m, np.ascontiguousarray(ladder[..., 1:])  # the kernels' pins hold on contiguous ladders
 
 
 def _bands(u):
@@ -265,7 +275,8 @@ def retx_rung(snr, prefix: Sequence):
     given the SNR(s) ``snr`` and the d = len(prefix) thresholds of ``prefix``
     (all scalars or arrays): the expected fraction of bits whose reliability
     after d rounds is <= u, minus fresh bits below prefix[-1] (for d = 0,
-    P(|r0| <= u)), and its u-derivative.  What ``snr`` and ``prefix`` fix is
+    P(|r0| <= u)), and its u-derivative; a u below prefix[-1] (below 0 for
+    d = 0) or nan raises InvalidParameterError.  What ``snr`` and ``prefix`` fix is
     built once; the nodes of :func:`_sums` move with u, as their window
     centre is m clipped to [-u, u], and u < m at most design optima."""
     m, ladder = _mean_and_ladder(snr, prefix, least=0)
@@ -278,6 +289,8 @@ def retx_rung(snr, prefix: Sequence):
 
     def fraction(u):
         u = np.asarray(u, dtype=float)
+        if not (u >= low).all():  # nan fails too
+            raise InvalidParameterError("u must be at least prefix[-1], or 0 for an empty prefix")
         value = (q_low[0] - q_function(u - m)) + (q_low[1] - q_function(u + m))
         slope = np.exp(-0.5 * np.square(u - m)) + np.exp(-0.5 * np.square(u + m))
         if d:

@@ -18,11 +18,14 @@ from functools import cache, partial
 
 from . import __version__
 from .errors import BitarqError, ConfigurationError, NumericFailureError
-from .model import MAX_SNR_DB, LinkModel, ProtocolConfig
+from .model import (MAX_SNR_DB, LinkModel, ProtocolConfig, check_search, check_whole_packets,
+                    optimal_c1)
 
-# Each runner imports the layers it uses, so a command loads NumPy and SciPy
-# only if it needs them: `import bitarq.cli`, --version, fusion-plan and
-# fit-check load neither, and feedback-sim loads no SciPy.
+# Each runner makes every check that needs no numeric layer, then imports only
+# the layers its path uses, so a configuration error exits before NumPy or SciPy
+# loads; only resolve_protocol's rules need the optimizer.  `import bitarq.cli`,
+# --version, fusion-plan and fit-check load neither; feedback-sim and full
+# repetition load NumPy alone.
 
 _THREADS_ENV = "BITARQ_THREADS"
 
@@ -113,10 +116,14 @@ def _fmt(x: float) -> str:
 
 
 def _run_sweep(kind: str, args, out: _Output) -> None:
+    base_snr = _db_to_linear(args.snr_db)
+    jobs = _n_jobs()
+    if args.bits:
+        check_whole_packets(args.bits, args.n)
+        from .mc import simulate
     from .analytic import ber_approx, ber_exact
     from .optimize import sweep_blocks, threshold_u_max
 
-    base_snr = _db_to_linear(args.snr_db)
     u_max = None
     if kind == "threshold":
         u_max = args.u_max if args.u_max is not None else threshold_u_max(base_snr)
@@ -127,15 +134,12 @@ def _run_sweep(kind: str, args, out: _Output) -> None:
     )
     name = {"rate": "rf", "window": "w_over_n", "threshold": "u_norm"}[kind]
     out.row(name, "ber_approx", "ber_exact", "ber_mc", "mc_stderr")
-    jobs = _n_jobs()
     for block, us, _, snr_eff in sweep_blocks(kind, args.points, args.n, args.d, base_snr, u_max):
         approx = ber_approx(snr_eff, us)
         exact = ber_exact(snr_eff, us)
         for k, x in enumerate(block):
             mc = stderr = None
             if args.bits:
-                from .mc import simulate
-
                 cfg = ProtocolConfig(args.n, args.d, thresholds=[u[k] for u in us])
                 rep = simulate(
                     cfg, LinkModel(float(snr_eff[k])), "preassigned", args.bits, args.seed,
@@ -151,9 +155,9 @@ def _run_sweep(kind: str, args, out: _Output) -> None:
 
 
 def _run_optimize(args, out: _Output) -> None:
+    base = LinkModel(_db_to_linear(args.snr_db))
     from .optimize import optimize_rate, optimize_threshold, optimize_window
 
-    base = LinkModel(_db_to_linear(args.snr_db))
     out.config(strategy=args.strategy, snr_db=args.snr_db, n=args.n, d=args.d, points=args.points)
     runner = {"rate": optimize_rate, "window": optimize_window, "threshold": optimize_threshold}
     res = runner[args.strategy](args.n, args.d, base, points=args.points)
@@ -167,30 +171,37 @@ def _run_optimize(args, out: _Output) -> None:
     )
 
 
-def _build_sim_config(args, base_snr: float) -> tuple[ProtocolConfig, float]:
-    from .optimize import resolve_protocol
-
-    n, d = args.n, args.d
+def _strategy_flag(args) -> tuple[str, float] | None:
+    """The one strategy flag of a ladder scheme as (name, value), None for
+    full repetition and --d 0, which take none."""
     given = [(k, getattr(args, k)) for k in ("rate", "window", "threshold")
              if getattr(args, k) is not None]
-    if args.scheme == "full_repetition" or d == 0:
+    if args.scheme == "full_repetition" or args.d == 0:
         if given:
             raise ConfigurationError(
                 "--rate, --window and --threshold do not apply to full repetition or --d 0"
             )
-        return ProtocolConfig(n, d), base_snr / (1.0 + d)
+        return None
     if len(given) != 1:
         raise BitarqError("give exactly one of --rate, --window, --threshold")
     if args.window is not None and args.window > 1.0:
         raise ConfigurationError(f"--window is the fraction W/N in (0, 1], got {args.window}")
-    return resolve_protocol(*given[0], n, d, base_snr)
+    return given[0]
 
 
 def _run_simulate(args, out: _Output) -> None:
+    base_snr = _db_to_linear(args.snr_db)
+    flag = _strategy_flag(args)
+    jobs = _n_jobs()
+    check_whole_packets(args.bits, args.n)
+    if flag is None:
+        cfg, snr_eff = ProtocolConfig(args.n, args.d), base_snr / (1.0 + args.d)
+    else:
+        from .optimize import resolve_protocol
+
+        cfg, snr_eff = resolve_protocol(*flag, args.n, args.d, base_snr)
     from .mc import simulate
 
-    base_snr = _db_to_linear(args.snr_db)
-    cfg, snr_eff = _build_sim_config(args, base_snr)
     out.config(
         scheme=args.scheme, snr_db=args.snr_db, n=args.n, d=args.d, bits=args.bits,
         seed=args.seed, rate=args.rate, window=args.window, threshold=args.threshold,
@@ -199,7 +210,7 @@ def _run_simulate(args, out: _Output) -> None:
         **({"equalize_energy": True} if args.equalize_energy else {}),
     )
     link = LinkModel(snr_eff) if args.equalize_energy else LinkModel(base_snr)
-    rep = simulate(cfg, link, args.scheme, args.bits, args.seed, n_jobs=_n_jobs())
+    rep = simulate(cfg, link, args.scheme, args.bits, args.seed, n_jobs=jobs)
     out.row("scheme", "bits", "errors", "ber", "stderr", "rate_realized", "retransmitted")
     out.row(
         args.scheme, rep.bits_simulated, rep.bit_errors, _fmt(rep.ber), _fmt(rep.stderr),
@@ -208,14 +219,10 @@ def _run_simulate(args, out: _Output) -> None:
 
 
 def _run_feedback_sim(args, out: _Output) -> None:
-    from .feedback import (
-        expected_idle_periods,
-        optimal_c1,
-        simulate_permutation_search,
-        throughput_one_retx,
-    )
-
     c1 = args.c1 if args.c1 is not None else optimal_c1(args.n, args.w)
+    check_search(args.n, args.w, c1)
+    from .feedback import expected_idle_periods, simulate_permutation_search, throughput_one_retx
+
     out.config(n=args.n, w=args.w, c1=c1, trials=args.trials, seed=args.seed)
     ks, idles = simulate_permutation_search(args.n, args.w, c1, args.trials, args.seed)
     mean_k = float(ks.mean())

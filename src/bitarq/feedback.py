@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidParameterError, SearchExhaustedError
-from .model import check_integer, feedback_bit_width, round_half_away
+from .model import MAX_SEARCH_SUBSETS, check_integer, check_search, feedback_bit_width, optimal_c1
 
 __all__ = [
     "CombinadicMessage",
@@ -160,9 +160,6 @@ def combinadic_decode(message: CombinadicMessage, n: int, w: int) -> tuple[int, 
 # ---------------------------------------------------------------------------
 
 _WORDS_PER_COUNTER = 4
-# Largest C(n, w) searched.  A searched entry costs about 20 ns (2-core Xeon VM),
-# so a mean search of 10**6 entries takes about 20 ms.
-MAX_SEARCH_SUBSETS = 10**6
 _SEARCH_MEANS = 64  # a search gives up after this many mean search lengths, C(n, w) each
 
 _streams = threading.local()
@@ -172,22 +169,18 @@ def _stream_generator(seed: int, block: int) -> np.random.Generator:
     """The session's keyed Philox generator, set to counter ``block``."""
     if not 0 <= seed < 1 << 128:
         raise InvalidParameterError(f"the session seed must lie in [0, 2**128), got {seed}")
-    # one generator per thread, re-keyed in place: constructing a Philox
-    # builds an unused SeedSequence from OS entropy, which costs more than this
+    # one generator and one state dict per thread, re-keyed in place: constructing a
+    # Philox builds an unused SeedSequence from OS entropy, and building a new state
+    # dict with three arrays per search cost twice as much as writing two into this one
     g = getattr(_streams, "generator", None)
     if g is None:
         g = _streams.generator = np.random.Generator(np.random.Philox(key=0))
-    g.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array([block, 0, 0, 0], dtype=np.uint64),
-            "key": np.array([seed % 2**64, seed >> 64], dtype=np.uint64),
-        },
-        "buffer": np.zeros(_WORDS_PER_COUNTER, dtype=np.uint64),
-        "buffer_pos": _WORDS_PER_COUNTER,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+        _streams.state = g.bit_generator.state  # an empty buffer: the next word is fresh
+    state = _streams.state
+    state["state"]["counter"][0] = block
+    key = state["state"]["key"]
+    key[0], key[1] = seed % 2**64, seed >> 64
+    g.bit_generator.state = state
     return g
 
 
@@ -206,19 +199,6 @@ def subset_at(seed: int, index: int, n: int, w: int) -> tuple[int, ...]:
     x = int(_stream_generator(seed, block).bit_generator.random_raw(_WORDS_PER_COUNTER)[word])
     rank = (x * math.comb(n, w)) >> 64
     return combinadic_decode(CombinadicMessage(rank, feedback_bit_width(n, w)), n, w)
-
-
-def _check_search(n: int, w: int, c1: int) -> tuple[int, int, int]:
-    """The search shape as ints; C(n, w) above :data:`MAX_SEARCH_SUBSETS` is rejected."""
-    n, w, c1 = check_integer("n", n, 1), check_integer("w", w, 1), check_integer("c1", c1, 1)
-    if w > n:
-        raise InvalidParameterError("need 1 <= w <= n")
-    if math.comb(n, w) > MAX_SEARCH_SUBSETS:
-        raise InvalidParameterError(
-            f"C({n}, {w}) exceeds the subset-stream search limit {MAX_SEARCH_SUBSETS}; "
-            "report the subset with the combinadic codec (combinadic_encode) instead"
-        )
-    return n, w, c1
 
 
 def _rank_words(rank: int, total: int) -> tuple[int, int]:
@@ -258,7 +238,7 @@ def permutation_search(
     :data:`MAX_SEARCH_SUBSETS` is rejected.  It gives up after 64 * C(n, w)
     entries, which a search overruns with probability about e^-64.
     """
-    n, w, c1 = _check_search(n, w, c1)
+    n, w, c1 = check_search(n, w, c1)
     rng_seed = check_integer("rng_seed", rng_seed, 0)
     targets = _check_positions(unreliable_positions, n)
     if len(targets) != w:
@@ -281,7 +261,7 @@ def simulate_permutation_search(
 
     Returns the per-trial stream indexes K and idle-period counts I.
     """
-    n, w, c1 = _check_search(n, w, c1)
+    n, w, c1 = check_search(n, w, c1)
     trials, seed = check_integer("trials", trials, 1), check_integer("seed", seed, 0)
     total = math.comb(n, w)
     picker = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -329,15 +309,6 @@ def mean_report_delay(n: int, w: int, c1: int) -> float:
     """Expected symbol periods from search start to retransmission start:
     idle periods, one reporting period, and the c1 feedback bit periods."""
     return expected_idle_periods(n, w, c1) + 1.0 + c1
-
-
-def optimal_c1(n: int, w: int) -> int:
-    """Residual width minimizing the expected report delay:
-    round(-0.5 + log2(E[K])) with E[K] = C(n, w), at least 1."""
-    n, w = check_integer("n", n, 0), check_integer("w", w, 0)
-    if w > n:
-        raise InvalidParameterError("need 0 <= w <= n")
-    return max(1, round_half_away(-0.5 + math.log2(math.comb(n, w))))
 
 
 def throughput_one_retx(n: int, mean_idle_plus_one: float) -> float:

@@ -38,8 +38,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidParameterError
-from .model import LinkModel, ProtocolConfig, check_integer
+from .errors import ConfigurationError
+from .model import LinkModel, ProtocolConfig, check_integer, check_whole_packets
 
 __all__ = ["SCHEMES", "TrialReport", "simulate", "compare_schemes"]
 
@@ -151,8 +151,7 @@ def simulate(
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     n, d = config.packet_bits, config.retransmissions
-    if bits % n != 0:
-        raise InvalidParameterError("bits must be a positive multiple of packet_bits")
+    check_whole_packets(bits, n)
     select = _selector(config, scheme)
     if link.fading is not None:
         raise ConfigurationError("the Monte Carlo does not simulate fading; give a link without it")

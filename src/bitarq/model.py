@@ -32,8 +32,12 @@ __all__ = [
     "MAX_SNR_DB",
     "round_half_away",
     "feedback_bit_width",
+    "MAX_SEARCH_SUBSETS",
+    "check_search",
+    "optimal_c1",
     "check_integer",
     "check_snr",
+    "check_whole_packets",
 ]
 
 
@@ -69,6 +73,41 @@ def check_integer(name: str, value, minimum: int) -> int:
     if number < minimum:
         raise InvalidParameterError(f"{name} must be at least {minimum}, got {number}")
     return number
+
+
+# Largest C(n, w) searched.  A searched entry costs about 20 ns (2-core Xeon VM),
+# so a mean search of 10**6 entries takes about 20 ms.
+MAX_SEARCH_SUBSETS = 10**6
+
+
+def check_search(n, w, c1) -> tuple[int, int, int]:
+    """The subset-stream search shape (n, w, c1) as ints; C(n, w) above
+    :data:`MAX_SEARCH_SUBSETS` is rejected."""
+    n, w, c1 = check_integer("n", n, 1), check_integer("w", w, 1), check_integer("c1", c1, 1)
+    if w > n:
+        raise InvalidParameterError("need 1 <= w <= n")
+    if math.comb(n, w) > MAX_SEARCH_SUBSETS:
+        raise InvalidParameterError(
+            f"C({n}, {w}) exceeds the subset-stream search limit {MAX_SEARCH_SUBSETS}; "
+            "report the subset with the combinadic codec (combinadic_encode) instead"
+        )
+    return n, w, c1
+
+
+def optimal_c1(n: int, w: int) -> int:
+    """Residual width minimizing the expected report delay:
+    round(-0.5 + log2(E[K])) with E[K] = C(n, w), at least 1."""
+    n, w = check_integer("n", n, 0), check_integer("w", w, 0)
+    if w > n:
+        raise InvalidParameterError("need 0 <= w <= n")
+    return max(1, round_half_away(-0.5 + math.log2(math.comb(n, w))))
+
+
+def check_whole_packets(bits: int, packet_bits: int) -> None:
+    """Raise ``InvalidParameterError`` unless ``bits`` is a positive whole
+    number of ``packet_bits``-bit packets."""
+    if bits < 1 or bits % packet_bits:
+        raise InvalidParameterError("bits must be a positive multiple of packet_bits")
 
 
 # Highest SNR accepted anywhere: up to here the equal-probability ladders

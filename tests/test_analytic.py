@@ -222,6 +222,31 @@ class TestEvaluatorInput:
         with pytest.raises(InvalidParameterError):
             evaluator(3.0, ladder)
 
+    @pytest.mark.parametrize("evaluator", [ber_exact, ber_approx, retx_rung])
+    def test_bare_number_ladder(self, evaluator):
+        with pytest.raises(InvalidParameterError, match="must be a sequence"):
+            evaluator(3.0, 0.5)
+
+    def test_long_ladder(self):
+        # more thresholds than np.broadcast takes operands (32 on NumPy 1.x, 64 on 2.x)
+        us = tuple(np.linspace(0.1, 4.0, 70))
+        assert 0.0 < ber_exact(3.0, us) < ber_exact(3.0, us[:40]) < q_function(math.sqrt(6.0))
+
+    @pytest.mark.parametrize("prefix, u", [
+        ((0.5,), 0.2),  # below the last threshold of the prefix: -0.0155 before the check
+        ((), -1.0),  # below 0 with no prefix: -0.0733
+        ((0.5,), math.nan),
+        ((), np.array([0.5, -0.1])),
+    ])
+    def test_rung_rejects_a_top_threshold_below_its_prefix(self, prefix, u):
+        fraction = retx_rung(3.0, prefix)
+        with pytest.raises(InvalidParameterError):
+            fraction(u)
+
+    def test_rung_accepts_a_top_threshold_equal_to_its_prefix(self):
+        assert retx_rung(3.0, (0.5,))(0.5)[0] > 0.0  # bits below 0.5 after round 1
+        assert retx_rung(3.0, ())(0.0)[0] == 0.0
+
     @pytest.mark.parametrize("u", [-1.0, math.nan, np.array([0.5, -0.1, 1.0])])
     def test_bad_shared_threshold(self, u):
         with pytest.raises(InvalidParameterError):

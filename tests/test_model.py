@@ -13,7 +13,7 @@ from bitarq import (
     SlowChiSquareFading,
 )
 from bitarq.mc import simulate
-from bitarq.model import MAX_SNR_DB, round_half_away
+from bitarq.model import MAX_SNR_DB, check_whole_packets, round_half_away
 from bitarq.optimize import resolve_strategy
 
 
@@ -154,3 +154,15 @@ def test_round_half_away():
     assert round_half_away(2.5) == 3
     assert round_half_away(-0.5) == -1
     assert round_half_away(2.49) == 2
+
+
+@pytest.mark.parametrize("bits", [1000, 1025, 0, -1024])
+def test_whole_packet_rule(bits):
+    check_whole_packets(3072, 1024)
+    with pytest.raises(InvalidParameterError, match="positive multiple of packet_bits"):
+        check_whole_packets(bits, 1024)
+
+
+def test_simulate_applies_the_whole_packet_rule():
+    with pytest.raises(InvalidParameterError, match="positive multiple of packet_bits"):
+        simulate(ProtocolConfig(1024, 0), LinkModel(1.0), "sequential", 1000, 0)

@@ -22,12 +22,23 @@ ENV = dict(os.environ, PYTHONPATH=str(SRC))
 _LOADED = "import sys; print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
 
 
-def _python(*args):
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=ENV,
+def _python(*args, env=ENV):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                           check=True)
 
 
-@pytest.mark.parametrize("module", ["bitarq", "bitarq.cli"])
+def _cli(argv, **env):
+    """(exit code, stdout, stderr, loaded numeric packages) of ``main(argv)`` run in a
+    fresh interpreter with the extra environment variables ``env``."""
+    code = ("import sys; from bitarq.cli import main; sys.argv[0] = 'bitarq'\n"
+            f"try:\n    rc = main({argv!r})\nexcept SystemExit as exc:\n    rc = exc.code\n"
+            f"print(rc); {_LOADED}")
+    proc = _python("-c", code, env={**ENV, **env})
+    *out, rc, loaded = proc.stdout.splitlines()
+    return int(rc), "\n".join(out), proc.stderr, loaded
+
+
+@pytest.mark.parametrize("module", ["bitarq", "bitarq.cli", "bitarq.model"])
 def test_import_loads_neither_numpy_nor_scipy(module):
     assert _python("-c", f"import {module}; {_LOADED}").stdout.strip() == "[]"
 
@@ -40,11 +51,50 @@ def test_import_loads_neither_numpy_nor_scipy(module):
       for tech in ("zigbee", "wifi", "bluetooth")),
     (["fusion-feasibility", "--tech", "zigbee", "--pf", "1e-3", "--pr", "1e-5", "--nseg", "2",
       "--wseg", "3"], "[]"),
+    # full repetition resolves no ladder, so it needs no optimizer
+    (["simulate", "--scheme", "full_repetition", "--snr-db", "3", "--n", "1024", "--d", "2",
+      "--bits", "10240"], "['numpy']"),
 ])
 def test_command_loads_no_scipy(argv, loaded):
-    code = ("import sys; from bitarq.cli import main; sys.argv[0] = 'bitarq'\n"
-            f"try:\n    main({argv!r})\nexcept SystemExit:\n    pass\n{_LOADED}")
-    assert _python("-c", code).stdout.strip().splitlines()[-1] == loaded
+    assert _cli(argv)[3] == loaded
+
+
+_SIM = ["simulate", "--snr-db", "3", "--n", "1024", "--d", "2"]
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    # the README example: 1,000,000 bits is not a whole number of 1024-bit packets
+    (["sweep-window", "--snr-db", "0", "--d", "2", "--n", "1024", "--bits", "1000000",
+      "--seed", "7"], {}, "bits must be a positive multiple of packet_bits"),
+    (["sweep-rate", "--snr-db", "101", "--d", "1"], {},
+     "--snr-db 101.0 is above the 100 dB ceiling"),
+    (["optimize", "--strategy", "rate", "--snr-db", "101", "--d", "2"], {},
+     "--snr-db 101.0 is above the 100 dB ceiling"),
+    ([*_SIM, "--bits", "1000", "--window", "0.2"], {},
+     "bits must be a positive multiple of packet_bits"),
+    ([*_SIM, "--bits", "1024", "--window", "1.5"], {},
+     "--window is the fraction W/N in (0, 1], got 1.5"),
+    ([*_SIM, "--scheme", "full_repetition", "--bits", "1024", "--rate", "0.7"], {},
+     "--rate, --window and --threshold do not apply to full repetition or --d 0"),
+    ([*_SIM, "--bits", "1024"], {}, "give exactly one of --rate, --window, --threshold"),
+    ([*_SIM, "--bits", "1024", "--window", "0.2"], {"BITARQ_THREADS": "0"},
+     "BITARQ_THREADS must be a positive integer, got '0'"),
+    (["feedback-sim", "--n", "1024", "--w", "4"], {},
+     "C(1024, 4) exceeds the subset-stream search limit 1000000; "
+     "report the subset with the combinadic codec (combinadic_encode) instead"),
+], ids=["readme-sweep-window", "sweep-snr-ceiling", "optimize-snr-ceiling", "partial-packet",
+        "window-above-1", "flag-under-full-repetition", "no-strategy-flag", "threads-0",
+        "search-too-large"])
+def test_configuration_error_exits_before_numpy_loads(argv, env, message):
+    assert _cli(argv, **env) == (2, "", f"error: {message}\n", "[]")
+
+
+def test_small_monte_carlo_sweep_fills_its_columns():
+    code, out, _, loaded = _cli(["sweep-window", "--snr-db", "0", "--d", "2", "--n", "16",
+                                 "--points", "2", "--bits", "32", "--seed", "7"])
+    rows = [r.split(",") for r in out.splitlines() if not r.startswith("#")][1:]
+    assert (code, loaded, len(rows)) == (0, "['numpy', 'scipy']", 2)
+    assert all(len(r) == 5 and r[3] and r[4] for r in rows)
 
 
 def test_no_module_imports_scipy_optimize():
