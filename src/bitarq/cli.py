@@ -219,8 +219,8 @@ def _run_simulate(args, out: _Output) -> None:
 
 
 def _run_feedback_sim(args, out: _Output) -> None:
+    check_search(args.n, args.w, args.c1 or 1)  # a derived c1 is at least 1
     c1 = args.c1 if args.c1 is not None else optimal_c1(args.n, args.w)
-    check_search(args.n, args.w, c1)
     from .feedback import expected_idle_periods, simulate_permutation_search, throughput_one_retx
 
     out.config(n=args.n, w=args.w, c1=c1, trials=args.trials, seed=args.seed)

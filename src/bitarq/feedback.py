@@ -25,7 +25,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidParameterError, SearchExhaustedError
-from .model import MAX_SEARCH_SUBSETS, check_integer, check_search, feedback_bit_width, optimal_c1
+from .model import (MAX_SEARCH_SUBSETS, check_integer, check_search, check_subset, feedback_bit_width,
+                    optimal_c1)
 
 __all__ = [
     "CombinadicMessage",
@@ -139,8 +140,7 @@ def combinadic_encode(positions: Iterable[int], n: int) -> CombinadicMessage:
 
 def combinadic_decode(message: CombinadicMessage, n: int, w: int) -> tuple[int, ...]:
     """Invert :func:`combinadic_encode`; returns sorted 0-based positions."""
-    n, w = check_integer("n", n, 0), check_integer("w", w, 0)
-    total = math.comb(n, w)
+    n, w, total = check_subset(n, w, 0)
     if message.rank >= total:
         raise InvalidParameterError(f"rank {message.rank} >= C({n}, {w}) = {total}")
     rank = message.rank
@@ -194,10 +194,10 @@ def subset_at(seed: int, index: int, n: int, w: int) -> tuple[int, ...]:
     seed, index = check_integer("seed", seed, 0), check_integer("index", index, 0)
     if index >= _WORDS_PER_COUNTER << 64:
         raise InvalidParameterError(f"stream indexes stop at 4 * 2**64, got {index}")
-    n, w = check_integer("n", n, 1), check_integer("w", w, 1)
+    n, w, total = check_subset(n, w, 1)
     block, word = divmod(index, _WORDS_PER_COUNTER)
     x = int(_stream_generator(seed, block).bit_generator.random_raw(_WORDS_PER_COUNTER)[word])
-    rank = (x * math.comb(n, w)) >> 64
+    rank = (x * total) >> 64
     return combinadic_decode(CombinadicMessage(rank, feedback_bit_width(n, w)), n, w)
 
 
@@ -284,10 +284,7 @@ def expected_idle_periods(n: int, w: int, c1: int) -> float:
     exp(l - a) / (1 - exp(-a)). Scaling by powers of two keeps this finite
     when C(n, w) or 2**c1 lies beyond the float range.
     """
-    n, w, c1 = check_integer("n", n, 0), check_integer("w", w, 0), check_integer("c1", c1, 0)
-    if w > n:
-        raise InvalidParameterError("need 0 <= w <= n")
-    c = math.comb(n, w)
+    c, c1 = check_subset(n, w, 0)[2], check_integer("c1", c1, 0)
     if c == 1:  # the first stream entry always qualifies: K = 1
         return float(c1 == 0)
     k = c.bit_length()

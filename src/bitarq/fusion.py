@@ -238,8 +238,6 @@ def schedule_uplink(n: int, w: int, d: int, blocks: int, block_bits: int) -> Fus
         raise InvalidParameterError("window cannot exceed the packet size")
     if d * w > n / 4:
         warnings.warn("d*w exceeds n/4; packet structure may be irregular")
-    if blocks == 0:
-        return FusionPlan(n, ())
 
     # min-heap of (due packet, block, round) over the retransmission spans not
     # yet sent: each packet takes those due by then, oldest first, while they fit

@@ -36,6 +36,7 @@ __all__ = [
     "check_search",
     "optimal_c1",
     "check_integer",
+    "check_subset",
     "check_snr",
     "check_whole_packets",
 ]
@@ -50,12 +51,6 @@ def round_half_away(x: float) -> int:
     if x >= 0:
         return math.floor(x + 0.5)
     return math.ceil(x - 0.5)
-
-
-def feedback_bit_width(n: int, w: int) -> int:
-    """Exact width of a subset-rank message: ceil(log2(C(n, w)))."""
-    total = math.comb(n, w)
-    return (total - 1).bit_length()
 
 
 def check_integer(name: str, value, minimum: int) -> int:
@@ -75,6 +70,20 @@ def check_integer(name: str, value, minimum: int) -> int:
     return number
 
 
+def check_subset(n, w, least: int) -> tuple[int, int, int]:
+    """(n, w, C(n, w)) as ints for w-subsets of n bits, ``least`` <= w <= n: ``least``
+    is 1 for the subset-stream search, 0 for the combinadic codec, widths and delay models."""
+    n, w = check_integer("n", n, least), check_integer("w", w, least)
+    if w > n:
+        raise InvalidParameterError(f"need {least} <= w <= n")
+    return n, w, math.comb(n, w)
+
+
+def feedback_bit_width(n: int, w: int) -> int:
+    """Exact width of a subset-rank message: ceil(log2(C(n, w))), 0 <= w <= n."""
+    return (check_subset(n, w, 0)[2] - 1).bit_length()
+
+
 # Largest C(n, w) searched.  A searched entry costs about 20 ns (2-core Xeon VM),
 # so a mean search of 10**6 entries takes about 20 ms.
 MAX_SEARCH_SUBSETS = 10**6
@@ -83,10 +92,9 @@ MAX_SEARCH_SUBSETS = 10**6
 def check_search(n, w, c1) -> tuple[int, int, int]:
     """The subset-stream search shape (n, w, c1) as ints; C(n, w) above
     :data:`MAX_SEARCH_SUBSETS` is rejected."""
-    n, w, c1 = check_integer("n", n, 1), check_integer("w", w, 1), check_integer("c1", c1, 1)
-    if w > n:
-        raise InvalidParameterError("need 1 <= w <= n")
-    if math.comb(n, w) > MAX_SEARCH_SUBSETS:
+    n, w, total = check_subset(n, w, 1)
+    c1 = check_integer("c1", c1, 1)
+    if total > MAX_SEARCH_SUBSETS:
         raise InvalidParameterError(
             f"C({n}, {w}) exceeds the subset-stream search limit {MAX_SEARCH_SUBSETS}; "
             "report the subset with the combinadic codec (combinadic_encode) instead"
@@ -97,10 +105,7 @@ def check_search(n, w, c1) -> tuple[int, int, int]:
 def optimal_c1(n: int, w: int) -> int:
     """Residual width minimizing the expected report delay:
     round(-0.5 + log2(E[K])) with E[K] = C(n, w), at least 1."""
-    n, w = check_integer("n", n, 0), check_integer("w", w, 0)
-    if w > n:
-        raise InvalidParameterError("need 0 <= w <= n")
-    return max(1, round_half_away(-0.5 + math.log2(math.comb(n, w))))
+    return max(1, round_half_away(-0.5 + math.log2(check_subset(n, w, 0)[2])))
 
 
 def check_whole_packets(bits: int, packet_bits: int) -> None:
@@ -223,10 +228,9 @@ class ProtocolConfig:
             object.__setattr__(self, "thresholds", _items("thresholds", self.thresholds, float))
             if len(self.thresholds) != d:
                 raise InvalidParameterError("need one threshold per retransmission")
-            if any(not u >= 0 for u in self.thresholds):
-                raise InvalidParameterError("thresholds must be non-negative (nan is not)")
-            if any(a > b for a, b in zip(self.thresholds, self.thresholds[1:])):
-                raise InvalidParameterError("thresholds must be nondecreasing")
+            # (0, U_0, ..., U_{D-1}): one comparison checks the first rung and every step
+            if any(not a <= b for a, b in zip((0.0, *self.thresholds), self.thresholds)):
+                raise InvalidParameterError("thresholds must be non-negative and nondecreasing (nan is not)")
         if self.windows is not None:
             windows = _items("windows", self.windows, lambda w: check_integer("window size", w, 1))
             object.__setattr__(self, "windows", windows)

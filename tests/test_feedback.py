@@ -28,6 +28,7 @@ from bitarq.feedback import (
     throughput_one_retx,
     unpack_bits,
 )
+from bitarq.model import check_search, check_subset
 
 
 class TestCombinadic:
@@ -367,6 +368,39 @@ class TestInputHoles:
     def test_integer_inputs_raise_typed_errors(self, call):
         with pytest.raises(InvalidParameterError):
             call()
+
+    # every entry point that takes a w-of-n subset shape, with the least w it accepts
+    SHAPE_CALLS = {
+        "feedback_bit_width": (feedback_bit_width, 0),
+        "check_search": (lambda n, w: check_search(n, w, 1), 1),
+        "optimal_c1": (optimal_c1, 0),
+        "combinadic_decode": (lambda n, w: combinadic_decode(CombinadicMessage(0, 0), n, w), 0),
+        "subset_at": (lambda n, w: subset_at(1, 0, n, w), 1),
+        "expected_idle_periods": (lambda n, w: expected_idle_periods(n, w, 1), 0),
+    }
+
+    @pytest.mark.parametrize("name", SHAPE_CALLS)
+    @pytest.mark.parametrize("n, w, message", [
+        (3, 4, "need {least} <= w <= n"),
+        (-1, 2, "n must be at least {least}, got -1"),
+        (2.5, 1, "n must be an integer, got 2.5"),
+    ], ids=["w-above-n", "negative-n", "fractional-n"])
+    def test_subset_shape_has_one_rule(self, name, n, w, message):
+        # feedback_bit_width returned 1 for (3, 4) and raised a raw ValueError for
+        # (-1, 2) and a raw TypeError for (2.5, 1); both decoders reported
+        # "rank 0 >= C(3, 4) = 0"; the other three each wrote out their own rule
+        call, least = self.SHAPE_CALLS[name]
+        with pytest.raises(InvalidParameterError) as error:
+            call(n, w)
+        assert str(error.value) == message.format(least=least)
+
+    def test_subset_shape_bounds(self):
+        assert check_subset(16, 3, 1) == (16, 3, 560)
+        assert check_subset(np.int64(4), np.uint8(0), 0) == (4, 0, 1)
+        assert all(type(v) is int for v in check_subset(np.int64(4), np.uint8(0), 0))
+        assert check_subset(0, 0, 0) == (0, 0, 1)
+        with pytest.raises(InvalidParameterError, match="w must be at least 1"):
+            check_subset(4, 0, 1)
 
     @pytest.mark.parametrize("data", ["ab", None, [1, 2]], ids=["str", "none", "list"])
     def test_payload_must_be_bytes_like(self, data):

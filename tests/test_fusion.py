@@ -179,6 +179,9 @@ class TestSchedule:
 
     def test_zero_blocks(self):
         assert schedule_uplink(1000, 4, 2, 0, 1000).packets == ()
+        # the load warning comes before the empty plan
+        with pytest.warns(UserWarning, match="irregular"):
+            assert schedule_uplink(100, 30, 2, 0, 100).packets == ()
 
     def test_full_packets_defer_retransmission_spans(self):
         # R3,1 and R3,2 find the packets they are due in full and move one

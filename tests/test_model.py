@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bitarq import (
     ConfigurationError,
@@ -11,10 +11,18 @@ from bitarq import (
     LinkModel,
     ProtocolConfig,
     SlowChiSquareFading,
+    ber_exact,
 )
 from bitarq.mc import simulate
 from bitarq.model import MAX_SNR_DB, check_whole_packets, round_half_away
 from bitarq.optimize import resolve_strategy
+
+
+# threshold ladders with negative, nan, infinite and decreasing entries
+_LADDERS = st.lists(
+    st.one_of(st.floats(-1.0, 4.0), st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])),
+    min_size=1, max_size=4,
+)
 
 
 def forward_rate(cfg: ProtocolConfig) -> float:
@@ -120,6 +128,27 @@ class TestProtocolConfig:
     def test_rejects_nan_threshold(self):
         with pytest.raises(InvalidParameterError):
             ProtocolConfig(16, 1, thresholds=(math.nan,))
+
+    @settings(deadline=None)
+    @given(us=st.one_of(_LADDERS, _LADDERS.map(sorted)))
+    @example(us=[0.5, math.inf])  # inf is a threshold
+    @example(us=[math.inf, math.inf])
+    @example(us=[-0.5, 1.0])
+    @example(us=[1.0, math.nan])
+    @example(us=[1.0, 0.5])
+    @example(us=[-math.inf])
+    def test_ladder_rule_matches_the_analytic_one(self, us):
+        # the config wrote its own two checks with other messages
+        def outcome(call):
+            try:
+                call()
+            except InvalidParameterError as error:
+                return str(error)
+            return None
+
+        assert outcome(lambda: ProtocolConfig(16, len(us), thresholds=us)) == outcome(
+            lambda: ber_exact(10**0.5, us)
+        )
 
     @pytest.mark.parametrize("args, kwargs, match", [
         ((1.5, 1), {}, "packet_bits must be an integer"),  # was accepted

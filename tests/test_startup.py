@@ -82,9 +82,12 @@ _SIM = ["simulate", "--snr-db", "3", "--n", "1024", "--d", "2"]
     (["feedback-sim", "--n", "1024", "--w", "4"], {},
      "C(1024, 4) exceeds the subset-stream search limit 1000000; "
      "report the subset with the combinadic codec (combinadic_encode) instead"),
+    # the default c1 was derived first, under the 0 <= w <= n rule of the delay model
+    (["feedback-sim", "--n", "3", "--w", "4"], {}, "need 1 <= w <= n"),
+    (["feedback-sim", "--n", "3", "--w", "4", "--c1", "4"], {}, "need 1 <= w <= n"),
 ], ids=["readme-sweep-window", "sweep-snr-ceiling", "optimize-snr-ceiling", "partial-packet",
         "window-above-1", "flag-under-full-repetition", "no-strategy-flag", "threads-0",
-        "search-too-large"])
+        "search-too-large", "window-above-n", "window-above-n-with-c1"])
 def test_configuration_error_exits_before_numpy_loads(argv, env, message):
     assert _cli(argv, **env) == (2, "", f"error: {message}\n", "[]")
 
