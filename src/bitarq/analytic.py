@@ -96,7 +96,15 @@ def _quad(f, a: float, b: float) -> float:
 # included (tests/test_oracle.py).
 _PANELS = 4
 _WINDOW = 10.0
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# The 16-point Gauss-Legendre rule on [-1, 1]: np.polynomial.legendre.leggauss(16) to
+# the last bit (tests/test_analytic.py), without the eigenvalue solve that loads LAPACK.
+# The rule is symmetric, so the nodes in (0, 1) and their weights are listed.
+_GL_HALF_X = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+              0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499)
+_GL_HALF_W = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+              0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176)
+_GL_X = np.array([-x for x in reversed(_GL_HALF_X)] + list(_GL_HALF_X))
+_GL_W = np.array(_GL_HALF_W[::-1] + _GL_HALF_W)
 _NODES = ((np.arange(_PANELS)[:, None] + 0.5 * (_GL_X + 1.0)) / _PANELS).ravel()
 _WEIGHTS = np.tile(_GL_W, _PANELS) / (2.0 * _PANELS * math.sqrt(2.0 * math.pi))
 

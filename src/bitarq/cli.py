@@ -19,13 +19,14 @@ from functools import cache, partial
 from . import __version__
 from .errors import BitarqError, ConfigurationError, NumericFailureError
 from .model import (MAX_SNR_DB, LinkModel, ProtocolConfig, check_search, check_whole_packets,
-                    optimal_c1)
+                    optimal_c1, window_protocol)
 
 # Each runner makes every check that needs no numeric layer, then imports only
 # the layers its path uses, so a configuration error exits before NumPy or SciPy
-# loads; only resolve_protocol's rules need the optimizer.  `import bitarq.cli`,
-# --version, fusion-plan and fit-check load neither; feedback-sim and full
-# repetition load NumPy alone.
+# loads.  `import bitarq.cli`, --version, fusion-plan and fit-check load neither;
+# feedback-sim, full repetition and the windowed sequential simulate load NumPy
+# alone.  Only a threshold ladder or the shared-threshold rate needs the optimizer
+# and SciPy: the sweeps, optimize, and simulate --scheme preassigned or --threshold.
 
 _THREADS_ENV = "BITARQ_THREADS"
 
@@ -196,10 +197,16 @@ def _run_simulate(args, out: _Output) -> None:
     check_whole_packets(args.bits, args.n)
     if flag is None:
         cfg, snr_eff = ProtocolConfig(args.n, args.d), base_snr / (1.0 + args.d)
-    else:
+    elif flag[0] == "threshold":  # the shared threshold and its rate
         from .optimize import resolve_protocol
 
         cfg, snr_eff = resolve_protocol(*flag, args.n, args.d, base_snr)
+    else:
+        cfg, snr_eff = window_protocol(*flag, args.n, args.d, base_snr)
+        if args.scheme == "preassigned":  # the sequential scheme reads W alone
+            from .optimize import add_ladder
+
+            cfg = add_ladder(cfg, snr_eff)
     from .mc import simulate
 
     out.config(
@@ -219,7 +226,7 @@ def _run_simulate(args, out: _Output) -> None:
 
 
 def _run_feedback_sim(args, out: _Output) -> None:
-    check_search(args.n, args.w, args.c1 or 1)  # a derived c1 is at least 1
+    *_, total = check_search(args.n, args.w, args.c1 or 1)  # a derived c1 is at least 1
     c1 = args.c1 if args.c1 is not None else optimal_c1(args.n, args.w)
     from .feedback import expected_idle_periods, simulate_permutation_search, throughput_one_retx
 
@@ -234,7 +241,7 @@ def _run_feedback_sim(args, out: _Output) -> None:
     )
     out.row(
         args.trials, c1, optimal_c1(args.n, args.w), f"{mean_k:.4f}",
-        math.comb(args.n, args.w), f"{mean_idle:.6f}",
+        total, f"{mean_idle:.6f}",
         f"{expected_idle_periods(args.n, args.w, c1):.6f}", f"{delay:.6f}",
         f"{throughput_one_retx(args.n, delay):.6f}",
     )

@@ -238,12 +238,12 @@ def permutation_search(
     :data:`MAX_SEARCH_SUBSETS` is rejected.  It gives up after 64 * C(n, w)
     entries, which a search overruns with probability about e^-64.
     """
-    n, w, c1 = check_search(n, w, c1)
+    n, w, c1, total = check_search(n, w, c1)
     rng_seed = check_integer("rng_seed", rng_seed, 0)
     targets = _check_positions(unreliable_positions, n)
     if len(targets) != w:
         raise InvalidParameterError("the target set must contain exactly w positions")
-    k = _search(combinadic_encode(targets, n).rank, math.comb(n, w), rng_seed)
+    k = _search(combinadic_encode(targets, n).rank, total, rng_seed)
     return PermutationMessage(k % (1 << c1), k >> c1, c1)
 
 
@@ -261,9 +261,8 @@ def simulate_permutation_search(
 
     Returns the per-trial stream indexes K and idle-period counts I.
     """
-    n, w, c1 = check_search(n, w, c1)
+    n, w, c1, total = check_search(n, w, c1)
     trials, seed = check_integer("trials", trials, 1), check_integer("seed", seed, 0)
-    total = math.comb(n, w)
     picker = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     session_seeds = picker.integers(0, 2**63, size=trials).tolist()
     ranks = picker.integers(0, total, size=trials).tolist()

@@ -31,6 +31,10 @@ __all__ = [
     "ProtocolConfig",
     "MAX_SNR_DB",
     "round_half_away",
+    "rate_range",
+    "window_size",
+    "window_rate",
+    "window_protocol",
     "feedback_bit_width",
     "MAX_SEARCH_SUBSETS",
     "check_search",
@@ -51,6 +55,34 @@ def round_half_away(x: float) -> int:
     if x >= 0:
         return math.floor(x + 0.5)
     return math.ceil(x - 0.5)
+
+
+def rate_range(n: int, d: int) -> tuple[float, float]:
+    """The admissible forward rates (lo, hi]: at lo every round resends all N
+    bits, at hi one bit."""
+    return 1.0 / (1.0 + d), n / (d + n)
+
+
+def window_size(kind: str, x: float, n: int, d: int) -> int:
+    """Integer window W of a forward rate, round((N/D)(1/R - 1)), or of a
+    window fraction, round(F*N): rounded half away and clamped to [1, N]."""
+    n, d = check_integer("n", n, 1), check_integer("d", d, 1)
+    if kind == "rate":
+        lo, hi = rate_range(n, d)
+        if not (x > lo and x <= hi * (1.0 + 1e-12)):
+            raise InvalidParameterError(f"rate {x} outside the admissible interval ({lo}, {hi}]")
+        w = (n / d) * (1.0 / x - 1.0)
+    else:
+        if not 0.0 < x <= 1.0:
+            raise InvalidParameterError(f"window fraction {x} outside (0, 1]")
+        w = x * n
+    return min(max(round_half_away(w), 1), n)
+
+
+def window_rate(d: int, fraction):
+    """Forward rate 1/(1 + D*F) of D rounds that each resend the fraction F of
+    the packet (F = W/N for a window W); ``fraction`` may be a NumPy array."""
+    return 1.0 / (1.0 + d * fraction)
 
 
 def check_integer(name: str, value, minimum: int) -> int:
@@ -89,9 +121,9 @@ def feedback_bit_width(n: int, w: int) -> int:
 MAX_SEARCH_SUBSETS = 10**6
 
 
-def check_search(n, w, c1) -> tuple[int, int, int]:
-    """The subset-stream search shape (n, w, c1) as ints; C(n, w) above
-    :data:`MAX_SEARCH_SUBSETS` is rejected."""
+def check_search(n, w, c1) -> tuple[int, int, int, int]:
+    """The subset-stream search shape (n, w, c1) and its count C(n, w) as ints;
+    C(n, w) above :data:`MAX_SEARCH_SUBSETS` is rejected."""
     n, w, total = check_subset(n, w, 1)
     c1 = check_integer("c1", c1, 1)
     if total > MAX_SEARCH_SUBSETS:
@@ -99,7 +131,7 @@ def check_search(n, w, c1) -> tuple[int, int, int]:
             f"C({n}, {w}) exceeds the subset-stream search limit {MAX_SEARCH_SUBSETS}; "
             "report the subset with the combinadic codec (combinadic_encode) instead"
         )
-    return n, w, c1
+    return n, w, c1, total
 
 
 def optimal_c1(n: int, w: int) -> int:
@@ -239,3 +271,19 @@ class ProtocolConfig:
             if any(w > n for w in self.windows):
                 raise InvalidParameterError("window sizes must satisfy 1 <= W_d <= N")
 
+
+def window_protocol(
+    kind: str, x: float, n: int, d: int, base_snr: float
+) -> tuple[ProtocolConfig, float]:
+    """(ProtocolConfig, effective SNR) of a forward rate or window fraction x:
+    the window W = :func:`window_size` in each of the D rounds, no thresholds,
+    at the energy-equalized SNR base_snr / (1 + D*W/N).
+
+    The sequential scheme reads only W; :func:`bitarq.optimize.add_ladder`
+    adds the threshold ladder that the preassigned scheme reads.
+    """
+    w = window_size(kind, x, n, d)
+    check_snr("base_snr", base_snr)
+    snr_eff = base_snr * window_rate(d, w / n)
+    check_snr("snr", snr_eff)  # a tiny base SNR can underflow to 0 here
+    return ProtocolConfig(n, d, windows=(w,) * d), snr_eff

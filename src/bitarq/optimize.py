@@ -23,7 +23,8 @@ from scipy.special import ndtri
 
 from .analytic import ber_approx, ber_exact, retx_rung, shared_threshold_fractions
 from .errors import InvalidParameterError, NumericFailureError
-from .model import LinkModel, ProtocolConfig, check_integer, check_snr, round_half_away
+from .model import (LinkModel, ProtocolConfig, check_integer, check_snr, rate_range,
+                    round_half_away, window_protocol, window_rate, window_size)
 
 __all__ = [
     "SweepResult",
@@ -38,6 +39,7 @@ __all__ = [
     "threshold_u_max",
     "resolve_strategy",
     "resolve_protocol",
+    "add_ladder",
     "sweep_blocks",
 ]
 
@@ -324,12 +326,6 @@ def threshold_u_max(snr: float) -> float:
     return math.sqrt(2.0 * snr) + 4.0
 
 
-def _rate_range(n: int, d: int) -> tuple[float, float]:
-    """The admissible forward rates (lo, hi]: at lo every round resends all N
-    bits, at hi one bit."""
-    return 1.0 / (1.0 + d), n / (d + n)
-
-
 def resolve_strategy(kind: str, x, d: int, base_snr: float) -> tuple:
     """(thresholds, forward rate, effective SNR) of strategy parameter(s) x.
 
@@ -349,25 +345,9 @@ def resolve_strategy(kind: str, x, d: int, base_snr: float) -> tuple:
         rate, snr_eff = fixed_threshold_rate(d, x, base_snr)
         return (x,) * d, rate, snr_eff
     p = np.minimum(1.0, (1.0 / x - 1.0) / d) if kind == "rate" else x
-    rate = x if kind == "rate" else 1.0 / (1.0 + d * p)
+    rate = x if kind == "rate" else window_rate(d, p)
     snr_eff = base_snr * rate
     return _ladder_thresholds(d, p, snr_eff), rate, snr_eff
-
-
-def _window(kind: str, x: float, n: int, d: int) -> int:
-    """Integer window W of a forward rate, round((N/D)(1/R - 1)), or of a
-    window fraction, round(F*N): rounded half away and clamped to [1, N]."""
-    n, d = check_integer("n", n, 1), check_integer("d", d, 1)
-    if kind == "rate":
-        lo, hi = _rate_range(n, d)
-        if not (x > lo and x <= hi * (1.0 + 1e-12)):
-            raise InvalidParameterError(f"rate {x} outside the admissible interval ({lo}, {hi}]")
-        w = (n / d) * (1.0 / x - 1.0)
-    else:
-        if not 0.0 < x <= 1.0:
-            raise InvalidParameterError(f"window fraction {x} outside (0, 1]")
-        w = x * n
-    return min(max(round_half_away(w), 1), n)
 
 
 def resolve_protocol(
@@ -375,17 +355,26 @@ def resolve_protocol(
 ) -> tuple[ProtocolConfig, float]:
     """(ProtocolConfig, effective SNR) that run strategy parameter x.
 
-    A forward rate or window fraction becomes an integer window W, sent in
-    every round, and the ladder is resolved at the fraction W/N.  A shared
-    threshold is used in every round, with no windows, so the sequential
-    scheme retransmits the bits below it.
+    A forward rate or window fraction becomes the windowed config of
+    :func:`bitarq.model.window_protocol`, an integer window W sent in every
+    round, plus the ladder resolved at the fraction W/N, which the preassigned
+    scheme reads (the sequential scheme reads only W).  A shared threshold is
+    used in every round, with no windows, so the sequential scheme
+    retransmits the bits below it.
     """
     if kind not in ("rate", "window"):
         us, _, snr_eff = resolve_strategy(kind, x, d, base_snr)
         return ProtocolConfig(n, d, thresholds=us), snr_eff
-    w = _window(kind, x, n, d)
-    us, _, snr_eff = resolve_strategy("window", w / n, d, base_snr)
-    return ProtocolConfig(n, d, thresholds=us, windows=(w,) * d), snr_eff
+    cfg, snr_eff = window_protocol(kind, x, n, d, base_snr)
+    return add_ladder(cfg, snr_eff), snr_eff
+
+
+def add_ladder(cfg: ProtocolConfig, snr_eff: float) -> ProtocolConfig:
+    """The windowed config ``cfg`` of :func:`bitarq.model.window_protocol` with
+    the equal-probability ladder at its fraction W/N and SNR ``snr_eff``."""
+    n, d = cfg.packet_bits, cfg.retransmissions
+    us = _ladder_thresholds(d, cfg.windows[0] / n, snr_eff)
+    return ProtocolConfig(n, d, thresholds=us, windows=cfg.windows)
 
 
 def sweep_blocks(kind: str, points: int, n: int, d: int, base_snr: float, u_max=None):
@@ -402,7 +391,7 @@ def sweep_blocks(kind: str, points: int, n: int, d: int, base_snr: float, u_max=
     if u_max is not None and not 0.0 < u_max < math.inf:
         raise InvalidParameterError(f"u_max must be positive and finite, got {u_max}")
     if kind == "rate":
-        lo, hi = _rate_range(n, d)
+        lo, hi = rate_range(n, d)
     elif kind == "window":
         lo, hi = 0.0, 1.0
     else:
@@ -466,7 +455,7 @@ def _optimize(kind: str, n: int, d: int, link: LinkModel, points: int) -> SweepR
     if kind == "threshold":
         windows = fixed_threshold_windows(n, d, minimizer, snr_eff)
     else:
-        windows = (_window(kind, minimizer, n, d),) * d
+        windows = (window_size(kind, minimizer, n, d),) * d
     return SweepResult(
         grid=grid,
         minimizer=minimizer,

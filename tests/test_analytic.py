@@ -23,6 +23,8 @@ from bitarq import (
     q_function,
 )
 from bitarq.analytic import (
+    _GL_W,
+    _GL_X,
     _U_CAP,
     _gauss_exp_tail_mean,
     _prony_ber,
@@ -511,3 +513,8 @@ class TestAppendixIntegrals:
             appendix_integral("finite_plus", (1, 1, 1, 1, 1), None)
         with pytest.raises(InvalidParameterError):
             appendix_integral("semiinf_plus", (1, -1, 1, 1, 1))
+
+
+def test_gauss_legendre_literals_are_leggauss_to_the_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert (_GL_X.tobytes(), _GL_W.tobytes()) == (nodes.tobytes(), weights.tobytes())

@@ -396,6 +396,7 @@ class TestInputHoles:
 
     def test_subset_shape_bounds(self):
         assert check_subset(16, 3, 1) == (16, 3, 560)
+        assert check_search(np.int64(16), 3, np.uint8(9)) == (16, 3, 9, 560)
         assert check_subset(np.int64(4), np.uint8(0), 0) == (4, 0, 1)
         assert all(type(v) is int for v in check_subset(np.int64(4), np.uint8(0), 0))
         assert check_subset(0, 0, 0) == (0, 0, 1)

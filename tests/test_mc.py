@@ -109,6 +109,17 @@ class TestSimulateBehavior:
             plain, LINK1, "sequential", 10_000, seed=6
         )
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_windowed_sequential_run_reads_no_ladder(self, d, seed):
+        # the CLI builds a windowed sequential config without thresholds
+        windows = (205,) * d
+        bare = ProtocolConfig(1024, d, windows=windows)
+        laddered = ProtocolConfig(1024, d, thresholds=LADDER[d], windows=windows)
+        assert simulate(bare, LINK1, "sequential", 102_400, seed) == simulate(
+            laddered, LINK1, "sequential", 102_400, seed
+        )
+
     def test_fading_link_is_rejected(self):
         # the engine draws at snr_per_symbol only, so a fading link would get
         # the plain AWGN report

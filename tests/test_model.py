@@ -14,7 +14,8 @@ from bitarq import (
     ber_exact,
 )
 from bitarq.mc import simulate
-from bitarq.model import MAX_SNR_DB, check_whole_packets, round_half_away
+from bitarq.model import (MAX_SNR_DB, check_whole_packets, round_half_away, window_protocol,
+                          window_rate, window_size)
 from bitarq.optimize import resolve_strategy
 
 
@@ -65,6 +66,36 @@ class TestForwardRate:
     def test_whole_packet_windows_give_repetition_rate(self, n, d):
         cfg = ProtocolConfig(n, d, windows=(n,) * d)
         assert forward_rate(cfg) == pytest.approx(1 / (1 + d), rel=1e-14)
+
+
+class TestWindowRule:
+    @pytest.mark.parametrize("kind, x, message", [
+        ("rate", 1 / 3, "rate 0.3333333333333333 outside the admissible interval "
+                        "(0.3333333333333333, 0.998003992015968]"),
+        ("rate", 0.999, "rate 0.999 outside the admissible interval "
+                        "(0.3333333333333333, 0.998003992015968]"),
+        ("window", 0.0, "window fraction 0.0 outside (0, 1]"),
+        ("window", 1.5, "window fraction 1.5 outside (0, 1]"),
+    ])
+    def test_out_of_range(self, kind, x, message):
+        with pytest.raises(InvalidParameterError) as error:
+            window_size(kind, x, 1000, 2)
+        assert str(error.value) == message
+
+    @given(n=st.integers(1, 4096), d=st.integers(1, 5), data=st.data())
+    def test_window_rate_is_the_realized_rate(self, n, d, data):
+        w = data.draw(st.integers(1, n))
+        cfg = ProtocolConfig(n, d, windows=(w,) * d)
+        assert window_rate(d, w / n) == pytest.approx(forward_rate(cfg), rel=1e-14)
+
+    def test_window_protocol_carries_no_ladder(self):
+        cfg, snr_eff = window_protocol("window", 0.2, 1024, 2, 2.0)
+        assert cfg == ProtocolConfig(1024, 2, windows=(205, 205))
+        assert snr_eff == 2.0 / (1.0 + 2 * 205 / 1024)
+
+    def test_window_protocol_rejects_an_equalized_snr_that_underflows(self):
+        with pytest.raises(InvalidParameterError, match="^snr must be positive"):
+            window_protocol("window", 1.0, 10, 2, 5e-324)
 
 
 class TestEffectiveSnr:

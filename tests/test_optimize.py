@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 from bitarq import InvalidParameterError, LinkModel, q_function
 from bitarq.analytic import (ber_approx, ber_exact, retx_rung,
     shared_threshold_fractions, DEFAULT_PRONY)
+from bitarq.model import window_protocol
 from bitarq.optimize import (
     _GOLDEN,
     _GOLDEN_STEPS,
     _GOLDEN_TOL,
     _LOOKAHEAD,
     _ladder_thresholds,
+    add_ladder,
     equal_probability_thresholds,
     fixed_threshold_rate,
     fixed_threshold_windows,
@@ -502,6 +504,12 @@ class TestResolveProtocol:
 
     def test_tiny_window_fraction_keeps_one_bit(self):
         assert resolve_protocol("window", 1e-4, 100, 1, 3.0)[0].windows == (1,)
+
+    @pytest.mark.parametrize("kind, x", [("rate", 0.8), ("window", 0.25)])
+    def test_is_the_windowed_config_plus_its_ladder(self, kind, x):
+        # the CLI's preassigned path builds the same config in two steps
+        bare, snr_eff = window_protocol(kind, x, 1000, 2, 3.0)
+        assert resolve_protocol(kind, x, 1000, 2, 3.0) == (add_ladder(bare, snr_eff), snr_eff)
 
     @pytest.mark.parametrize("fraction", [0.0, 1.5, math.nan])
     def test_rejects_a_window_fraction_outside_the_unit_interval(self, fraction):

@@ -54,6 +54,14 @@ def test_import_loads_neither_numpy_nor_scipy(module):
     # full repetition resolves no ladder, so it needs no optimizer
     (["simulate", "--scheme", "full_repetition", "--snr-db", "3", "--n", "1024", "--d", "2",
       "--bits", "10240"], "['numpy']"),
+    # a windowed sequential run reads its window W alone, not the ladder
+    (["simulate", "--scheme", "sequential", "--snr-db", "3", "--n", "1024", "--d", "2",
+      "--bits", "10240000", "--window", "0.2", "--seed", "1"], "['numpy']"),
+    (["simulate", "--snr-db", "3", "--n", "1024", "--d", "2", "--bits", "204800", "--rate", "0.8"],
+     "['numpy']"),
+    # the preassigned scheme reads the ladder
+    (["simulate", "--scheme", "preassigned", "--snr-db", "3", "--n", "1024", "--d", "2",
+      "--bits", "10240", "--window", "0.2"], "['numpy', 'scipy']"),
 ])
 def test_command_loads_no_scipy(argv, loaded):
     assert _cli(argv)[3] == loaded
@@ -77,6 +85,11 @@ _SIM = ["simulate", "--snr-db", "3", "--n", "1024", "--d", "2"]
     ([*_SIM, "--scheme", "full_repetition", "--bits", "1024", "--rate", "0.7"], {},
      "--rate, --window and --threshold do not apply to full repetition or --d 0"),
     ([*_SIM, "--bits", "1024"], {}, "give exactly one of --rate, --window, --threshold"),
+    # 0.3 lies below 1/(1+D): no window runs it
+    ([*_SIM, "--bits", "204800", "--rate", "0.3"], {},
+     "rate 0.3 outside the admissible interval (0.3333333333333333, 0.9980506822612085]"),
+    ([*_SIM, "--scheme", "preassigned", "--bits", "204800", "--rate", "0.3"], {},
+     "rate 0.3 outside the admissible interval (0.3333333333333333, 0.9980506822612085]"),
     ([*_SIM, "--bits", "1024", "--window", "0.2"], {"BITARQ_THREADS": "0"},
      "BITARQ_THREADS must be a positive integer, got '0'"),
     (["feedback-sim", "--n", "1024", "--w", "4"], {},
@@ -86,7 +99,8 @@ _SIM = ["simulate", "--snr-db", "3", "--n", "1024", "--d", "2"]
     (["feedback-sim", "--n", "3", "--w", "4"], {}, "need 1 <= w <= n"),
     (["feedback-sim", "--n", "3", "--w", "4", "--c1", "4"], {}, "need 1 <= w <= n"),
 ], ids=["readme-sweep-window", "sweep-snr-ceiling", "optimize-snr-ceiling", "partial-packet",
-        "window-above-1", "flag-under-full-repetition", "no-strategy-flag", "threads-0",
+        "window-above-1", "flag-under-full-repetition", "no-strategy-flag", "rate-below-range",
+        "preassigned-rate-below-range", "threads-0",
         "search-too-large", "window-above-n", "window-above-n-with-c1"])
 def test_configuration_error_exits_before_numpy_loads(argv, env, message):
     assert _cli(argv, **env) == (2, "", f"error: {message}\n", "[]")
