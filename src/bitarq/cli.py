@@ -18,15 +18,15 @@ from functools import cache, partial
 
 from . import __version__
 from .errors import BitarqError, ConfigurationError, NumericFailureError
-from .model import (MAX_SNR_DB, LinkModel, ProtocolConfig, check_search, check_whole_packets,
-                    optimal_c1, window_protocol)
+from .model import (MAX_SNR_DB, SCHEMES, LinkModel, ProtocolConfig, check_search,
+                    check_whole_packets, optimal_c1, scheme_protocol)
 
 # Each runner makes every check that needs no numeric layer, then imports only
 # the layers its path uses, so a configuration error exits before NumPy or SciPy
 # loads.  `import bitarq.cli`, --version, fusion-plan and fit-check load neither;
-# feedback-sim, full repetition and the windowed sequential simulate load NumPy
-# alone.  Only a threshold ladder or the shared-threshold rate needs the optimizer
-# and SciPy: the sweeps, optimize, and simulate --scheme preassigned or --threshold.
+# feedback-sim and simulate load NumPy alone, unless `model.scheme_protocol` needs a
+# threshold ladder or the shared-threshold rate: only those, the sweeps and optimize
+# load the optimizer and SciPy (simulate --scheme preassigned or --threshold).
 
 _THREADS_ENV = "BITARQ_THREADS"
 
@@ -195,18 +195,7 @@ def _run_simulate(args, out: _Output) -> None:
     flag = _strategy_flag(args)
     jobs = _n_jobs()
     check_whole_packets(args.bits, args.n)
-    if flag is None:
-        cfg, snr_eff = ProtocolConfig(args.n, args.d), base_snr / (1.0 + args.d)
-    elif flag[0] == "threshold":  # the shared threshold and its rate
-        from .optimize import resolve_protocol
-
-        cfg, snr_eff = resolve_protocol(*flag, args.n, args.d, base_snr)
-    else:
-        cfg, snr_eff = window_protocol(*flag, args.n, args.d, base_snr)
-        if args.scheme == "preassigned":  # the sequential scheme reads W alone
-            from .optimize import add_ladder
-
-            cfg = add_ladder(cfg, snr_eff)
+    cfg, snr_eff = scheme_protocol(args.scheme, flag, args.n, args.d, base_snr)
     from .mc import simulate
 
     out.config(
@@ -328,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_run_optimize)
 
     p = sub.add_parser("simulate", help="Monte Carlo link simulation")
-    p.add_argument("--scheme", choices=("sequential", "preassigned", "full_repetition"),
-                   default="sequential")
+    p.add_argument("--scheme", choices=SCHEMES, default="sequential")
     p.add_argument("--snr-db", type=_finite, required=True)
     p.add_argument("--n", type=_number(int), default=1024)
     p.add_argument("--d", type=_number(int, positive=False), required=True)

@@ -121,17 +121,15 @@ def unpack_bits(data: bytes, width: int) -> int:
 
 def _check_positions(positions: Iterable[int], n: int) -> tuple[int, ...]:
     pos = tuple(sorted(check_integer("position", p, 0) for p in positions))
-    if len(pos) == 0:
-        raise InvalidParameterError("need at least one position")
     if len(set(pos)) != len(pos):
         raise InvalidParameterError("positions must be distinct")
-    if pos[-1] >= n:
+    if pos and pos[-1] >= n:
         raise InvalidParameterError("positions must lie in [0, n)")
     return pos
 
 
 def combinadic_encode(positions: Iterable[int], n: int) -> CombinadicMessage:
-    """Rank a sorted set of 0-based positions in colexicographic order."""
+    """Rank a set of 0-based positions in colexicographic order (the empty set: 0 in 0 bits)."""
     n = check_integer("n", n, 1)
     pos = _check_positions(positions, n)
     rank = sum(math.comb(p, i + 1) for i, p in enumerate(pos))

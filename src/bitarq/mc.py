@@ -39,11 +39,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import LinkModel, ProtocolConfig, check_integer, check_whole_packets
+from .model import SCHEMES, LinkModel, ProtocolConfig, check_integer, check_whole_packets
 
 __all__ = ["SCHEMES", "TrialReport", "simulate", "compare_schemes"]
 
-SCHEMES = ("sequential", "preassigned", "full_repetition")
 BLOCK_PACKETS = 128  # 1 MB of float64 samples at N = 1024
 
 

@@ -29,12 +29,13 @@ __all__ = [
     "FixedThreshold",
     "Strategy",
     "ProtocolConfig",
+    "SCHEMES",
     "MAX_SNR_DB",
     "round_half_away",
     "rate_range",
     "window_size",
     "window_rate",
-    "window_protocol",
+    "scheme_protocol",
     "feedback_bit_width",
     "MAX_SEARCH_SUBSETS",
     "check_search",
@@ -72,10 +73,12 @@ def window_size(kind: str, x: float, n: int, d: int) -> int:
         if not (x > lo and x <= hi * (1.0 + 1e-12)):
             raise InvalidParameterError(f"rate {x} outside the admissible interval ({lo}, {hi}]")
         w = (n / d) * (1.0 / x - 1.0)
-    else:
+    elif kind == "window":
         if not 0.0 < x <= 1.0:
             raise InvalidParameterError(f"window fraction {x} outside (0, 1]")
         w = x * n
+    else:
+        raise InvalidParameterError(f"unknown window strategy {kind!r}")
     return min(max(round_half_away(w), 1), n)
 
 
@@ -239,10 +242,10 @@ class ProtocolConfig:
     (normalized reliability units, nondecreasing; the lower bound of every
     reliability band is zero and is not stored).  ``windows`` holds the
     per-round retransmission window sizes W_1..W_D.  Fields that a given
-    strategy does not need may be left unset.  The sequential scheme
+    scheme does not read may be left unset.  The sequential scheme
     retransmits the W_d least reliable bits when ``windows`` is set and the
     bits below U_d otherwise.  ``strategy`` is a label that no code reads
-    (:func:`bitarq.optimize.resolve_protocol` builds configs without it).
+    (:func:`scheme_protocol` builds configs without it).
     """
 
     packet_bits: int
@@ -272,18 +275,43 @@ class ProtocolConfig:
                 raise InvalidParameterError("window sizes must satisfy 1 <= W_d <= N")
 
 
-def window_protocol(
-    kind: str, x: float, n: int, d: int, base_snr: float
-) -> tuple[ProtocolConfig, float]:
-    """(ProtocolConfig, effective SNR) of a forward rate or window fraction x:
-    the window W = :func:`window_size` in each of the D rounds, no thresholds,
-    at the energy-equalized SNR base_snr / (1 + D*W/N).
+# The Monte Carlo schemes: the deployed protocol, the analysis model and plain repetition.
+SCHEMES = ("sequential", "preassigned", "full_repetition")
 
-    The sequential scheme reads only W; :func:`bitarq.optimize.add_ladder`
-    adds the threshold ladder that the preassigned scheme reads.
+
+def scheme_protocol(
+    scheme: str, flag: tuple[str, float] | None, n: int, d: int, base_snr: float
+) -> tuple[ProtocolConfig, float]:
+    """(ProtocolConfig, equalized SNR) that run ``scheme`` with the strategy ``flag``:
+    None or (kind, x), x a forward rate, window fraction or shared threshold.
+    The config holds only what the scheme reads, and only the ladder and the
+    shared-threshold rate import the optimizer (and SciPy):
+
+    * None (full repetition, or D = 0): no windows, no thresholds, at base_snr / (1 + D);
+    * a rate or window: W = :func:`window_size` in every round, at
+      base_snr * :func:`window_rate`; the preassigned scheme also gets the
+      equal-probability ladder at W/N (the sequential scheme reads W alone);
+    * a threshold: U in every round, no windows, at the shared-threshold rate.
     """
-    w = window_size(kind, x, n, d)
+    if scheme not in SCHEMES:
+        raise InvalidParameterError(f"unknown scheme {scheme!r}")
+    n, d = check_integer("n", n, 1), check_integer("d", d, 0)
+    if (flag is None) != (scheme == "full_repetition" or d == 0):
+        raise InvalidParameterError("full repetition and D = 0 take no strategy, other schemes one")
     check_snr("base_snr", base_snr)
-    snr_eff = base_snr * window_rate(d, w / n)
-    check_snr("snr", snr_eff)  # a tiny base SNR can underflow to 0 here
-    return ProtocolConfig(n, d, windows=(w,) * d), snr_eff
+    us = ws = None
+    if flag is None:
+        snr = base_snr / (1.0 + d)
+    elif flag[0] == "threshold":
+        from .optimize import resolve_strategy
+
+        us, _, snr = resolve_strategy(*flag, d, base_snr)
+    else:
+        ws = (window_size(*flag, n, d),) * d
+        snr = base_snr * window_rate(d, ws[0] / n)
+    check_snr("snr", snr)  # a tiny base SNR can underflow to 0 here
+    if scheme == "preassigned" and ws is not None:
+        from .optimize import equal_probability_thresholds
+
+        us = equal_probability_thresholds(d, ws[0] / n, LinkModel(snr))
+    return ProtocolConfig(n, d, thresholds=us, windows=ws), snr

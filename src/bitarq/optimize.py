@@ -23,8 +23,8 @@ from scipy.special import ndtri
 
 from .analytic import ber_approx, ber_exact, retx_rung, shared_threshold_fractions
 from .errors import InvalidParameterError, NumericFailureError
-from .model import (LinkModel, ProtocolConfig, check_integer, check_snr, rate_range,
-                    round_half_away, window_protocol, window_rate, window_size)
+from .model import (LinkModel, check_integer, check_snr, rate_range, round_half_away,
+                    window_rate, window_size)
 
 __all__ = [
     "SweepResult",
@@ -38,8 +38,6 @@ __all__ = [
     "is_unimodal",
     "threshold_u_max",
     "resolve_strategy",
-    "resolve_protocol",
-    "add_ladder",
     "sweep_blocks",
 ]
 
@@ -63,8 +61,8 @@ class SweepResult:
     the exact evaluator.  ``windows`` and ``forward_rate`` describe the protocol
     realized at the minimizer.  For the threshold strategy ``windows`` are the
     model's expected per-round counts floored at 0, not a runnable protocol (they
-    may hold a 0, which :class:`ProtocolConfig` rejects); the runnable one is
-    ``resolve_protocol("threshold", ...)``, which has no windows.
+    may hold a 0, which :class:`bitarq.model.ProtocolConfig` rejects); the runnable one is
+    :func:`bitarq.model.scheme_protocol`'s, which has no windows.
     """
 
     grid: tuple[tuple[float, float], ...]
@@ -331,7 +329,7 @@ def resolve_strategy(kind: str, x, d: int, base_snr: float) -> tuple:
 
     ``x`` is a forward rate, a window fraction W/N or a shared threshold,
     as ``kind`` says; a scalar or an array, which the results follow
-    elementwise.  The window fraction stays continuous (:func:`resolve_protocol`
+    elementwise.  The window fraction stays continuous (:func:`bitarq.model.scheme_protocol`
     rounds it to an integer window).  Rate and window thresholds follow
     from the equal-probability inversion at the energy-equalized SNR.
     """
@@ -348,33 +346,6 @@ def resolve_strategy(kind: str, x, d: int, base_snr: float) -> tuple:
     rate = x if kind == "rate" else window_rate(d, p)
     snr_eff = base_snr * rate
     return _ladder_thresholds(d, p, snr_eff), rate, snr_eff
-
-
-def resolve_protocol(
-    kind: str, x: float, n: int, d: int, base_snr: float
-) -> tuple[ProtocolConfig, float]:
-    """(ProtocolConfig, effective SNR) that run strategy parameter x.
-
-    A forward rate or window fraction becomes the windowed config of
-    :func:`bitarq.model.window_protocol`, an integer window W sent in every
-    round, plus the ladder resolved at the fraction W/N, which the preassigned
-    scheme reads (the sequential scheme reads only W).  A shared threshold is
-    used in every round, with no windows, so the sequential scheme
-    retransmits the bits below it.
-    """
-    if kind not in ("rate", "window"):
-        us, _, snr_eff = resolve_strategy(kind, x, d, base_snr)
-        return ProtocolConfig(n, d, thresholds=us), snr_eff
-    cfg, snr_eff = window_protocol(kind, x, n, d, base_snr)
-    return add_ladder(cfg, snr_eff), snr_eff
-
-
-def add_ladder(cfg: ProtocolConfig, snr_eff: float) -> ProtocolConfig:
-    """The windowed config ``cfg`` of :func:`bitarq.model.window_protocol` with
-    the equal-probability ladder at its fraction W/N and SNR ``snr_eff``."""
-    n, d = cfg.packet_bits, cfg.retransmissions
-    us = _ladder_thresholds(d, cfg.windows[0] / n, snr_eff)
-    return ProtocolConfig(n, d, thresholds=us, windows=cfg.windows)
 
 
 def sweep_blocks(kind: str, points: int, n: int, d: int, base_snr: float, u_max=None):

@@ -16,7 +16,8 @@ import bitarq
 from bitarq import LinkModel
 from bitarq.cli import main
 from bitarq.mc import simulate
-from bitarq.optimize import optimize_rate, optimize_threshold, optimize_window, resolve_protocol
+from bitarq.model import scheme_protocol
+from bitarq.optimize import optimize_rate, optimize_threshold, optimize_window
 from reference_designs import REFERENCE_SCHEDULE
 
 
@@ -167,7 +168,7 @@ class TestSimulate:
                 "--reproducible")
         code, out, _ = run(capsys, *argv, "--equalize-energy")
         assert code == 0
-        cfg, snr_eff = resolve_protocol("window", 0.2, 1000, 1, 10.0 ** 0.3)
+        cfg, snr_eff = scheme_protocol("preassigned", ("window", 0.2), 1000, 1, 10.0 ** 0.3)
         rep = simulate(cfg, LinkModel(snr_eff), "preassigned", 200_000, 2)
         row = dict(zip(*(r.split(",") for r in body(out).splitlines())))
         assert row["errors"] == str(rep.bit_errors)

@@ -2,8 +2,9 @@
 
 Each case holds the sha256 of stdout and the exit code (and of stderr where
 an error message is documented) of one command.  The digests were recorded
-before the strategy rules moved behind ``optimize.resolve_protocol``; a
-refactor of the strategy path must leave every one unchanged.  A change
+before the strategy rules moved out of the CLI (today into
+``model.scheme_protocol``); a refactor of the strategy path must leave every
+one unchanged.  A change
 that alters an output on purpose records the new digest and says why: the
 seven ``simulate`` runs that retransmit selectively were re-recorded when the
 Monte Carlo began drawing one normal per retransmitted bit, and all eight

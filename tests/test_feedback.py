@@ -70,8 +70,11 @@ class TestCombinadic:
             combinadic_encode([1, 1], 4)
         with pytest.raises(InvalidParameterError):
             combinadic_encode([4], 4)
-        with pytest.raises(InvalidParameterError):
-            combinadic_encode([], 4)
+        # w = 0 both ways: the empty set is rank 0 in 0 bits
+        assert combinadic_encode([], 4) == CombinadicMessage(0, 0)
+        assert combinadic_decode(combinadic_encode([], 4), 4, 0) == ()
+        with pytest.raises(InvalidParameterError, match="exactly w positions"):
+            permutation_search([], 4, 1, 1, rng_seed=1)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

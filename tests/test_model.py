@@ -14,7 +14,7 @@ from bitarq import (
     ber_exact,
 )
 from bitarq.mc import simulate
-from bitarq.model import (MAX_SNR_DB, check_whole_packets, round_half_away, window_protocol,
+from bitarq.model import (MAX_SNR_DB, check_whole_packets, round_half_away, scheme_protocol,
                           window_rate, window_size)
 from bitarq.optimize import resolve_strategy
 
@@ -76,6 +76,7 @@ class TestWindowRule:
                         "(0.3333333333333333, 0.998003992015968]"),
         ("window", 0.0, "window fraction 0.0 outside (0, 1]"),
         ("window", 1.5, "window fraction 1.5 outside (0, 1]"),
+        ("power", 0.5, "unknown window strategy 'power'"),  # was read as a fraction: W = 500
     ])
     def test_out_of_range(self, kind, x, message):
         with pytest.raises(InvalidParameterError) as error:
@@ -88,14 +89,18 @@ class TestWindowRule:
         cfg = ProtocolConfig(n, d, windows=(w,) * d)
         assert window_rate(d, w / n) == pytest.approx(forward_rate(cfg), rel=1e-14)
 
-    def test_window_protocol_carries_no_ladder(self):
-        cfg, snr_eff = window_protocol("window", 0.2, 1024, 2, 2.0)
+    def test_sequential_window_carries_no_ladder(self):
+        cfg, snr_eff = scheme_protocol("sequential", ("window", 0.2), 1024, 2, 2.0)
         assert cfg == ProtocolConfig(1024, 2, windows=(205, 205))
         assert snr_eff == 2.0 / (1.0 + 2 * 205 / 1024)
 
-    def test_window_protocol_rejects_an_equalized_snr_that_underflows(self):
+    def test_scheme_protocol_rejects_an_equalized_snr_that_underflows(self):
+        for scheme in ("sequential", "preassigned"):
+            with pytest.raises(InvalidParameterError, match="^snr must be positive"):
+                scheme_protocol(scheme, ("window", 1.0), 10, 2, 5e-324)
+        # full repetition's base / (1 + D) was not checked: it ran at an SNR of 0
         with pytest.raises(InvalidParameterError, match="^snr must be positive"):
-            window_protocol("window", 1.0, 10, 2, 5e-324)
+            scheme_protocol("full_repetition", None, 10, 2, 5e-324)
 
 
 class TestEffectiveSnr:

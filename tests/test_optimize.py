@@ -4,19 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bitarq import InvalidParameterError, LinkModel, q_function
 from bitarq.analytic import (ber_approx, ber_exact, retx_rung,
     shared_threshold_fractions, DEFAULT_PRONY)
-from bitarq.model import window_protocol
+from bitarq.model import SCHEMES, ProtocolConfig, scheme_protocol
 from bitarq.optimize import (
     _GOLDEN,
     _GOLDEN_STEPS,
     _GOLDEN_TOL,
     _LOOKAHEAD,
     _ladder_thresholds,
-    add_ladder,
     equal_probability_thresholds,
     fixed_threshold_rate,
     fixed_threshold_windows,
@@ -25,7 +24,6 @@ from bitarq.optimize import (
     optimize_rate,
     optimize_threshold,
     optimize_window,
-    resolve_protocol,
     resolve_strategy,
     sweep_blocks,
     threshold_u_max,
@@ -461,7 +459,7 @@ class TestResolveStrategy:
 
 def rate_window(n, d, rate):
     """Window W of the protocol that runs forward rate ``rate``."""
-    return resolve_protocol("rate", rate, n, d, 1.0)[0].windows[0]
+    return scheme_protocol("sequential", ("rate", rate), n, d, 1.0)[0].windows[0]
 
 
 class TestFixedRateWindow:
@@ -486,9 +484,11 @@ class TestFixedRateWindow:
 
 
 class TestResolveProtocol:
+    """``scheme_protocol``: a scheme and its strategy flag resolved to a runnable config."""
+
     def test_rate_resolves_at_its_integer_window(self):
         # rate 0.8 at N = 1000, D = 2: W = round(500 * 0.25) = 125, ladder at 125/1000
-        cfg, snr_eff = resolve_protocol("rate", 0.8, 1000, 2, 3.0)
+        cfg, snr_eff = scheme_protocol("preassigned", ("rate", 0.8), 1000, 2, 3.0)
         us, _, want = resolve_strategy("window", 0.125, 2, 3.0)
         assert cfg.windows == (125, 125)
         assert cfg.thresholds == tuple(float(u) for u in us)
@@ -496,40 +496,61 @@ class TestResolveProtocol:
 
     def test_window_fraction_rounds_half_away(self):
         # 0.25 * 10 = 2.5 rounds to W = 3, and the ladder is resolved at 3/10
-        cfg, snr_eff = resolve_protocol("window", 0.25, 10, 2, 3.0)
+        cfg, snr_eff = scheme_protocol("preassigned", ("window", 0.25), 10, 2, 3.0)
         us, _, want = resolve_strategy("window", 0.3, 2, 3.0)
         assert cfg.windows == (3, 3)
         assert cfg.thresholds == tuple(float(u) for u in us)
         assert snr_eff == want
 
     def test_tiny_window_fraction_keeps_one_bit(self):
-        assert resolve_protocol("window", 1e-4, 100, 1, 3.0)[0].windows == (1,)
+        assert scheme_protocol("preassigned", ("window", 1e-4), 100, 1, 3.0)[0].windows == (1,)
 
     @pytest.mark.parametrize("kind, x", [("rate", 0.8), ("window", 0.25)])
     def test_is_the_windowed_config_plus_its_ladder(self, kind, x):
-        # the CLI's preassigned path builds the same config in two steps
-        bare, snr_eff = window_protocol(kind, x, 1000, 2, 3.0)
-        assert resolve_protocol(kind, x, 1000, 2, 3.0) == (add_ladder(bare, snr_eff), snr_eff)
+        # the sequential scheme reads W alone; the preassigned one adds the ladder at W/N
+        bare, snr_eff = scheme_protocol("sequential", (kind, x), 1000, 2, 3.0)
+        assert bare.thresholds is None and bare.windows == (bare.windows[0],) * 2
+        us = equal_probability_thresholds(2, bare.windows[0] / 1000, LinkModel(snr_eff))
+        want = (dataclasses.replace(bare, thresholds=us), snr_eff)
+        assert scheme_protocol("preassigned", (kind, x), 1000, 2, 3.0) == want
 
     @pytest.mark.parametrize("fraction", [0.0, 1.5, math.nan])
     def test_rejects_a_window_fraction_outside_the_unit_interval(self, fraction):
         with pytest.raises(InvalidParameterError):
-            resolve_protocol("window", fraction, 100, 1, 3.0)
+            scheme_protocol("preassigned", ("window", fraction), 100, 1, 3.0)
 
     def test_unknown_kind(self):
-        with pytest.raises(InvalidParameterError):
-            resolve_protocol("power", 0.5, 100, 1, 3.0)
+        for scheme in ("sequential", "preassigned"):
+            with pytest.raises(InvalidParameterError, match="unknown window strategy 'power'"):
+                scheme_protocol(scheme, ("power", 0.5), 100, 1, 3.0)
+        with pytest.raises(InvalidParameterError, match="unknown scheme 'stop_and_wait'"):
+            scheme_protocol("stop_and_wait", ("window", 0.5), 100, 1, 3.0)
+
+    @pytest.mark.parametrize("scheme, flag, d", [
+        ("full_repetition", ("window", 0.5), 1), ("sequential", ("window", 0.5), 0),
+        ("sequential", None, 1), ("preassigned", None, 2),
+    ])
+    def test_only_full_repetition_and_d_0_take_no_flag(self, scheme, flag, d):
+        with pytest.raises(InvalidParameterError, match="take no strategy"):
+            scheme_protocol(scheme, flag, 100, d, 3.0)
+
+    def test_no_flag_runs_at_base_over_1_plus_d(self):
+        # the equalized SNR is base / (1 + D), the arithmetic the CLI header echoes
+        assert scheme_protocol("full_repetition", None, 10, 2, 3.0) == (ProtocolConfig(10, 2), 1.0)
+        assert scheme_protocol("preassigned", None, 10, 0, 3.0) == (ProtocolConfig(10, 0), 3.0)
 
     def test_shared_threshold_runs_without_windows(self):
-        cfg, snr_eff = resolve_protocol("threshold", 0.9, 100, 2, 3.0)
-        assert cfg.windows is None and cfg.thresholds == (0.9, 0.9)
-        assert snr_eff == resolve_strategy("threshold", 0.9, 2, 3.0)[2]
+        for scheme in ("sequential", "preassigned"):
+            cfg, snr_eff = scheme_protocol(scheme, ("threshold", 0.9), 100, 2, 3.0)
+            assert cfg.windows is None and cfg.thresholds == (0.9, 0.9)
+            assert snr_eff == resolve_strategy("threshold", 0.9, 2, 3.0)[2]
 
     @pytest.mark.parametrize("kind", ["rate", "window"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_optimizer_windows_follow_the_same_rule(self, kind, d):
         res = RUNNERS[kind](1024, d, LINK5, points=16)
-        cfg, _ = resolve_protocol(kind, res.minimizer, 1024, d, LINK5.snr_per_symbol)
+        flag = (kind, res.minimizer)
+        cfg, _ = scheme_protocol("preassigned", flag, 1024, d, LINK5.snr_per_symbol)
         assert res.windows == cfg.windows
 
 
@@ -575,10 +596,11 @@ class TestInputDomain:
         pytest.param(lambda: list(sweep_blocks("threshold", 4, 64, 1, 3.0, u_max=-1.0)),
                      id="negative-u-max"),  # yielded negative thresholds
         pytest.param(lambda: threshold_u_max(-1.0), id="u-max-of-negative-snr"),  # ValueError
-        pytest.param(lambda: resolve_protocol("window", 0.2, 1024, 1, -1.0),
+        pytest.param(lambda: scheme_protocol("preassigned", ("window", 0.2), 1024, 1, -1.0),
                      id="negative-base-snr"),  # NumericFailureError
-        pytest.param(lambda: resolve_protocol("window", 0.2, 1024, 1, 0.0), id="zero-base-snr"),
-        pytest.param(lambda: resolve_protocol("threshold", math.nan, 1024, 1, 1.0),
+        pytest.param(lambda: scheme_protocol("preassigned", ("window", 0.2), 1024, 1, 0.0),
+                     id="zero-base-snr"),
+        pytest.param(lambda: scheme_protocol("sequential", ("threshold", math.nan), 1024, 1, 1.0),
                      id="nan-threshold"),  # NumericFailureError
         pytest.param(lambda: fixed_threshold_rate(1.5, 1.0, 3.0),
                      id="fractional-d-rate"),  # rate 0.983 from two rounds
@@ -599,15 +621,23 @@ _DEPTHS = st.one_of(st.integers(-1, 4), st.sampled_from([1.5, True, None]))
 _KINDS = st.sampled_from(["rate", "window", "threshold", "power"])
 
 
-@settings(derandomize=True, deadline=None, max_examples=150, database=None)
-@given(_KINDS, _REALS, _SIZES, _DEPTHS, _REALS)
-def test_resolve_protocol_raises_only_typed_errors(kind, x, n, d, base_snr):
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(st.sampled_from([*SCHEMES, "stop_and_wait"]), st.one_of(st.none(), st.tuples(_KINDS, _REALS)),
+       _SIZES, _DEPTHS, _REALS)
+@example("preassigned", ("window", 0.2), 1024, 2, 1.0)
+@example("preassigned", ("rate", 0.9), 100, 3, 1e-300)
+@example("sequential", ("threshold", 0.9), 64, 1, 1e10)
+@example("full_repetition", None, 10, 2, 5e-324)  # the equalized SNR underflows to 0
+def test_scheme_protocol_raises_only_typed_errors(scheme, flag, n, d, base_snr):
     try:
-        config, snr_eff = resolve_protocol(kind, x, n, d, base_snr)
+        config, snr_eff = scheme_protocol(scheme, flag, n, d, base_snr)
     except InvalidParameterError:
         return
     assert (config.packet_bits, config.retransmissions) == (n, d)
     assert 0.0 < snr_eff <= base_snr
+    # a ladder only where the scheme reads one: preassigned, or a shared threshold
+    ladder = flag is not None and (scheme == "preassigned" or flag[0] == "threshold")
+    assert (config.thresholds is not None) == ladder
 
 
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)

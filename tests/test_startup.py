@@ -92,6 +92,9 @@ _SIM = ["simulate", "--snr-db", "3", "--n", "1024", "--d", "2"]
      "rate 0.3 outside the admissible interval (0.3333333333333333, 0.9980506822612085]"),
     ([*_SIM, "--bits", "1024", "--window", "0.2"], {"BITARQ_THREADS": "0"},
      "BITARQ_THREADS must be a positive integer, got '0'"),
+    # base / (1 + D) underflows to 0: the equalized SNR is checked for every scheme
+    (["simulate", "--scheme", "full_repetition", "--snr-db", "-3236", "--n", "10", "--d", "2",
+      "--bits", "100"], {}, "snr must be positive and at most 100 dB"),
     (["feedback-sim", "--n", "1024", "--w", "4"], {},
      "C(1024, 4) exceeds the subset-stream search limit 1000000; "
      "report the subset with the combinadic codec (combinadic_encode) instead"),
@@ -100,7 +103,7 @@ _SIM = ["simulate", "--snr-db", "3", "--n", "1024", "--d", "2"]
     (["feedback-sim", "--n", "3", "--w", "4", "--c1", "4"], {}, "need 1 <= w <= n"),
 ], ids=["readme-sweep-window", "sweep-snr-ceiling", "optimize-snr-ceiling", "partial-packet",
         "window-above-1", "flag-under-full-repetition", "no-strategy-flag", "rate-below-range",
-        "preassigned-rate-below-range", "threads-0",
+        "preassigned-rate-below-range", "threads-0", "full-repetition-snr-underflow",
         "search-too-large", "window-above-n", "window-above-n-with-c1"])
 def test_configuration_error_exits_before_numpy_loads(argv, env, message):
     assert _cli(argv, **env) == (2, "", f"error: {message}\n", "[]")
