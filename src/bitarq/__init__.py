@@ -12,14 +12,7 @@ from .errors import (
     NumericFailureError,
     SearchExhaustedError,
 )
-from .model import (
-    FixedRate,
-    FixedThreshold,
-    FixedWindow,
-    LinkModel,
-    ProtocolConfig,
-    SlowChiSquareFading,
-)
+from .model import LinkModel, ProtocolConfig, SlowChiSquareFading
 
 __version__ = "0.1.0"
 
@@ -41,9 +34,6 @@ __all__ = [
     "InvalidParameterError",
     "NumericFailureError",
     "SearchExhaustedError",
-    "FixedRate",
-    "FixedThreshold",
-    "FixedWindow",
     "LinkModel",
     "ProtocolConfig",
     "SlowChiSquareFading",

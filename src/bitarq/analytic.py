@@ -28,6 +28,7 @@ carry per-round values.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -381,28 +382,31 @@ def ber_fading(config: ProtocolConfig, link: LinkModel) -> float:
 
 
 def ber_fading_quadrature(config: ProtocolConfig, link: LinkModel, integrand: str = "approx") -> float:
-    """Numeric average of the fixed-SNR BER over the exponential SNR density on
-    [1e-12 * min(mean SNR, 1), min(50 * mean SNR, 750)]: Q(sqrt(2g)) underflows near 745.
+    """Numeric average of the fixed-SNR BER over the exponential SNR density, taken in
+    s = sqrt(g / mean SNR): the density is 2s exp(-s^2) on [0, sqrt(min(50, 750 / mean SNR))]
+    (Q(sqrt(2g)) underflows near g = 745), with no 1/mean SNR and no lower cut-off.  A
+    subnormal mean SNR, where g underflows to 0, raises ``NumericFailureError``.
 
     The oracle twin of :func:`ber_fading`; ``integrand`` selects the
     uncapped closed form (the one it averages) or the exact evaluator.
     """
     us = _check_thresholds(config)
     mean_snr = _require_fading(link)
-    if math.isinf(1.0 / mean_snr):  # a subnormal mean SNR: the density overflows
-        raise NumericFailureError("the SNR density 1/mean_snr overflows", math.inf)
+    if mean_snr < sys.float_info.min:
+        raise NumericFailureError("a subnormal mean SNR underflows the SNR g to 0", mean_snr)
     if integrand == "approx":
         fixed = _prony_ber
     elif integrand == "exact":
         fixed = ber_exact
     else:
         raise InvalidParameterError(f"unknown integrand {integrand!r}")
+    scale = math.sqrt(2.0 * mean_snr)
 
-    def f(g: float) -> float:
-        zs = tuple(v * math.sqrt(2.0 * g) for v in us)
-        return fixed(g, zs) * math.exp(-g / mean_snr) / mean_snr
+    def f(s: float) -> float:
+        m = scale * s  # sqrt(2g)
+        return fixed(m * m / 2.0, tuple(v * m for v in us)) * 2.0 * s * math.exp(-s * s)
 
-    return _quad(f, 1e-12 * min(mean_snr, 1.0), min(50.0 * mean_snr, 750.0))
+    return _quad(f, 0.0, math.sqrt(min(50.0, 750.0 / mean_snr)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from functools import cache, partial
 
 from . import __version__
 from .errors import BitarqError, ConfigurationError, NumericFailureError
-from .model import (MAX_SNR_DB, SCHEMES, LinkModel, ProtocolConfig, check_search,
+from .model import (MAX_SNR_DB, SCHEMES, STRATEGIES, LinkModel, ProtocolConfig, check_search,
                     check_whole_packets, optimal_c1, scheme_protocol)
 
 # Each runner makes every check that needs no numeric layer, then imports only
@@ -175,8 +175,7 @@ def _run_optimize(args, out: _Output) -> None:
 def _strategy_flag(args) -> tuple[str, float] | None:
     """The one strategy flag of a ladder scheme as (name, value), None for
     full repetition and --d 0, which take none."""
-    given = [(k, getattr(args, k)) for k in ("rate", "window", "threshold")
-             if getattr(args, k) is not None]
+    given = [(k, getattr(args, k)) for k in STRATEGIES if getattr(args, k) is not None]
     if args.scheme == "full_repetition" or args.d == 0:
         if given:
             raise ConfigurationError(
@@ -301,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bitarq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for kind in ("rate", "window", "threshold"):
+    for kind in STRATEGIES:
         p = sub.add_parser(f"sweep-{kind}", help=f"BER sweep over the {kind} parameter")
         _add_design(p)
         p.add_argument("--bits", type=_number(int, positive=False), default=0,
@@ -312,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=partial(_run_sweep, kind))
 
     p = sub.add_parser("optimize", help="minimize BER over one strategy parameter")
-    p.add_argument("--strategy", choices=("rate", "window", "threshold"), required=True)
+    p.add_argument("--strategy", choices=STRATEGIES, required=True)
     _add_design(p)
     p.set_defaults(func=_run_optimize)
 

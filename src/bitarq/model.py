@@ -17,19 +17,17 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import InvalidParameterError
 
 __all__ = [
     "SlowChiSquareFading",
     "LinkModel",
-    "FixedRate",
     "FixedWindow",
     "FixedThreshold",
-    "Strategy",
     "ProtocolConfig",
     "SCHEMES",
+    "STRATEGIES",
     "MAX_SNR_DB",
     "round_half_away",
     "rate_range",
@@ -199,13 +197,6 @@ class LinkModel:
 
 
 @dataclass(frozen=True)
-class FixedRate:
-    """Constant forward rate; window size derived from it."""
-
-    target_rate: float
-
-
-@dataclass(frozen=True)
 class FixedWindow:
     """Constant retransmission window, given as the fraction W/N."""
 
@@ -217,9 +208,6 @@ class FixedThreshold:
     """Single constant reliability threshold shared by every round."""
 
     threshold: float
-
-
-Strategy = Union[FixedRate, FixedWindow, FixedThreshold]
 
 
 def _items(name: str, values, convert) -> tuple:
@@ -244,13 +232,14 @@ class ProtocolConfig:
     per-round retransmission window sizes W_1..W_D.  Fields that a given
     scheme does not read may be left unset.  The sequential scheme
     retransmits the W_d least reliable bits when ``windows`` is set and the
-    bits below U_d otherwise.  ``strategy`` is a label that no code reads
-    (:func:`scheme_protocol` builds configs without it).
+    bits below U_d otherwise.  ``strategy`` is a label that no package code
+    reads; it stays only while ``perfbench/worker.py`` labels its configs
+    with it (ROADMAP item 14).
     """
 
     packet_bits: int
     retransmissions: int
-    strategy: Strategy | None = None
+    strategy: FixedWindow | FixedThreshold | None = None
     thresholds: tuple[float, ...] | None = None
     windows: tuple[int, ...] | None = None
 
@@ -277,6 +266,8 @@ class ProtocolConfig:
 
 # The Monte Carlo schemes: the deployed protocol, the analysis model and plain repetition.
 SCHEMES = ("sequential", "preassigned", "full_repetition")
+# The design strategies: a forward rate, a window fraction W/N or a shared threshold.
+STRATEGIES = ("rate", "window", "threshold")
 
 
 def scheme_protocol(

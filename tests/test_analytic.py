@@ -341,21 +341,25 @@ class TestFading:
         numeric, _ = integrate.quad(f, 0, 60 * mean_snr, epsabs=1e-14, limit=300)
         assert _gauss_exp_tail_mean(theta, alpha, mean_snr) == pytest.approx(numeric, rel=1e-9)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("db", [-10, 0, 20, 40, 60, 80, 100])
-    def test_oracle_covers_every_accepted_mean_snr(self, d, db):
+    @pytest.mark.parametrize("mean_snr, ladder", [
+        *(pytest.param(10.0 ** (db / 10.0), FADING_LADDERS[d], id=f"{db}-{d}")
+          for db in (-10, 0, 20, 40, 60, 80, 100) for d in (1, 2, 3)),
+        # quad flagged subdivision on the closed-form integrand in g here
+        *(pytest.param(g, (0.3, 45.0), id=f"{g:g}-0.3-45") for g in (30.0, 100.0, 1000.0)),
+    ])
+    def test_oracle_covers_every_accepted_mean_snr(self, mean_snr, ladder):
         # the oracle integrated over [1e-12, 50 * mean SNR], while the mass lies
         # below g = 50: it raised at 30 dB and returned 0.0 from 40 dB up
-        mean_snr = 10.0 ** (db / 10.0)
         link = LinkModel(mean_snr, fading=SlowChiSquareFading(mean_snr))
-        cfg = ProtocolConfig(16, d, thresholds=FADING_LADDERS[d])
+        cfg = ProtocolConfig(16, len(ladder), thresholds=ladder)
         values = {i: ber_fading_quadrature(cfg, link, integrand=i) for i in ("approx", "exact")}
         assert all(0.0 < v < math.inf for v in values.values()), values
         assert values["approx"] == pytest.approx(ber_fading(cfg, link), rel=1e-9)
 
     def test_oracle_keeps_the_density_mass_below_its_lower_bound(self):
         # the lower bound was 1e-12 at any mean SNR: at 1e-13 it cut away all
-        # but e^-10 of the density, 2.3e-5 for a BER of 0.5
+        # but e^-10 of the density, 2.3e-5 for a BER of 0.5; in s = sqrt(g / mean SNR)
+        # the oracle now integrates from 0
         link = LinkModel(1.0, fading=SlowChiSquareFading(1e-13))
         cfg = ProtocolConfig(16, 1, thresholds=(0.4,))
         assert ber_fading_quadrature(cfg, link, integrand="exact") == pytest.approx(0.5, rel=1e-6)
@@ -382,7 +386,7 @@ class TestFading:
     @pytest.mark.parametrize("integrand", ["approx", "exact"])
     @pytest.mark.parametrize("mean_snr", [5e-324, 1e-309])
     def test_oracle_fails_typed_at_a_subnormal_mean_snr(self, integrand, mean_snr):
-        # the density's scale 1/mean_snr overflows; ber_fading keeps its value there
+        # g = mean_snr * s^2 underflows to 0; ber_fading keeps its value there
         link = LinkModel(1.0, fading=SlowChiSquareFading(mean_snr))
         with pytest.raises(NumericFailureError):
             ber_fading_quadrature(ProtocolConfig(16, 1, thresholds=(0.4,)), link, integrand=integrand)

@@ -8,9 +8,6 @@ import pytest
 
 from bitarq import (
     ConfigurationError,
-    FixedRate,
-    FixedThreshold,
-    FixedWindow,
     InvalidParameterError,
     LinkModel,
     ProtocolConfig,
@@ -19,6 +16,7 @@ from bitarq import (
 )
 from bitarq.analytic import ber_exact, retx_rung
 from bitarq.mc import BLOCK_PACKETS, SCHEMES, TrialReport, _window_mask, compare_schemes, simulate
+from bitarq.model import FixedThreshold, FixedWindow
 from bitarq.optimize import equal_probability_thresholds
 
 LINK1 = LinkModel(1.0)
@@ -96,7 +94,7 @@ class TestSimulateBaselines:
 
 
 class TestSimulateBehavior:
-    @pytest.mark.parametrize("strategy", [None, FixedRate(0.8), FixedThreshold(0.9)])
+    @pytest.mark.parametrize("strategy", [None, FixedWindow(0.25), FixedThreshold(0.9)])
     def test_sequential_selection_follows_windows_alone(self, strategy):
         # the strategy tag is a label: windows set means the W least reliable bits
         windowed = ProtocolConfig(100, 1, strategy=strategy, thresholds=(0.9,), windows=(25,))
@@ -366,7 +364,7 @@ PINNED = [
     ),
     (
         (
-            ProtocolConfig(100, 1, strategy=FixedRate(0.8), windows=(25,)),
+            ProtocolConfig(100, 1, windows=(25,)),
             LINK1, "sequential", 50_000, 22, 1,
         ),
         (1464, (12500,), 0.8),

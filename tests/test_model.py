@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from bitarq import (
     ConfigurationError,
-    FixedWindow,
     InvalidParameterError,
     LinkModel,
     ProtocolConfig,
@@ -14,8 +13,8 @@ from bitarq import (
     ber_exact,
 )
 from bitarq.mc import simulate
-from bitarq.model import (MAX_SNR_DB, check_whole_packets, round_half_away, scheme_protocol,
-                          window_rate, window_size)
+from bitarq.model import (MAX_SNR_DB, FixedWindow, check_whole_packets, round_half_away,
+                          scheme_protocol, window_rate, window_size)
 from bitarq.optimize import resolve_strategy
 
 

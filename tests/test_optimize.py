@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bitarq import InvalidParameterError, LinkModel, q_function
+from bitarq import (ConfigurationError, InvalidParameterError, LinkModel, SlowChiSquareFading,
+                    q_function)
 from bitarq.analytic import (ber_approx, ber_exact, retx_rung,
     shared_threshold_fractions, DEFAULT_PRONY)
 from bitarq.model import SCHEMES, ProtocolConfig, scheme_protocol
@@ -656,6 +657,17 @@ class TestOptimizers:
     def test_rejects_an_empty_grid(self, runner):
         with pytest.raises(InvalidParameterError):
             runner(16, 1, LinkModel(1.0), points=0)
+
+    @pytest.mark.parametrize("design", [
+        pytest.param(lambda link: optimize_rate(1024, 1, link), id="rate"),
+        pytest.param(lambda link: optimize_window(1024, 1, link), id="window"),
+        pytest.param(lambda link: optimize_threshold(1024, 1, link), id="threshold"),
+        pytest.param(lambda link: equal_probability_thresholds(2, 0.2, link), id="ladder"),
+    ])
+    def test_a_fading_link_is_rejected(self, design):
+        # only snr_per_symbol was read, so a fading link got exactly the AWGN design
+        with pytest.raises(ConfigurationError, match="fading"):
+            design(LinkModel(3.0, fading=SlowChiSquareFading(3.0)))
 
     def test_non_unimodal_sweep_falls_back_to_the_grid_minimum(self):
         # the one non-unimodal sweep found over -15..30 dB in 1 dB steps,
