@@ -36,7 +36,7 @@ from scipy.special import erfc as _np_erfc
 from scipy.special import ndtr
 
 from .errors import InvalidParameterError, NumericFailureError
-from .model import MAX_SNR_DB, LinkModel, ProtocolConfig, check_integer
+from .model import LinkModel, ProtocolConfig, check_integer, check_snr
 
 __all__ = [
     "q_function",
@@ -164,9 +164,6 @@ def _rect(lo, hi, c, e, m, i):
     return (w * _between(zc, ze)) @ _WEIGHTS
 
 
-_SNR_MAX = 10.0 ** (MAX_SNR_DB / 10.0)
-
-
 def _mean_and_ladder(snr, us, least: int = 1):
     """(m, U) with the thresholds stacked on a last axis, broadcast to the shape of ``snr``
     and the thresholds; m keeps the shape of ``snr``.  InvalidParameterError for a ladder
@@ -180,8 +177,9 @@ def _mean_and_ladder(snr, us, least: int = 1):
         raise InvalidParameterError(message) from None
     if count < least:
         raise InvalidParameterError("need at least one threshold")
-    if snr.size and not (snr.min() > 0.0 and snr.max() <= _SNR_MAX):  # nan fails both
-        raise InvalidParameterError(f"snr must be positive and at most {MAX_SNR_DB:g} dB")
+    if snr.size:  # a nan min or max fails the check
+        check_snr("snr", snr.min())
+        check_snr("snr", snr.max())
     m = np.sqrt(2.0 * snr)
     shape = np.broadcast_shapes(m.shape, *(np.shape(u) for u in us))
     # 0, U_0, ..., U_{D-1}: one comparison checks the first rung and every step
@@ -317,9 +315,9 @@ def retx_rung(snr, prefix: Sequence):
 
 
 def shared_threshold_fractions(d: int, u, snr):
-    """Expected retransmitted fraction of rounds 1..d (last axis) under one
-    shared threshold u: bits with |r0| <= u whose i+1 copy average is still
-    within u, i = 1..d."""
+    """Expected fractions of rounds 2..d+1 of the sequential scheme (last axis) under one
+    shared threshold u, entry i being ``retx_rung(snr, (u,) * i)(u)``: bits with |r0| <= u
+    whose i+1 copy average is still within u.  Round 1 is missing (ROADMAP item 15)."""
     d = check_integer("d", d, 1)
     m, u = _mean_and_ladder(snr, (u,))
     copies = np.arange(1.0, d + 1.0)

@@ -95,16 +95,17 @@ class _Output:
         if path is None:
             sys.stdout.write(body)
             return
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bitarq-")
+        tmp = None
         try:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".bitarq-")
             with os.fdopen(fd, "w") as fh:
                 fh.write(body)
             os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
+        except OSError as exc:  # a missing directory, a directory as path, a full disk, ...
+            raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from None
+        finally:
+            if tmp is not None and os.path.exists(tmp):  # gone once replaced
                 os.unlink(tmp)
-            raise
 
 
 def _fmt(x: float) -> str:
@@ -183,7 +184,7 @@ def _strategy_flag(args) -> tuple[str, float] | None:
             )
         return None
     if len(given) != 1:
-        raise BitarqError("give exactly one of --rate, --window, --threshold")
+        raise ConfigurationError("give exactly one of --rate, --window, --threshold")
     if args.window is not None and args.window > 1.0:
         raise ConfigurationError(f"--window is the fraction W/N in (0, 1], got {args.window}")
     return given[0]
@@ -239,7 +240,7 @@ def _tech(name: str):
     from .fusion import TECHNOLOGIES
 
     if name not in TECHNOLOGIES:
-        raise BitarqError(f"unknown technology {name!r} (choose from {sorted(TECHNOLOGIES)})")
+        raise ConfigurationError(f"unknown technology {name!r} (choose from {sorted(TECHNOLOGIES)})")
     return TECHNOLOGIES[name]
 
 

@@ -305,11 +305,11 @@ def mean_report_delay(n: int, w: int, c1: int) -> float:
     return expected_idle_periods(n, w, c1) + 1.0 + c1
 
 
-def throughput_one_retx(n: int, mean_idle_plus_one: float) -> float:
+def throughput_one_retx(n: int, mean_delay: float) -> float:
     """Forward throughput with one retransmission: n / E[delay periods]."""
-    if not mean_idle_plus_one > 0:  # rejects nan too
+    if not mean_delay > 0:  # rejects nan too
         raise InvalidParameterError("the mean delay must be positive")
-    return check_integer("n", n, 1) / mean_idle_plus_one
+    return check_integer("n", n, 1) / mean_delay
 
 
 def feedback_error_tolerance(c_bits: int) -> float:

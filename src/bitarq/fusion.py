@@ -13,10 +13,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Union
 
 from .errors import InvalidParameterError, NumericFailureError
-from .model import check_integer, feedback_bit_width
+from .model import check_integer, check_subset, feedback_bit_width
 
 __all__ = [
     "Technology",
@@ -122,8 +121,7 @@ class SegmentedDesign:
             raise InvalidParameterError("packet size must divide into n_seg >= 1 equal segments")
         if not 0.0 <= self.p_f < 1.0 or not 0.0 <= self.p_r < 1.0:
             raise InvalidParameterError("link BERs must be in [0, 1)")
-        if check_integer("w_seg", self.w_seg, 1) > self.segment_bits:
-            raise InvalidParameterError("window must fit inside a segment")
+        check_subset(self.segment_bits, self.w_seg, 1)
 
     @property
     def segment_bits(self) -> int:
@@ -211,7 +209,7 @@ class RetxSpan:
     bits: int
 
 
-Span = Union[DataSpan, RetxSpan]
+Span = DataSpan | RetxSpan
 
 
 @dataclass(frozen=True)

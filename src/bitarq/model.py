@@ -59,7 +59,7 @@ def round_half_away(x: float) -> int:
 def rate_range(n: int, d: int) -> tuple[float, float]:
     """The admissible forward rates (lo, hi]: at lo every round resends all N
     bits, at hi one bit."""
-    return 1.0 / (1.0 + d), n / (d + n)
+    return window_rate(d, 1.0), n / (d + n)
 
 
 def window_size(kind: str, x: float, n: int, d: int) -> int:

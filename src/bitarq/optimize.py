@@ -283,7 +283,7 @@ def fixed_threshold_rate(d: int, u, base_snr: float):
     1/(1+d).  ``u`` may be an array.
     """
     d = check_integer("d", d, 1)
-    floor = 1.0 / (1.0 + d)
+    floor = window_rate(d, 1.0)
 
     def residual(r, live=...):
         """g(r) where ``live`` (everywhere by default), 0 elsewhere."""
@@ -334,8 +334,8 @@ def threshold_u_max(snr: float) -> float:
 def resolve_strategy(kind: str, x, d: int, base_snr: float) -> tuple:
     """(thresholds, forward rate, effective SNR) of strategy parameter(s) x.
 
-    ``x`` is a forward rate, a window fraction W/N or a shared threshold,
-    as ``kind`` says; a scalar or an array, which the results follow
+    ``x`` is a forward rate above 1/(1 + d), a window fraction W/N or a shared
+    threshold, as ``kind`` says; a scalar or an array, which the results follow
     elementwise.  The window fraction stays continuous (:func:`bitarq.model.scheme_protocol`
     rounds it to an integer window).  Rate and window thresholds follow
     from the equal-probability inversion at the energy-equalized SNR.
@@ -344,12 +344,12 @@ def resolve_strategy(kind: str, x, d: int, base_snr: float) -> tuple:
         raise InvalidParameterError(f"unknown strategy {kind!r}")
     d = check_integer("d", d, 1)
     check_snr("base_snr", base_snr)
-    if kind == "rate" and not np.all(np.asarray(x) > 0.0):
-        raise InvalidParameterError("forward rate must be positive")
+    if kind == "rate" and not np.all(np.asarray(x) > window_rate(d, 1.0)):  # as in window_size
+        raise InvalidParameterError(f"forward rate must be above 1/(1 + d) = 1/{1 + d}, the full-retransmission rate")
     if kind == "threshold":
         rate, snr_eff = fixed_threshold_rate(d, x, base_snr)
         return (x,) * d, rate, snr_eff
-    p = np.minimum(1.0, (1.0 / x - 1.0) / d) if kind == "rate" else x
+    p = (1.0 / x - 1.0) / d if kind == "rate" else x
     rate = x if kind == "rate" else window_rate(d, p)
     snr_eff = base_snr * rate
     return _ladder_thresholds(d, p, snr_eff), rate, snr_eff

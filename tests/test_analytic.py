@@ -260,6 +260,12 @@ class TestEvaluatorInput:
         with pytest.raises(InvalidParameterError):
             evaluator(snr)
 
+    @pytest.mark.parametrize("snr", BAD_SNRS.values(), ids=BAD_SNRS)
+    def test_bad_snr_message(self, snr):
+        with pytest.raises(InvalidParameterError) as error:
+            ber_exact(snr, (0.5, 1.0))
+        assert str(error.value) == f"snr must be positive and at most {MAX_SNR_DB:g} dB"
+
     @pytest.mark.parametrize("d", [1.5, 0, True])
     def test_bad_round_count(self, d):
         with pytest.raises(InvalidParameterError):
@@ -395,6 +401,22 @@ class TestFading:
         cfg = ProtocolConfig(100, 1, thresholds=(0.4,))
         with pytest.raises(InvalidParameterError):
             ber_fading(cfg, LinkModel(1.0))
+
+    @pytest.mark.parametrize("evaluator", [ber_fading, ber_fading_quadrature])
+    @pytest.mark.parametrize("cfg, message", [
+        (ProtocolConfig(16, 0), "need at least one retransmission"),
+        (ProtocolConfig(16, 1), "config.thresholds must be set"),
+    ], ids=["no-retransmission", "no-thresholds"])
+    def test_requires_a_threshold_ladder(self, evaluator, cfg, message):
+        link = LinkModel(1.0, fading=SlowChiSquareFading(3.0))
+        with pytest.raises(InvalidParameterError, match=message):
+            evaluator(cfg, link)
+
+    def test_oracle_rejects_an_unknown_integrand(self):
+        cfg = ProtocolConfig(16, 1, thresholds=(0.4,))
+        link = LinkModel(1.0, fading=SlowChiSquareFading(3.0))
+        with pytest.raises(InvalidParameterError, match="unknown integrand 'mc'"):
+            ber_fading_quadrature(cfg, link, integrand="mc")
 
 
 class TestQuadrature:

@@ -98,6 +98,24 @@ class TestSweeps:
         assert [r[1] for r in rows] == ["4.9796546006e-01", "5.0000000000e-01", "5.0000000000e-01"]
         assert all(float(r[2]) < 0.5 for r in rows)
 
+    @pytest.mark.parametrize("argv", [
+        ("sweep-rate", "--snr-db", "5", "--d", "1", "--n", "1", "--points", "2"),
+        ("optimize", "--strategy", "rate", "--snr-db", "5", "--d", "1", "--n", "1"),
+    ], ids=["sweep-rate", "optimize"])
+    def test_one_bit_packet_has_no_rate_above_full_retransmission(self, capsys, monkeypatch,
+                                                                  argv):
+        # rate_range(1, 1) is (0.5, 0.5]: sweep-rate printed rows at rf 0.5, and
+        # optimize solved all 64 ladders before window_size rejected the minimizer
+        import bitarq.optimize as optimize_mod
+
+        def no_ladder(*args):
+            raise AssertionError("a ladder was solved")
+
+        monkeypatch.setattr(optimize_mod, "_ladder_thresholds", no_ladder)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "full-retransmission rate" in err
+
     def test_reproducible_runs_identical(self, capsys):
         args = ("sweep-threshold", "--snr-db", "2.5", "--d", "1", "--n", "128",
                 "--points", "4", "--bits", "128000", "--seed", "3", "--reproducible")
@@ -335,6 +353,18 @@ class TestOutputFiles:
         assert code == 2
         assert not path.exists()
         assert not any(p.name.startswith(".bitarq-") for p in tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name, reason", [
+        ("missing/out.csv", "No such file or directory"),  # was a FileNotFoundError traceback
+        (".", "Is a directory"),  # was an IsADirectoryError traceback
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, name, reason):
+        path = tmp_path / name
+        code, out, err = run(capsys, "fit-check", "--tech", "wifi", "--ber", "1e-4",
+                             "-o", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {path}: {reason}\n"
+        assert list(tmp_path.iterdir()) == []  # no .bitarq-* temp file left behind
 
     def test_numeric_failure_exit_code(self, capsys, monkeypatch):
         from bitarq.errors import NumericFailureError

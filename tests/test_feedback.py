@@ -211,6 +211,11 @@ class TestPermutationStream:
         assert msg.stream_index == 3 * 16 + 5
         assert unpack_bits(msg.to_bytes(), 4) == 5
 
+    def test_residual_must_fit_its_width(self):
+        assert PermutationMessage(residual=15, idle_periods=0, bit_width=4).residual == 15
+        with pytest.raises(InvalidParameterError, match="residual must fit in bit_width bits"):
+            PermutationMessage(residual=16, idle_periods=0, bit_width=4)
+
     def test_search_cap(self, monkeypatch):
         # with seed 1 the first match is entry 1979, past one mean search of C(16, 3) = 560
         assert permutation_search((0, 2, 4), 16, 3, 4, rng_seed=1).stream_index == 1979

@@ -114,12 +114,26 @@ class TestSegmentedDesigns:
         with pytest.raises(InvalidParameterError):
             SegmentedDesign(ZIGBEE, 1e-3, 1e-5, 0, 1)
 
+    def test_window_follows_the_subset_shape_rule(self):
+        # a 532-bit segment: w_seg = 532 fits, 533 does not
+        assert SegmentedDesign(ZIGBEE, 1e-3, 1e-5, 2, 532).c_tot == 0
+        with pytest.raises(InvalidParameterError) as error:
+            SegmentedDesign(ZIGBEE, 1e-3, 1e-5, 2, 533)
+        assert str(error.value) == "need 1 <= w <= n"
+
 
 class TestSchedule:
     def test_reference_schedule_byte_identical(self):
         plan = schedule_uplink(1064, 4, 3, 10, 1064)
         assert serialize_plan(plan) == REFERENCE_SCHEDULE
         assert len(plan.packets) == 10 + 3 + 1
+
+    def test_window_above_the_packet_is_rejected(self):
+        with pytest.warns(UserWarning):  # d*w > n/4 as well
+            assert schedule_uplink(10, 10, 1, 1, 10).packets
+        with pytest.raises(InvalidParameterError) as error:
+            schedule_uplink(10, 11, 1, 1, 10)
+        assert str(error.value) == "window cannot exceed the packet size"
 
     def test_conservation(self):
         plan = schedule_uplink(1064, 4, 3, 10, 1064)

@@ -236,6 +236,11 @@ class TestCompareSchemes:
         with pytest.raises(ConfigurationError):
             compare_schemes(cfg, LINK5, 100_000)
 
+    def test_requires_the_ladder(self):
+        cfg = ProtocolConfig(1000, 2, windows=(100, 100))
+        with pytest.raises(ConfigurationError, match="needs the threshold ladder"):
+            compare_schemes(cfg, LINK5, 100_000)
+
     def test_preassigned_not_worse_at_moderate_thresholds(self):
         us = equal_probability_thresholds(2, 0.35, LINK1)
         cfg = ProtocolConfig(1000, 2, thresholds=us)

@@ -16,7 +16,9 @@ from bitarq.optimize import (
     _GOLDEN_STEPS,
     _GOLDEN_TOL,
     _LOOKAHEAD,
+    _invert_monotone,
     _ladder_thresholds,
+    _refine,
     equal_probability_thresholds,
     fixed_threshold_rate,
     fixed_threshold_windows,
@@ -449,13 +451,23 @@ class TestResolveStrategy:
             resolve_strategy("power", 0.5, 1, 3.0)
 
     @pytest.mark.parametrize(
-        "rate", [0.0, -0.0, math.nan, np.array([0.6, 0.0]), np.array([0.7, -0.2])]
+        "rate", [0.0, -0.0, math.nan, np.array([0.6, 0.0]), np.array([0.7, -0.2]),
+                 0.3, 0.5, np.array([0.7, 0.5])]
     )
     def test_rejects_a_rate_that_is_not_positive(self, rate):
         # a zero rate divided by zero: ZeroDivisionError for a float, a silent
-        # full-retransmission ladder (and a RuntimeWarning) for an array
+        # full-retransmission ladder (and a RuntimeWarning) for an array; a rate
+        # at or below 1/(1 + d) = 0.5 was clamped to the full-retransmission
+        # ladder and reported at its own rate and SNR
         with pytest.raises(InvalidParameterError):
             resolve_strategy("rate", rate, 1, 1.0)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_rate_just_above_the_floor_is_full_retransmission(self, d):
+        rate = np.nextafter(1.0 / (1.0 + d), 1.0)
+        us, got_rate, snr_eff = resolve_strategy("rate", rate, d, 1.0)
+        assert us == (math.inf,) * d
+        assert got_rate == rate and snr_eff == rate
 
 
 def rate_window(n, d, rate):
@@ -822,3 +834,39 @@ def test_no_adaptive_quadrature_behind_the_design_path(monkeypatch):
     retx_rung(snr, (0.5,))(1.0)
     retx_rung(snr, (0.5, 1.0))(1.0)
     fixed_threshold_windows(1024, 3, 1.0, snr)
+
+
+class TestInvertMonotone:
+    """``_invert_monotone`` on synthetic increasing functions (value, slope)."""
+
+    @staticmethod
+    def line(roots):
+        roots = np.asarray(roots, dtype=float)
+        return lambda x: (x - roots, np.ones_like(x))
+
+    def test_widens_the_bracket_until_it_holds_the_root(self):
+        # [0, 1] holds the first root; the second needs hi = 16
+        lo, hi = np.zeros(2), np.ones(2)
+        assert list(_invert_monotone(self.line([0.5, 10.0]), lo, hi)) == [0.5, 10.0]
+
+    def test_clamps_to_lo_where_already_non_negative(self):
+        assert list(_invert_monotone(self.line([-1.0, 0.0]), np.zeros(2), np.ones(2))) == [0.0, 0.0]
+
+    def test_fails_typed_when_no_bracket_is_found(self):
+        def never(x):
+            return np.full_like(x, -1.0), np.ones_like(x)
+
+        with pytest.raises(InvalidParameterError, match="failed to bracket the threshold root"):
+            _invert_monotone(never, np.zeros(1), np.ones(1))
+
+
+def test_refine_keeps_the_grid_point_when_golden_section_ends_above_it():
+    grid = ((0.0, 1.0), (1.0, 0.0), (2.0, 1.0))
+    probed = []
+
+    def objective(xs):
+        probed.extend(xs)
+        return np.ones_like(xs)  # above the grid minimum everywhere inside the bracket
+
+    assert _refine(objective, grid, 1, True) == (1.0, 0.0, False, False)
+    assert probed  # golden section ran and lost

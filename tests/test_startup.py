@@ -43,6 +43,11 @@ def test_import_loads_neither_numpy_nor_scipy(module):
     assert _python("-c", f"import {module}; {_LOADED}").stdout.strip() == "[]"
 
 
+def test_dir_lists_the_lazy_analytic_names_without_loading_them():
+    code = f"import bitarq; print('ber_exact' in dir(bitarq)); {_LOADED}"
+    assert _python("-c", code).stdout.split() == ["True", "[]"]
+
+
 @pytest.mark.parametrize("argv, loaded", [
     (["--version"], "[]"),
     (["fusion-plan", "--tech", "zigbee", "--w", "4", "--d", "3", "--blocks", "10"], "[]"),
