@@ -256,17 +256,16 @@ def _run_fusion_plan(args, out: _Output) -> None:
 
 
 def _run_fusion_feasibility(args, out: _Output) -> None:
-    from .fusion import SegmentedDesign, feasible, segment_feasibility
+    from .fusion import SegmentedDesign, feasible
 
     tech = _tech(args.tech)
     design = SegmentedDesign(tech, args.pf, args.pr, args.nseg, args.wseg)
     out.config(tech=args.tech, pf=args.pf, pr=args.pr, nseg=args.nseg, wseg=args.wseg)
-    ppf, ppr = segment_feasibility(design)
     verdict = feasible(design)
     out.row("tech", "p_f", "p_r", "n_seg", "w_seg", "c_tot", "ppf", "ppr", "feasible", "reasons")
     out.row(
         args.tech, args.pf, args.pr, args.nseg, args.wseg, design.c_tot,
-        f"{ppf:.6f}", f"{ppr:.6e}", verdict.feasible, ";".join(verdict.reasons),
+        f"{verdict.ppf:.6f}", f"{verdict.ppr:.6e}", verdict.feasible, ";".join(verdict.reasons),
     )
 
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .errors import InvalidParameterError, NumericFailureError
-from .model import check_integer, check_subset, feedback_bit_width
+from .model import check_integer, check_subset
 
 __all__ = [
     "Technology",
@@ -107,7 +107,7 @@ class SegmentedDesign:
 
     The packet splits into ``n_seg`` equal segments, each with its own
     window of ``w_seg`` bits and its own subset-rank feedback; the total
-    feedback length is derived, n_seg * ceil(log2(C(N/n_seg, w_seg))).
+    feedback length ``c_tot`` is derived once, n_seg * ceil(log2(C(N/n_seg, w_seg))).
     """
 
     tech: Technology
@@ -115,21 +115,19 @@ class SegmentedDesign:
     p_r: float
     n_seg: int
     w_seg: int
+    c_tot: int = field(init=False)
 
     def __post_init__(self):
         if self.tech.packet_bits % check_integer("n_seg", self.n_seg, 1) != 0:
             raise InvalidParameterError("packet size must divide into n_seg >= 1 equal segments")
         if not 0.0 <= self.p_f < 1.0 or not 0.0 <= self.p_r < 1.0:
             raise InvalidParameterError("link BERs must be in [0, 1)")
-        check_subset(self.segment_bits, self.w_seg, 1)
+        subsets = check_subset(self.segment_bits, self.w_seg, 1)[2]  # C(n, w) costs ms at n = 6096
+        object.__setattr__(self, "c_tot", self.n_seg * (subsets - 1).bit_length())
 
     @property
     def segment_bits(self) -> int:
         return self.tech.packet_bits // self.n_seg
-
-    @property
-    def c_tot(self) -> int:
-        return self.n_seg * feedback_bit_width(self.segment_bits, self.w_seg)
 
 
 def _binomial_cdf(k: int, n: int, p: float) -> float:
@@ -165,8 +163,12 @@ def segment_feasibility(design: SegmentedDesign) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """A screening verdict, its reasons and the ``segment_feasibility`` pair it read."""
+
     feasible: bool
     reasons: tuple[str, ...]
+    ppf: float
+    ppr: float
 
 
 def feasible(design: SegmentedDesign) -> FeasibilityReport:
@@ -176,7 +178,7 @@ def feasible(design: SegmentedDesign) -> FeasibilityReport:
     efficient-design guidance of at most 1e-3 forward and 1e-5 reverse
     link BER.
     """
-    _, ppr = segment_feasibility(design)
+    ppf, ppr = segment_feasibility(design)
     reasons = []
     if ppr >= 1e-3:
         reasons.append(f"feedback corruption probability {ppr:.2e} >= 1e-3")
@@ -184,7 +186,7 @@ def feasible(design: SegmentedDesign) -> FeasibilityReport:
         reasons.append(f"forward BER {design.p_f:.1e} > 1e-3")
     if design.p_r > 1e-5:
         reasons.append(f"reverse BER {design.p_r:.1e} > 1e-5")
-    return FeasibilityReport(not reasons, tuple(reasons))
+    return FeasibilityReport(not reasons, tuple(reasons), ppf, ppr)
 
 
 # ---------------------------------------------------------------------------

@@ -11,22 +11,31 @@ Three schemes are simulated:
 * ``full_repetition`` - every round repeats every bit of every packet;
   nothing detects errors, so a correct packet is repeated too.
 
-Work is partitioned into independent blocks: block i draws from the i-th
-child of ``SeedSequence(seed).spawn``, built as ``SeedSequence(seed,
-spawn_key=(i,))`` when the block starts. Results merge by summation, so a
-report does not depend on the thread count or execution order. A block
-draws one normal per transmitted symbol: the first pass as one
-(packets, N) matrix, then each round one normal per retransmitted bit
-in packet order (a whole matrix when the round repeats every bit). For a
-given seed every scheme shares the first pass, and a round's draws land
-on the same bits in two schemes whenever their masks so far coincide.
+Work is partitioned into independent blocks: block i draws from an SFC64
+generator keyed by the i-th child of ``SeedSequence(seed).spawn``, built as
+``SeedSequence(seed, spawn_key=(i,))`` when the block starts. Results merge
+by summation, so a report does not depend on the thread count or execution
+order. A block draws its first pass as one (packets, N) matrix of standard
+normals, which every scheme shares for a given seed. After that it draws
+one normal per sum of copies that no decision splits: the k copies of a
+bit at mean m per copy sum to k m + sqrt(k) Z.
+
+* Full repetition (and d = 0) scales the first pass into each bit's sum of
+  d + 1 copies and draws nothing more.
+* The preassigned scheme fixes each bit's band b from its first pass, then
+  draws, band by band for b < d and in packet order within a band, one
+  normal per bit for its d - b copies.
+* The sequential scheme decides on every partial sum, so each round draws
+  one normal per retransmitted bit, in packet order.
 
 A worker holds one block of ``BLOCK_PACKETS`` = 128 packets: the sample
 matrix, a scratch matrix, one small unsigned integer per bit (a copy
 count or a band index) and one round's temporaries.  At N = 1024 it peaks
 at 2.3-4.1 MiB under ``tracemalloc``, so a thread (one per usable core by
-default) costs about 5 MB; the sequential window scheme at d = 2 runs at
-about 57 ns/bit on a 2-core Xeon VM.
+default) costs about 5 MB.  On one thread of a 2-core Xeon VM, at 3 dB,
+N = 1024 and d = 2, full repetition runs at 12-14 ns/bit, the preassigned
+scheme on the ladder for 20% per round at 19-25 ns/bit and the sequential
+window scheme (W = 205) at 27-38 ns/bit.
 """
 
 from __future__ import annotations
@@ -84,43 +93,63 @@ def _window_mask(rel: np.ndarray, w: int) -> np.ndarray:
     return mask
 
 
-def _selector(config: ProtocolConfig, scheme: str):
-    """One scheme's rounds on one block as a hook ``select(r, acc, state, spare)``,
-    or None when every round repeats every bit.
+def _combiner(config: ProtocolConfig, scheme: str, m: float):
+    """One scheme's rounds on one block as a hook ``combine(rng, acc, state, spare, counts)``.
 
-    The hook returns the mask of bits retransmitted in round ``r`` (0-based) given
-    the combined samples ``acc``, and may overwrite ``spare``, shaped like ``acc``.
-    In round 0, while ``acc`` holds the first pass, it builds ``state``: the one
-    small integer per bit that the scheme decides on.  A config that lacks what
-    the scheme decides on raises ConfigurationError.
+    On entry ``acc`` holds the first pass's standard normals.  The hook turns it
+    into each bit's sum of copies at mean ``m`` per copy, drawing from ``rng``,
+    and adds each round's retransmitted bits to ``counts[round]``.  It may
+    overwrite ``state``, one small integer per bit that the scheme decides on,
+    and ``spare``; both are shaped like ``acc``.  Copies land by ``np.add.at``:
+    the indices are unique, so it equals a fancy ``+=`` at half the cost.  A
+    config that lacks what the scheme decides on raises ConfigurationError.
     """
-    us, ws = config.thresholds, config.windows
-    if config.retransmissions == 0 or scheme == "full_repetition":
-        return None
+    us, ws, d = config.thresholds, config.windows, config.retransmissions
+    if d == 0 or scheme == "full_repetition":
+
+        def repeat(rng, acc: np.ndarray, state: np.ndarray, spare: np.ndarray, counts: np.ndarray):
+            acc *= math.sqrt(d + 1)  # the sum of d + 1 copies is (d + 1) m + sqrt(d + 1) Z
+            acc += (d + 1) * m
+            counts += acc.size
+        return repeat
     if scheme == "preassigned":
         if us is None:
             raise ConfigurationError("preassigned scheme needs the threshold ladder")
 
-        def preassigned(r: int, acc: np.ndarray, band: np.ndarray, spare: np.ndarray) -> np.ndarray:
-            if r == 0:  # band #{j : |r0| > U_j} <= r iff |r0| <= U_r, as the ladder is sorted
-                rel0 = np.abs(acc, out=spare)
-                band[...] = 0
-                for u in us:
-                    band += rel0 > u
-            return band <= r
+        def preassigned(rng, acc: np.ndarray, band: np.ndarray, spare: np.ndarray, counts: np.ndarray):
+            acc += m
+            rel0 = np.abs(acc, out=spare)
+            band[...] = 0  # band #{j : |r0| > U_j} <= r iff |r0| <= U_r, as the ladder is sorted
+            for u in us:
+                band += rel0 > u
+            flat, fresh = acc.reshape(-1), spare.reshape(-1)
+            for b in range(d):  # band b gets k = d - b copies, summed as k m + sqrt(k) Z
+                picked = np.flatnonzero(band == b)
+                z = rng.standard_normal(out=fresh[:picked.size])
+                z *= math.sqrt(d - b)
+                z += (d - b) * m
+                np.add.at(flat, picked, z)
+                counts[b:] += picked.size  # round r retransmits every bit with band <= r
         return preassigned
     if ws is None and us is None:
         raise ConfigurationError("sequential scheme needs window sizes or thresholds")
 
-    def sequential(r: int, acc: np.ndarray, copies: np.ndarray, spare: np.ndarray) -> np.ndarray:
-        rel = np.abs(acc, out=spare)
-        if r:
-            rel /= copies
-        else:  # every bit has one copy so far
-            copies.fill(1)
-        mask = rel <= us[r] if ws is None else _window_mask(rel, ws[r])
-        copies += mask
-        return mask
+    def sequential(rng, acc: np.ndarray, copies: np.ndarray, spare: np.ndarray, counts: np.ndarray):
+        acc += m
+        copies.fill(1)
+        flat, fresh = acc.reshape(-1), spare.reshape(-1)
+        for r in range(d):  # each round decides on the partial sums, so each copy is drawn
+            rel = np.abs(acc, out=spare)
+            if r:
+                rel /= copies
+            mask = rel <= us[r] if ws is None else _window_mask(rel, ws[r])
+            copies += mask
+            picked = np.flatnonzero(mask)
+            del mask  # else the next round builds its mask beside this one
+            z = rng.standard_normal(out=fresh[:picked.size])
+            z += m
+            np.add.at(flat, picked, z)
+            counts[r] += picked.size
 
     return sequential
 
@@ -141,7 +170,8 @@ def simulate(
     with ``fading`` set raises ``ConfigurationError``), applies the
     selected scheme, and counts sign errors after the final combining.
     Deterministic for a given (config, link, scheme, bits, seed); every
-    scheme sees the same first-pass samples for a given seed.
+    scheme sees the same first-pass samples for a given seed, and full
+    repetition turns them into its copy sums, so it draws no more.
     """
     bits, seed = check_integer("bits", bits, 1), check_integer("seed", seed, 0)
     if n_jobs is None:  # every core this process may run on
@@ -151,10 +181,10 @@ def simulate(
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     n, d = config.packet_bits, config.retransmissions
     check_whole_packets(bits, n)
-    select = _selector(config, scheme)
+    m = math.sqrt(2.0 * link.snr_per_symbol)
+    combine = _combiner(config, scheme, m)
     if link.fading is not None:
         raise ConfigurationError("the Monte Carlo does not simulate fading; give a link without it")
-    m = math.sqrt(2.0 * link.snr_per_symbol)
     full, rest = divmod(bits // n, BLOCK_PACKETS)
     plan = [BLOCK_PACKETS] * full + [rest] * (rest > 0)
     jobs = min(n_jobs, len(plan))
@@ -164,23 +194,12 @@ def simulate(
         in one set of buffers: arrays allocated anew per block took page faults."""
         samples, scratch = np.empty((2, BLOCK_PACKETS, n))
         states = np.empty((BLOCK_PACKETS, n), np.min_scalar_type(d + 1))  # copies or bands
-        fresh, totals = scratch.reshape(-1), np.zeros(d + 1, dtype=np.int64)
+        totals = np.zeros(d + 1, dtype=np.int64)
         for idx in range(first, len(plan), jobs):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(idx,))))
-            acc, state, spare = samples[:plan[idx]], states[:plan[idx]], scratch[:plan[idx]]
+            rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(idx,))))
+            acc = samples[:plan[idx]]
             rng.standard_normal(out=acc)
-            acc += m
-            for r in range(d):
-                # one fresh normal per retransmitted bit (all when the round repeats every bit), in
-                # packet order; the indices are unique, so add.at equals a fancy += at half the cost
-                picked = None if select is None else np.flatnonzero(select(r, acc, state, spare))
-                z = rng.standard_normal(out=fresh[:acc.size if picked is None else picked.size])
-                z += m
-                if picked is None:
-                    acc += z.reshape(acc.shape)
-                else:
-                    np.add.at(acc.reshape(-1), picked, z)
-                totals[r + 1] += z.size
+            combine(rng, acc, states[:plan[idx]], scratch[:plan[idx]], totals[1:])
             totals[0] += np.count_nonzero(acc < 0.0)
         return totals
 
@@ -199,12 +218,12 @@ def compare_schemes(
 ) -> tuple[float, float]:
     """BER of the sequential and preassigned schemes on shared noise.
 
-    Both schemes run on the same seed, so they share the first pass, and
-    a round's copies land on the same bits while their masks coincide
+    Both schemes run on the same seed, so they share the first pass
     (common random numbers), which shrinks the variance of their
-    difference; each BER equals that of ``simulate`` with the scheme and
-    seed. Both schemes decide on the threshold ladder; defined for two
-    retransmissions.
+    difference; their later copies are drawn apart, as the preassigned
+    scheme draws each bit's copy sum at once.  Each BER equals that of
+    ``simulate`` with the scheme and seed.  Both schemes decide on the
+    threshold ladder; defined for two retransmissions.
     """
     if config.retransmissions != 2:
         raise ConfigurationError("scheme comparison is defined for two retransmissions")

@@ -9,7 +9,9 @@ that alters an output on purpose records the new digest and says why: the
 seven ``simulate`` runs that retransmit selectively were re-recorded when the
 Monte Carlo began drawing one normal per retransmitted bit, and all eight
 ``simulate`` runs that exit 0 when a Monte Carlo block shrank from 2,048 to
-128 packets, which split each run into other streams.  The ``OTHER``
+128 packets, which split each run into other streams, and again when the
+blocks moved from PCG64 to SFC64 and full repetition and the preassigned
+scheme began drawing each sum of copies as one normal.  The ``OTHER``
 digests were recorded before the CLI runners and the uplink scheduler's
 queue of due retransmission spans were rewritten.  ``feedback-sim`` was
 re-recorded when each entry of the synchronized stream became one Philox
@@ -83,7 +85,7 @@ PINNED = {
         0, "b073b0b69c9e0884ed057ea93e6f5325f2e416ce7d7834beb78d043f9a418fa2", None
     ),
     "simulate-readme": (
-        0, "68fa13928eaa0ad81c4932eed922991b1c70c399d22856a0eb543fa6e257bff0", None
+        0, "d3e18631c86cdf95ddd61fd1b6b1fba201d9c8042cdec746ddebdae793a1ba8d", None
     ),
     "feedback-sim": (
         0, "fc243daeae24cefbb72303d24192a001758aaf871aaa55edcdb07f5aab930af8", None
@@ -98,25 +100,25 @@ PINNED = {
         0, "7f5f6a96bc23949c22a4b4c0fc043087c1a80f20106ef88759a5970413e5a7e6", None
     ),
     "simulate-sequential-rate": (
-        0, "347aa36ebdaece9019d29aa028878ce26ed0b54d8337ab7c7a5dddf1c95f1df5", None
+        0, "278febe955e28ef42aee9930cab91351a3a19064a6bf34a83cf42a231ee347b4", None
     ),
     "simulate-sequential-window": (
-        0, "a7cf9b66f82661bc53677aa54bcf053361fc72f05fd542123ddd620a383cdc4e", None
+        0, "59df3906b795f468e4bfca492893525b2148b8932d504cc8458581ce3bb29c9f", None
     ),
     "simulate-sequential-threshold": (
-        0, "969473e38804fe26325532edbde0b5f42bb1f05631c9f7547eafe0146fdc0dec", None
+        0, "6a97306a8b45c3fad970ef630acfe55bb13f8e9e4fdd2d2361fafc719ce70c61", None
     ),
     "simulate-preassigned-rate": (
-        0, "18a159e193195d0493e528c0fac1145f1bd6c6ea9cc2ed466ee589cce0e90f25", None
+        0, "ca5f5fd0d91868d163af61b00dcf20fb306f0a66fb65b12a9258d38b152b0d4a", None
     ),
     "simulate-preassigned-window": (
-        0, "520f02852b7609069913a4795ad362583c763e1b818aa17d0b1ee4c00c891478", None
+        0, "e14805d05d86167146c5ebac8a9e36070cb18ff255aa2ababc9796fea203465f", None
     ),
     "simulate-preassigned-threshold": (
-        0, "6a5fbde9cd11686df7356185d73105175a3bcdc60ac690d14abb6309f85f612c", None
+        0, "d676ff26c3507e84e1f34da5b7d501c658e4dfeb0b74147e7bb60266b013d8e1", None
     ),
     "simulate-full-repetition": (
-        0, "383ca1e774361a639fd6d8317a12953ae2f0259d04dd28636fa2b77cb6edd537", None
+        0, "5170c14d2febcad05f4ad5469b02f8307c040092f87e2f3de9ccaac2c51c8dd9", None
     ),
     "simulate-rate-too-low": (
         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None

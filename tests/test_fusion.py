@@ -25,6 +25,7 @@ from bitarq.fusion import (
     segment_feasibility,
     serialize_plan,
 )
+from bitarq.model import feedback_bit_width
 from reference_designs import OPERATING_POINTS, REFERENCE_SCHEDULE, SEGMENTED_DESIGNS
 
 
@@ -87,6 +88,21 @@ class TestSegmentedDesigns:
         report = feasible(hot_forward)
         assert not report.feasible
         assert report.reasons == ("forward BER 1.0e-02 > 1e-3",)
+
+    def test_report_carries_the_one_evaluation(self, monkeypatch):
+        # the CLI prints ppf and ppr from the report, so feasible evaluates the
+        # pair once, and c_tot is derived once, when the design is built
+        import bitarq.fusion as fusion
+
+        design = SegmentedDesign(WIFI, 1e-3, 1e-5, 1, 6096)
+        want, width = segment_feasibility(design), feedback_bit_width(12192, 6096)
+        calls = []
+        monkeypatch.setattr(fusion, "segment_feasibility", lambda d: calls.append(d) or want)
+        monkeypatch.setattr(math, "comb", None)  # C(n, w) takes ms at this size
+        report = feasible(design)
+        assert calls == [design]
+        assert (report.ppf, report.ppr) == want
+        assert design.c_tot == width
 
     @pytest.mark.parametrize("tech", TECHNOLOGIES.values(), ids=TECHNOLOGIES)
     @pytest.mark.parametrize("p_f", [0.0, 1e-6, 1e-3, 0.5, 0.999])

@@ -152,13 +152,14 @@ class TestSimulateBehavior:
     @pytest.mark.parametrize("seed", [0, 5, 2**40])
     def test_block_streams_are_the_children_of_the_seed(self, seed):
         # block i is seeded as SeedSequence(seed, spawn_key=(i,)) when it starts,
-        # which is the i-th child that SeedSequence(seed).spawn would return
+        # which is the i-th child that SeedSequence(seed).spawn would return; both
+        # key the same SFC64 stream, the engine's block generator
         children = np.random.SeedSequence(seed).spawn(40)
         for i in (0, 1, 7, 39):
             own = np.random.SeedSequence(seed, spawn_key=(i,))
             assert own.state == children[i].state
-            words = np.random.PCG64(own).random_raw(4)
-            assert (words == np.random.PCG64(children[i]).random_raw(4)).all()
+            words = np.random.SFC64(own).random_raw(4)
+            assert (words == np.random.SFC64(children[i]).random_raw(4)).all()
 
     def test_sequential_windows_track_round_fractions(self):
         us = equal_probability_thresholds(2, 0.3, LINK5)
@@ -222,9 +223,16 @@ class TestSimulateBehavior:
 
 class TestCompareSchemes:
     def test_huge_thresholds_coincide(self):
+        # both schemes retransmit every bit in every round; the preassigned scheme
+        # draws each bit's two copies as one sum, so only the counts coincide exactly
         cfg = ProtocolConfig(1000, 2, thresholds=(50.0, 50.0))
-        s, p = compare_schemes(cfg, LINK5, 500_000, seed=8)
-        assert s == p
+        seq, pre = (simulate(cfg, LINK5, scheme, 500_000, seed=8) for scheme in ("sequential", "preassigned"))
+        assert seq.retransmitted_bits == pre.retransmitted_bits == (500_000, 500_000)
+        assert compare_schemes(cfg, LINK5, 500_000, seed=8) == (seq.ber, pre.ber)
+        p = float(q_function(math.sqrt(2 * LINK5.snr_per_symbol * 3)))
+        assert abs(seq.ber - pre.ber) < 4 * math.sqrt(2) * sigma(p, 500_000)
+        for ber in (seq.ber, pre.ber):
+            assert abs(ber - p) < 4 * sigma(p, 500_000)
 
     def test_zero_thresholds_coincide(self):
         cfg = ProtocolConfig(1000, 2, thresholds=(0.0, 0.0))
@@ -270,8 +278,8 @@ _REAL_GENERATOR = np.random.Generator
 
 
 class _CountingGenerator:
-    """A PCG64 generator that counts the normals it returns; it has no other
-    method, so an engine that draws anything else fails loudly."""
+    """The engine's SFC64 block generator, counting the normals it returns; it has
+    no other method, so an engine that draws anything else fails loudly."""
 
     drawn = 0
 
@@ -299,12 +307,17 @@ class TestDrawContract:
     ], ids=["d0", "full-repetition", "preassigned-d1", "preassigned-d3", "sequential-d3",
             "sequential-windows", "nothing-retransmitted"])
     def test_one_normal_per_transmitted_symbol(self, monkeypatch, cfg, link, scheme):
+        # a sum of copies that no decision splits is one symbol: full repetition
+        # draws one normal per bit, and the preassigned scheme one per bit plus one
+        # per bit with band < d, which are the bits its last round retransmits
         expected = simulate(cfg, link, scheme, CONTRACT_BITS, seed=3)
         monkeypatch.setattr(np.random, "Generator", _CountingGenerator)
         monkeypatch.setattr(_CountingGenerator, "drawn", 0)
         rep = simulate(cfg, link, scheme, CONTRACT_BITS, seed=3)
         assert rep == expected
-        assert _CountingGenerator.drawn == rep.bits_simulated + sum(rep.retransmitted_bits)
+        r = rep.retransmitted_bits
+        copy_sums = {"full_repetition": 0, "preassigned": sum(r[-1:])}.get(scheme, sum(r))
+        assert _CountingGenerator.drawn == rep.bits_simulated + copy_sums
 
     @pytest.mark.parametrize("u, link, seed", [
         (0.5, LINK1, 1), (0.9, LINK5, 2), (1.4, LINK5, 3), (3.0, LINK1, 4),
@@ -321,42 +334,45 @@ class TestDrawContract:
 MULTI_BLOCK_BITS = 10 * (32 * BLOCK_PACKETS + 37)
 
 # (config, link, scheme, bits, seed, n_jobs) -> (bit errors, retransmitted, rate).
-# The draw rule: each block of BLOCK_PACKETS = 128 packets, seeded by its
-# index, draws its first pass as one (packets, N) matrix, then each round one
-# normal per retransmitted bit in packet order (a whole matrix when the round
-# repeats every bit).  Every report was re-recorded when a block shrank from
-# 2,048 to 128 packets, at unchanged bit counts, which split each run into
-# other streams.
+# The draw rule: each block of BLOCK_PACKETS = 128 packets draws from an SFC64
+# generator seeded by its index, first its first pass as one (packets, N)
+# matrix, then one normal per sum of copies that no decision splits: nothing
+# more for full repetition, one per bit of band b < d for the preassigned
+# scheme (band by band, in packet order), and one per retransmitted bit in each
+# round, in packet order, for the sequential scheme.  Every report was
+# re-recorded when a block shrank from 2,048 to 128 packets, at unchanged bit
+# counts, which split each run into other streams, and again when the blocks
+# moved from PCG64 to SFC64 and began drawing copy sums.
 PINNED = [
-    ((ProtocolConfig(100, 0), LINK1, "sequential", 20_000, 1, 1), (1609, (), 1.0)),
-    ((ProtocolConfig(100, 1), LINK1, "full_repetition", 20_000, 2, 1), (442, (20000,), 0.5)),
+    ((ProtocolConfig(100, 0), LINK1, "sequential", 20_000, 1, 1), (1613, (), 1.0)),
+    ((ProtocolConfig(100, 1), LINK1, "full_repetition", 20_000, 2, 1), (426, (20000,), 0.5)),
     (
         (ProtocolConfig(100, 3), LINK1, "full_repetition", 20_000, 2, 1),
-        (36, (20000, 20000, 20000), 0.25),
+        (43, (20000, 20000, 20000), 0.25),
     ),
     (
         (ProtocolConfig(100, 1, thresholds=LADDER[1]), LINK5, "preassigned", 50_000, 11, 1),
-        (30, (2631,), 0.9500104501149512),
+        (26, (2636,), 0.949920206702637),
     ),
     (
         (ProtocolConfig(100, 1, thresholds=LADDER[1]), LINK5, "sequential", 50_000, 11, 1),
-        (30, (2631,), 0.9500104501149512),
+        (26, (2636,), 0.949920206702637),
     ),
     (
         (ProtocolConfig(100, 2, thresholds=LADDER[2]), LINK5, "preassigned", 50_000, 12, 1),
-        (9, (1391, 3976), 0.9030650026188886),
+        (9, (1299, 3898), 0.9058463322282008),
     ),
     (
         (ProtocolConfig(100, 2, thresholds=LADDER[2]), LINK5, "sequential", 50_000, 12, 1),
-        (10, (1391, 2952), 0.9200817032552491),
+        (12, (1299, 2979), 0.9211835366078337),
     ),
     (
         (ProtocolConfig(100, 3, thresholds=LADDER[3]), LINK5, "preassigned", 50_000, 13, 1),
-        (6, (1037, 2158, 4774), 0.8625299729165589),
+        (8, (1055, 2175, 4718), 0.8628425484917512),
     ),
     (
         (ProtocolConfig(100, 3, thresholds=LADDER[3]), LINK5, "sequential", 50_000, 13, 1),
-        (1, (1037, 1276, 3213), 0.900479054857184),
+        (8, (1055, 1267, 3172), 0.9009983061231844),
     ),
     (
         (
@@ -365,42 +381,42 @@ PINNED = [
             ),
             LINK1, "sequential", 50_000, 21, 1,
         ),
-        (768, (12500, 12500), 0.6666666666666666),
+        (779, (12500, 12500), 0.6666666666666666),
     ),
     (
         (
             ProtocolConfig(100, 1, windows=(25,)),
             LINK1, "sequential", 50_000, 22, 1,
         ),
-        (1464, (12500,), 0.8),
+        (1508, (12500,), 0.8),
     ),
     (
         (
             ProtocolConfig(100, 2, strategy=FixedThreshold(0.9), thresholds=(0.9, 0.9)),
             LINK5, "sequential", 50_000, 23, 1,
         ),
-        (21, (2638, 317), 0.9441979038806534),
+        (22, (2651, 360), 0.943200467827432),
     ),
     (
         (
             ProtocolConfig(100, 3, thresholds=LADDER[3], windows=(20, 20, 20)),
             LINK1, "sequential", 50_000, 24, 1,
         ),
-        (600, (10000, 10000, 10000), 0.625),
+        (607, (10000, 10000, 10000), 0.625),
     ),
     (
         (
             ProtocolConfig(10, 2, thresholds=LADDER[2]),
             LINK1, "preassigned", MULTI_BLOCK_BITS, 31, 2,
         ),
-        (667, (7780, 15184), 0.6428282576912309),
+        (676, (7560, 15197), 0.6449045828327118),
     ),
     (
         (
             ProtocolConfig(10, 2, thresholds=LADDER[2], windows=(3, 3)),
             LINK1, "sequential", MULTI_BLOCK_BITS, 32, 2,
         ),
-        (587, (12399, 12399), 0.625),
+        (627, (12399, 12399), 0.625),
     ),
 ]
 
@@ -422,13 +438,13 @@ def test_pinned_reports(case, expected):
 WIDE_STATE = [
     (
         ("sequential", (2.0,) * 300),
-        (1, 182762, 0.005571697517765227,
-         "7720b07bbb593c39d02a588554765c2bdd03b45437ffd23f69f53e4593791dc5"),
+        (0, 183058, 0.0055627383448680475,
+         "08a668a0311116d273323c43b5267416b30a544555fe72eb83a8b363b0cd4e90"),
     ),
     (
         ("preassigned", tuple(0.01 * i for i in range(300))),
-        (0, 156670, 0.006493588849290398,
-         "3212a42c7bf940b9d0663d529cfb039eb7cf3c20b8ce16a12bbcb92a1adeb817"),
+        (0, 158558, 0.006416763795415523,
+         "8a08eda911a3a1ee170b9ddee439aa1c51fd41467d36104f301f8af37349acbe"),
     ),
 ]
 
@@ -448,7 +464,7 @@ def test_pinned_windowed_report_at_1024_bits(jobs):
     bits = 1024 * (18 * BLOCK_PACKETS + 44)
     cfg = ProtocolConfig(1024, 2, windows=(205, 82))
     rep = simulate(cfg, LINK1, "sequential", bits, 7, n_jobs=jobs)
-    assert rep == TrialReport(bits, 56676, (481340, 192536), 0.7810831426392068, 7)
+    assert rep == TrialReport(bits, 56697, (481340, 192536), 0.7810831426392068, 7)
 
 
 def _traced_peak(cfg, scheme, packets):
