@@ -174,20 +174,12 @@ def _run_optimize(args, out: _Output) -> None:
 
 
 def _strategy_flag(args) -> tuple[str, float] | None:
-    """The one strategy flag of a ladder scheme as (name, value), None for
-    full repetition and --d 0, which take none."""
+    """The strategy flag given as (name, value), or None; which schemes take one,
+    and its range, are `model.scheme_protocol`'s rules."""
     given = [(k, getattr(args, k)) for k in STRATEGIES if getattr(args, k) is not None]
-    if args.scheme == "full_repetition" or args.d == 0:
-        if given:
-            raise ConfigurationError(
-                "--rate, --window and --threshold do not apply to full repetition or --d 0"
-            )
-        return None
-    if len(given) != 1:
-        raise ConfigurationError("give exactly one of --rate, --window, --threshold")
-    if args.window is not None and args.window > 1.0:
-        raise ConfigurationError(f"--window is the fraction W/N in (0, 1], got {args.window}")
-    return given[0]
+    if len(given) > 1:
+        raise ConfigurationError("give at most one of --rate, --window, --threshold")
+    return given[0] if given else None
 
 
 def _run_simulate(args, out: _Output) -> None:

@@ -166,8 +166,8 @@ def simulate(
     """Simulate packet transmission, retransmission and MRC combining.
 
     Transmits ``bits / packet_bits`` packets of antipodal symbols at the
-    link's per-symbol SNR in the normalized sample space (AWGN only: a link
-    with ``fading`` set raises ``ConfigurationError``), applies the
+    link's per-symbol SNR in the normalized sample space (AWGN only, by
+    :meth:`bitarq.model.LinkModel.awgn_snr`), applies the
     selected scheme, and counts sign errors after the final combining.
     Deterministic for a given (config, link, scheme, bits, seed); every
     scheme sees the same first-pass samples for a given seed, and full
@@ -181,10 +181,8 @@ def simulate(
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     n, d = config.packet_bits, config.retransmissions
     check_whole_packets(bits, n)
-    m = math.sqrt(2.0 * link.snr_per_symbol)
+    m = math.sqrt(2.0 * link.awgn_snr())
     combine = _combiner(config, scheme, m)
-    if link.fading is not None:
-        raise ConfigurationError("the Monte Carlo does not simulate fading; give a link without it")
     full, rest = divmod(bits // n, BLOCK_PACKETS)
     plan = [BLOCK_PACKETS] * full + [rest] * (rest > 0)
     jobs = min(n_jobs, len(plan))

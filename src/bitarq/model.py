@@ -18,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError
+from .errors import ConfigurationError, InvalidParameterError
 
 __all__ = [
     "SlowChiSquareFading",
@@ -195,6 +195,14 @@ class LinkModel:
                 f"fading must be a SlowChiSquareFading or None, got {self.fading!r}"
             )
 
+    def awgn_snr(self) -> float:
+        """``snr_per_symbol`` for the AWGN-only design model and Monte Carlo;
+        ``ConfigurationError`` for a link with ``fading`` set."""
+        if self.fading is not None:
+            raise ConfigurationError("the design model and the Monte Carlo are AWGN only, not fading; "
+                                     "give a link without fading")
+        return self.snr_per_symbol
+
 
 @dataclass(frozen=True)
 class FixedWindow:
@@ -288,7 +296,8 @@ def scheme_protocol(
         raise InvalidParameterError(f"unknown scheme {scheme!r}")
     n, d = check_integer("n", n, 1), check_integer("d", d, 0)
     if (flag is None) != (scheme == "full_repetition" or d == 0):
-        raise InvalidParameterError("full repetition and D = 0 take no strategy, other schemes one")
+        raise InvalidParameterError("full repetition and D = 0 take no strategy; every other scheme "
+                                    "takes exactly one rate, window or threshold")
     check_snr("base_snr", base_snr)
     us = ws = None
     if flag is None:

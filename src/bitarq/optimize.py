@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .analytic import ber_approx, ber_exact, retx_rung, shared_threshold_fractions
-from .errors import ConfigurationError, InvalidParameterError, NumericFailureError
+from .errors import InvalidParameterError, NumericFailureError
 from .model import (STRATEGIES, LinkModel, check_integer, check_snr, rate_range, round_half_away,
                     window_rate, window_size)
 
@@ -243,13 +243,6 @@ def _ladder_thresholds(d: int, p, snr) -> tuple:
     return tuple(np.where(full, math.inf, u)[()] for u in us)
 
 
-def _awgn_snr(link: LinkModel) -> float:
-    """The link's SNR; ``ConfigurationError`` for a fading link (the design model is AWGN)."""
-    if link.fading is not None:
-        raise ConfigurationError("the optimizers design for AWGN, not fading; give a link without it")
-    return link.snr_per_symbol
-
-
 def equal_probability_thresholds(d: int, p: float, link: LinkModel) -> tuple[float, ...]:
     """Thresholds making every round retransmit the same expected fraction p.
 
@@ -257,7 +250,7 @@ def equal_probability_thresholds(d: int, p: float, link: LinkModel) -> tuple[flo
     the round-(j+1) fraction equation given the earlier thresholds, so the
     expected window is N*p in every round.
     """
-    return tuple(float(u) for u in _ladder_thresholds(d, p, _awgn_snr(link)))
+    return tuple(float(u) for u in _ladder_thresholds(d, p, link.awgn_snr()))
 
 
 def fixed_threshold_windows(n: int, d: int, u: float, snr: float) -> tuple[int, ...]:
@@ -414,7 +407,7 @@ def _refine(objective, grid, j: int, uni: bool):
 def _optimize(kind: str, n: int, d: int, link: LinkModel, points: int) -> SweepResult:
     """Sweep, refine and package one strategy (see :func:`sweep_blocks` and
     :func:`resolve_strategy`)."""
-    base = _awgn_snr(link)
+    base = link.awgn_snr()
     # (values, thresholds, rates, SNRs) of every grid block and probe
     resolved = list(sweep_blocks(kind, points, n, d, base))
 

@@ -12,10 +12,11 @@ from bitarq import (
     SlowChiSquareFading,
     ber_exact,
 )
-from bitarq.mc import simulate
+from bitarq.mc import compare_schemes, simulate
 from bitarq.model import (MAX_SNR_DB, FixedWindow, check_whole_packets, round_half_away,
                           scheme_protocol, window_rate, window_size)
-from bitarq.optimize import resolve_strategy
+from bitarq.optimize import (equal_probability_thresholds, optimize_rate, optimize_threshold,
+                             optimize_window, resolve_strategy)
 
 
 # threshold ladders with negative, nan, infinite and decreasing entries
@@ -139,6 +140,27 @@ class TestLinkModel:
         # ber_fading returned -5.7e-302 at 1e300 and 0.0 at inf
         with pytest.raises(InvalidParameterError, match="100 dB"):
             SlowChiSquareFading(mean_snr)
+
+    def test_every_awgn_computation_rejects_fading_with_one_message(self):
+        # LinkModel.awgn_snr owns the AWGN-only rule of the design model and the Monte Carlo
+        faded = LinkModel(3.0, fading=SlowChiSquareFading(3.0))
+        ladder = ProtocolConfig(64, 2, thresholds=(0.6, 1.2))
+        calls = [
+            lambda: simulate(ladder, faded, "preassigned", 64, 0),
+            lambda: compare_schemes(ladder, faded, 64),
+            lambda: optimize_rate(64, 1, faded),
+            lambda: optimize_window(64, 1, faded),
+            lambda: optimize_threshold(64, 1, faded),
+            lambda: equal_probability_thresholds(2, 0.2, faded),
+        ]
+        messages = set()
+        for call in calls:
+            with pytest.raises(ConfigurationError) as caught:
+                call()
+            messages.add(str(caught.value))
+        assert messages == {"the design model and the Monte Carlo are AWGN only, not fading; "
+                            "give a link without fading"}
+        assert LinkModel(3.0).awgn_snr() == 3.0
 
 
 class TestProtocolConfig:

@@ -73,6 +73,8 @@ def test_command_loads_no_scipy(argv, loaded):
 
 
 _SIM = ["simulate", "--snr-db", "3", "--n", "1024", "--d", "2"]
+_NO_STRATEGY = ("full repetition and D = 0 take no strategy; "
+                "every other scheme takes exactly one rate, window or threshold")
 
 
 @pytest.mark.parametrize("argv, env, message", [
@@ -85,11 +87,16 @@ _SIM = ["simulate", "--snr-db", "3", "--n", "1024", "--d", "2"]
      "--snr-db 101.0 is above the 100 dB ceiling"),
     ([*_SIM, "--bits", "1000", "--window", "0.2"], {},
      "bits must be a positive multiple of packet_bits"),
-    ([*_SIM, "--bits", "1024", "--window", "1.5"], {},
-     "--window is the fraction W/N in (0, 1], got 1.5"),
-    ([*_SIM, "--scheme", "full_repetition", "--bits", "1024", "--rate", "0.7"], {},
-     "--rate, --window and --threshold do not apply to full repetition or --d 0"),
-    ([*_SIM, "--bits", "1024"], {}, "give exactly one of --rate, --window, --threshold"),
+    # model.window_size owns the window range, for either scheme
+    ([*_SIM, "--bits", "1024", "--window", "1.5"], {}, "window fraction 1.5 outside (0, 1]"),
+    ([*_SIM, "--scheme", "preassigned", "--bits", "1024", "--window", "1.5"], {},
+     "window fraction 1.5 outside (0, 1]"),
+    # model.scheme_protocol owns which schemes take a strategy flag
+    ([*_SIM, "--scheme", "full_repetition", "--bits", "1024", "--rate", "0.7"], {}, _NO_STRATEGY),
+    ([*_SIM, "--bits", "1024"], {}, _NO_STRATEGY),
+    # the one argv rule the library cannot see
+    ([*_SIM, "--bits", "1024", "--rate", "0.8", "--window", "0.2"], {},
+     "give at most one of --rate, --window, --threshold"),
     # 0.3 lies below 1/(1+D): no window runs it
     ([*_SIM, "--bits", "204800", "--rate", "0.3"], {},
      "rate 0.3 outside the admissible interval (0.3333333333333333, 0.9980506822612085]"),
@@ -107,7 +114,8 @@ _SIM = ["simulate", "--snr-db", "3", "--n", "1024", "--d", "2"]
     (["feedback-sim", "--n", "3", "--w", "4"], {}, "need 1 <= w <= n"),
     (["feedback-sim", "--n", "3", "--w", "4", "--c1", "4"], {}, "need 1 <= w <= n"),
 ], ids=["readme-sweep-window", "sweep-snr-ceiling", "optimize-snr-ceiling", "partial-packet",
-        "window-above-1", "flag-under-full-repetition", "no-strategy-flag", "rate-below-range",
+        "window-above-1", "preassigned-window-above-1", "flag-under-full-repetition",
+        "no-strategy-flag", "two-strategy-flags", "rate-below-range",
         "preassigned-rate-below-range", "threads-0", "full-repetition-snr-underflow",
         "search-too-large", "window-above-n", "window-above-n-with-c1"])
 def test_configuration_error_exits_before_numpy_loads(argv, env, message):
