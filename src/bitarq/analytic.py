@@ -36,9 +36,10 @@ from scipy.special import erfc as _np_erfc
 from scipy.special import ndtr
 
 from .errors import InvalidParameterError, NumericFailureError
-from .model import LinkModel, ProtocolConfig, check_integer, check_snr
+from .model import LinkModel, ProtocolConfig, check_integer, check_items, check_real, check_snr
 
 __all__ = [
+    "check_reals",
     "q_function",
     "DEFAULT_PRONY",
     "ber_exact",
@@ -56,9 +57,17 @@ _Q_UNDERFLOW = 40.0  # q_function(x) is exactly 0.0 for x above about 38.5
 _U_CAP = 1e150  # a threshold above this acts as inf in the closed forms; its square stays finite
 
 
+def check_reals(name: str, values) -> np.ndarray:
+    """``values`` as a float array; InvalidParameterError unless it has a NumPy integer or float dtype."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise InvalidParameterError(f"{name} must be a real number or array, got {values!r}")
+    return array.astype(float, copy=False)
+
+
 def q_function(x):
     """Gaussian tail probability Q(x), machine accurate for any real x."""
-    return 0.5 * _np_erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    return 0.5 * _np_erfc(check_reals("x", x) / math.sqrt(2.0))
 
 
 # The (a_k, b_k) pairs of the two-term exponential fit
@@ -166,28 +175,23 @@ def _rect(lo, hi, c, e, m, i):
 
 def _mean_and_ladder(snr, us, least: int = 1):
     """(m, U) with the thresholds stacked on a last axis, broadcast to the shape of ``snr``
-    and the thresholds; m keeps the shape of ``snr``.  InvalidParameterError for a ladder
-    that is not a sequence or has fewer than ``least`` thresholds, a ladder with a negative,
-    nan or decreasing entry, or an SNR out of (0, MAX_SNR_DB]."""
-    snr = np.asarray(snr, dtype=float)
-    try:
-        count = len(us)
-    except TypeError:
-        message = f"the threshold ladder must be a sequence, got {us!r}"
-        raise InvalidParameterError(message) from None
-    if count < least:
+    and the thresholds; m keeps the shape of ``snr``.  InvalidParameterError for a ladder that is
+    no sequence of reals or has fewer than ``least`` rungs, for a rung out of [0, inf] (its least
+    element named) or a decreasing ladder as ``ProtocolConfig`` says, or an SNR out of (0, 100 dB]."""
+    snr = check_reals("snr", snr)
+    us = check_items("the threshold ladder", us, lambda u: check_reals("threshold", u))
+    if len(us) < least:
         raise InvalidParameterError("need at least one threshold")
-    if snr.size:  # a nan min or max fails the check
-        check_snr("snr", snr.min())
-        check_snr("snr", snr.max())
+    if snr.size:  # the least element unless it is positive, else the greatest; nan fails
+        check_snr("snr", snr.max() if snr.min() > 0.0 else snr.min())
     m = np.sqrt(2.0 * snr)
-    shape = np.broadcast_shapes(m.shape, *(np.shape(u) for u in us))
-    # 0, U_0, ..., U_{D-1}: one comparison checks the first rung and every step
-    ladder = np.zeros(shape + (count + 1,))
+    ladder = np.zeros(np.broadcast_shapes(m.shape, *(u.shape for u in us)) + (len(us) + 1,))
     for j, u in enumerate(us, 1):
         ladder[..., j] = u
-    if not (ladder[..., 1:] >= ladder[..., :-1]).all():
-        raise InvalidParameterError("thresholds must be non-negative and nondecreasing (nan is not)")
+    if not (ladder[..., 1:] >= ladder[..., :-1]).all():  # 0, U_0, ..., U_{D-1}: nan fails too
+        for u in ladder[..., 1:].reshape(-1, len(us)).min(axis=0):  # the rungs first, each by its least
+            check_real("threshold", u, 0.0, math.inf, "[]")
+        raise InvalidParameterError("thresholds must be nondecreasing")
     return m, np.ascontiguousarray(ladder[..., 1:])  # the kernels' pins hold on contiguous ladders
 
 
@@ -255,8 +259,8 @@ def _prony_ber(snr, us: Sequence, prony=DEFAULT_PRONY):
     """Closed-form BER, uncapped: ber_fading averages it; above 0.5 below about -12 dB."""
     m, u = _mean_and_ladder(snr, us)
     u = np.minimum(u, _U_CAP)
-    total = q_function(m + u[..., -1]) + q_function(m * math.sqrt(len(us) + 1))
-    ds, cols = _tail_terms(len(us))  # every tail on a last axis
+    total = q_function(m + u[..., -1]) + q_function(m * math.sqrt(u.shape[-1] + 1))
+    ds, cols = _tail_terms(u.shape[-1])  # every tail on a last axis
     tails = _prony_tail(np.array(ds, dtype=float), u[..., cols], m[..., None], prony)
     for k in range(len(cols)):
         total = total + tails[..., k] if k % 2 else total - tails[..., k]
@@ -287,7 +291,7 @@ def retx_rung(snr, prefix: Sequence):
     built once; the nodes of :func:`_sums` move with u, as their window
     centre is m clipped to [-u, u], and u < m at most design optima."""
     m, ladder = _mean_and_ladder(snr, prefix, least=0)
-    d = len(prefix)
+    d = ladder.shape[-1]
     low = ladder[..., -1] if d else 0.0
     q_low = (q_function(low - m), q_function(low + m))
     if d:
@@ -295,7 +299,7 @@ def retx_rung(snr, prefix: Sequence):
         gain, s = copies + 1.0, np.sqrt(copies)
 
     def fraction(u):
-        u = np.asarray(u, dtype=float)
+        u = check_reals("u", u)
         if not (u >= low).all():  # nan fails too
             raise InvalidParameterError("u must be at least prefix[-1], or 0 for an empty prefix")
         value = (q_low[0] - q_function(u - m)) + (q_low[1] - q_function(u + m))
@@ -414,14 +418,13 @@ def ber_fading_quadrature(config: ProtocolConfig, link: LinkModel, integrand: st
 _APPENDIX_KINDS = ("semiinf_minus", "semiinf_plus", "finite_minus", "finite_plus")
 
 
-def _check_appendix_args(kind: str, h, bound):
+def _check_appendix_args(kind: str, h, bound) -> tuple[tuple[float, ...], float | None]:
     if kind not in _APPENDIX_KINDS:
         raise InvalidParameterError(f"unknown integral kind {kind!r}")
-    if len(h) != 5 or any(not 0 < hi < math.inf for hi in h):
+    h = check_items("h", h, lambda v: check_real("h", v, 0.0, math.inf, "()"))
+    if len(h) != 5:
         raise InvalidParameterError("h must hold 5 positive finite reals")
-    if kind.startswith("finite"):
-        if bound is None or not bound > 0 or math.isinf(bound):
-            raise InvalidParameterError("finite kinds need a positive finite bound")
+    return h, check_real("bound", bound, 0.0, math.inf, "()") if kind.startswith("finite") else None
 
 
 def appendix_integral(kind: str, h: Sequence[float], bound: float | None = None) -> float:
@@ -432,8 +435,7 @@ def appendix_integral(kind: str, h: Sequence[float], bound: float | None = None)
     kinds, with the Q factor replaced by its two-term exponential fit (the
     Gaussian-product integrals are then exact).
     """
-    _check_appendix_args(kind, h, bound)
-    h1, h2, h3, h4, h5 = (float(v) for v in h)
+    (h1, h2, h3, h4, h5), big_h = _check_appendix_args(kind, h, bound)
     # the fit is even in its argument, so a minus kind is its plus kind with h5 negated
     s5 = -h5 if kind.endswith("minus") else h5
     gap = h2 + s5
@@ -453,7 +455,6 @@ def appendix_integral(kind: str, h: Sequence[float], bound: float | None = None)
         if kind.startswith("semiinf"):
             total += pref * math.erfc((h2 / h3 - c * s5) / sq_a)
         else:
-            big_h = float(bound)
             bracket = math.erf(((big_h + h2) / h3 + c * (big_h - s5)) / sq_a)
             bracket += math.erf(((big_h - h2) / h3 + c * (big_h + s5)) / sq_a)
             total += pref * bracket
@@ -464,8 +465,7 @@ def appendix_integral_quadrature(
     kind: str, h: Sequence[float], bound: float | None = None
 ) -> float:
     """Oracle twin of :func:`appendix_integral` using the exact Q factor."""
-    _check_appendix_args(kind, h, bound)
-    h1, h2, h3, h4, h5 = (float(v) for v in h)
+    (h1, h2, h3, h4, h5), big_h = _check_appendix_args(kind, h, bound)
     sign = -1.0 if kind.endswith("minus") else 1.0
 
     def f(x: float) -> float:
@@ -480,5 +480,4 @@ def appendix_integral_quadrature(
         lo = max(lo, h5 - _Q_UNDERFLOW / h4)
     if kind.startswith("semiinf"):
         return _quad(f, lo, min(0.0, hi))
-    big_h = float(bound)
     return _quad(f, max(-big_h, lo), min(big_h, hi))

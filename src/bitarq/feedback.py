@@ -25,8 +25,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidParameterError, SearchExhaustedError
-from .model import (MAX_SEARCH_SUBSETS, check_integer, check_search, check_subset, feedback_bit_width,
-                    optimal_c1)
+from .model import (MAX_SEARCH_SUBSETS, check_integer, check_real, check_search, check_subset,
+                    feedback_bit_width, optimal_c1)
 
 __all__ = [
     "CombinadicMessage",
@@ -307,9 +307,7 @@ def mean_report_delay(n: int, w: int, c1: int) -> float:
 
 def throughput_one_retx(n: int, mean_delay: float) -> float:
     """Forward throughput with one retransmission: n / E[delay periods]."""
-    if not mean_delay > 0:  # rejects nan too
-        raise InvalidParameterError("the mean delay must be positive")
-    return check_integer("n", n, 1) / mean_delay
+    return check_integer("n", n, 1) / check_real("mean_delay", mean_delay, 0.0, math.inf, "(]")
 
 
 def feedback_error_tolerance(c_bits: int) -> float:

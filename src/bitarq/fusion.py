@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .errors import InvalidParameterError, NumericFailureError
-from .model import check_integer, check_subset
+from .model import check_integer, check_items, check_real, check_subset
 
 __all__ = [
     "Technology",
@@ -51,8 +51,10 @@ class Technology:
     packet_bits: int
 
     def __post_init__(self):
-        if any(not (c > 0 and k > 0) for c, k in self.ber_fit):
-            raise InvalidParameterError("fit coefficients must be positive (nan is not)")
+        fit = check_items("ber_fit", self.ber_fit, lambda pair: check_items(
+            "ber_fit", pair, lambda v: check_real("a ber_fit coefficient or rate", v, 0.0, math.inf)))
+        if not fit or any(len(pair) != 2 for pair in fit):
+            raise InvalidParameterError("ber_fit must hold one or more (coefficient, rate) pairs")
         check_integer("packet_bits", self.packet_bits, 1)
 
 
@@ -69,6 +71,7 @@ _FIT_BER_RANGE = (1e-6, 1e-2)
 
 def ber_curve(tech: Technology, snr: float) -> float:
     """Fitted link BER at a linear SNR."""
+    snr = check_real("snr", snr, 0.0, math.inf, "[]")
     return sum(c * math.exp(-k * snr) for c, k in tech.ber_fit)
 
 
@@ -82,11 +85,7 @@ def required_snr(tech: Technology, target_ber: float) -> float:
     once a step is below 1e-14 + 1e-15 * snr; convergence is quadratic, so
     the result is far closer than that.
     """
-    lo_ber, hi_ber = _FIT_BER_RANGE
-    if not lo_ber <= target_ber <= hi_ber:
-        raise InvalidParameterError(
-            f"target BER {target_ber} outside the fit validity range [{lo_ber}, {hi_ber}]"
-        )
+    target_ber = check_real("target BER", target_ber, *_FIT_BER_RANGE, "[]")
     if ber_curve(tech, 0.0) <= target_ber:
         raise InvalidParameterError(f"the {tech.name} fit never exceeds BER {target_ber}")
     log_target = math.log(target_ber)
@@ -120,8 +119,8 @@ class SegmentedDesign:
     def __post_init__(self):
         if self.tech.packet_bits % check_integer("n_seg", self.n_seg, 1) != 0:
             raise InvalidParameterError("packet size must divide into n_seg >= 1 equal segments")
-        if not 0.0 <= self.p_f < 1.0 or not 0.0 <= self.p_r < 1.0:
-            raise InvalidParameterError("link BERs must be in [0, 1)")
+        for name in ("p_f", "p_r"):
+            check_real(name, getattr(self, name), 0.0, 1.0, "[)")
         subsets = check_subset(self.segment_bits, self.w_seg, 1)[2]  # C(n, w) costs ms at n = 6096
         object.__setattr__(self, "c_tot", self.n_seg * (subsets - 1).bit_length())
 

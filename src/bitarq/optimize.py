@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .analytic import ber_approx, ber_exact, retx_rung, shared_threshold_fractions
+from .analytic import ber_approx, ber_exact, check_reals, retx_rung, shared_threshold_fractions
 from .errors import InvalidParameterError, NumericFailureError
-from .model import (STRATEGIES, LinkModel, check_integer, check_snr, rate_range, round_half_away,
-                    window_rate, window_size)
+from .model import (STRATEGIES, LinkModel, check_integer, check_real, check_snr, rate_range,
+                    round_half_away, window_rate, window_size)
 
 __all__ = [
     "SweepResult",
@@ -102,8 +102,7 @@ def golden_section(f, a: float, b: float):
     returned (x, f(x)) are those of the one-probe-per-call search, provided
     ``f`` values each element as it would alone.
     """
-    if not b > a:
-        raise InvalidParameterError("need b > a")
+    a, b = check_real("a", a, -math.inf, math.inf), check_real("b", b, a, math.inf)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(np.array([c, d]))
@@ -128,6 +127,7 @@ def is_unimodal(values, atol: float = 0.0) -> bool:
     Differences with magnitude at most ``atol`` count as flat and are
     ignored.
     """
+    atol = check_real("atol", atol, 0.0, math.inf, "[]")
     diffs = (b - a for a, b in zip(values, values[1:]))
     rising = [diff > 0 for diff in diffs if not abs(diff) <= atol]
     return rising == sorted(rising)
@@ -222,7 +222,7 @@ def _ladder_thresholds(d: int, p, snr) -> tuple:
     """Equal-probability ladders U_0..U_{d-1} for arrays of band
     probabilities ``p`` and SNRs ``snr`` (broadcast together)."""
     d = check_integer("d", d, 1)
-    p, snr = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(snr, dtype=float))
+    p, snr = np.broadcast_arrays(check_reals("p", p), check_reals("snr", snr))
     if not np.all((p > 0.0) & (p <= 1.0)):
         raise InvalidParameterError("band probability must be in (0, 1]")
     full = p >= 1.0 - 1e-12
@@ -250,11 +250,12 @@ def equal_probability_thresholds(d: int, p: float, link: LinkModel) -> tuple[flo
     the round-(j+1) fraction equation given the earlier thresholds, so the
     expected window is N*p in every round.
     """
-    return tuple(float(u) for u in _ladder_thresholds(d, p, link.awgn_snr()))
+    return tuple(float(u) for u in _ladder_thresholds(d, check_real("p", p, 0.0, 1.0, "(]"), link.awgn_snr()))
 
 
 def fixed_threshold_windows(n: int, d: int, u: float, snr: float) -> tuple[int, ...]:
     """Per-round expected windows round(N * P_d) under one shared threshold."""
+    n, u, snr = check_integer("n", n, 1), check_real("u", u, 0.0, math.inf, "[]"), check_snr("snr", snr)
     return tuple(
         min(n, max(0, round_half_away(n * p))) for p in shared_threshold_fractions(d, u, snr)
     )
@@ -275,13 +276,13 @@ def fixed_threshold_rate(d: int, u, base_snr: float):
     in that convex stretch; the single root left below is bracketed from
     1/(1+d).  ``u`` may be an array.
     """
-    d = check_integer("d", d, 1)
+    d, u, base_snr = check_integer("d", d, 1), check_reals("u", u), check_snr("base_snr", base_snr)
     floor = window_rate(d, 1.0)
 
     def residual(r, live=...):
         """g(r) where ``live`` (everywhere by default), 0 elsewhere."""
         g, r = np.zeros(np.shape(r)), r[live]
-        fractions = shared_threshold_fractions(d, np.asarray(u)[live], base_snr * r)
+        fractions = shared_threshold_fractions(d, u[live], base_snr * r)
         total = np.minimum(fractions.sum(axis=-1), d)
         g[live] = r - 1.0 / (1.0 + total)
         return g
@@ -320,8 +321,7 @@ _SWEEP_BLOCK = 512
 
 def threshold_u_max(snr: float) -> float:
     """Default top of the threshold sweep: the mean sample plus four noise std."""
-    check_snr("snr", snr)
-    return math.sqrt(2.0 * snr) + 4.0
+    return math.sqrt(2.0 * check_snr("snr", snr)) + 4.0
 
 
 def resolve_strategy(kind: str, x, d: int, base_snr: float) -> tuple:
@@ -335,9 +335,8 @@ def resolve_strategy(kind: str, x, d: int, base_snr: float) -> tuple:
     """
     if kind not in STRATEGIES:
         raise InvalidParameterError(f"unknown strategy {kind!r}")
-    d = check_integer("d", d, 1)
-    check_snr("base_snr", base_snr)
-    if kind == "rate" and not np.all(np.asarray(x) > window_rate(d, 1.0)):  # as in window_size
+    d, x, base_snr = check_integer("d", d, 1), check_reals(kind, x)[()], check_snr("base_snr", base_snr)
+    if kind == "rate" and not np.all(x > window_rate(d, 1.0)):  # as in window_size
         raise InvalidParameterError(f"forward rate must be above 1/(1 + d) = 1/{1 + d}, the full-retransmission rate")
     if kind == "threshold":
         rate, snr_eff = fixed_threshold_rate(d, x, base_snr)
@@ -359,8 +358,7 @@ def sweep_blocks(kind: str, points: int, n: int, d: int, base_snr: float, u_max=
     """
     points = check_integer("points", points, 1)
     n, d = check_integer("n", n, 1), check_integer("d", d, 1)
-    if u_max is not None and not 0.0 < u_max < math.inf:
-        raise InvalidParameterError(f"u_max must be positive and finite, got {u_max}")
+    u_max = None if u_max is None else check_real("u_max", u_max, 0.0, math.inf)
     if kind == "rate":
         lo, hi = rate_range(n, d)
     elif kind == "window":

@@ -262,9 +262,11 @@ class TestEvaluatorInput:
 
     @pytest.mark.parametrize("snr", BAD_SNRS.values(), ids=BAD_SNRS)
     def test_bad_snr_message(self, snr):
+        # the message names the SNR out of range: an array's least or greatest element
+        shown = np.min(snr) if not np.min(snr) > 0 else np.max(snr)
         with pytest.raises(InvalidParameterError) as error:
             ber_exact(snr, (0.5, 1.0))
-        assert str(error.value) == f"snr must be positive and at most {MAX_SNR_DB:g} dB"
+        assert str(error.value) == f"snr {float(shown)!r} outside (0, {MAX_SNR_DB:g} dB]"
 
     @pytest.mark.parametrize("d", [1.5, 0, True])
     def test_bad_round_count(self, d):

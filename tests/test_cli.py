@@ -101,11 +101,15 @@ class TestSweeps:
     @pytest.mark.parametrize("argv", [
         ("sweep-rate", "--snr-db", "5", "--d", "1", "--n", "1", "--points", "2"),
         ("optimize", "--strategy", "rate", "--snr-db", "5", "--d", "1", "--n", "1"),
-    ], ids=["sweep-rate", "optimize"])
+        ("sweep-rate", "--snr-db", "5", "--d", "2", "--n", "1"),
+        ("simulate", "--snr-db", "5", "--d", "2", "--n", "1", "--bits", "8", "--rate", "0.5"),
+    ], ids=["sweep-rate", "optimize", "sweep-rate-d2", "simulate-d2"])
     def test_one_bit_packet_has_no_rate_above_full_retransmission(self, capsys, monkeypatch,
                                                                   argv):
-        # rate_range(1, 1) is (0.5, 0.5]: sweep-rate printed rows at rf 0.5, and
-        # optimize solved all 64 ladders before window_size rejected the minimizer
+        # rate_range(1, d) is the empty (1/(1+d), 1/(1+d)]: sweep-rate printed rows at
+        # rf 0.5, optimize solved all 64 ladders before window_size rejected the minimizer,
+        # and the messages named a rate the user never gave ("forward rate must be above
+        # 1/(1 + d) = 1/3") or the empty interval
         import bitarq.optimize as optimize_mod
 
         def no_ladder(*args):
@@ -114,7 +118,7 @@ class TestSweeps:
         monkeypatch.setattr(optimize_mod, "_ladder_thresholds", no_ladder)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert "full-retransmission rate" in err
+        assert err == "error: a 1-bit packet has no rate above full retransmission, so use a window\n"
 
     def test_reproducible_runs_identical(self, capsys):
         args = ("sweep-threshold", "--snr-db", "2.5", "--d", "1", "--n", "128",

