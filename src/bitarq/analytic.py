@@ -36,7 +36,8 @@ from scipy.special import erfc as _np_erfc
 from scipy.special import ndtr
 
 from .errors import InvalidParameterError, NumericFailureError
-from .model import LinkModel, ProtocolConfig, check_integer, check_items, check_real, check_snr
+from .model import (LinkModel, ProtocolConfig, check_fit, check_integer, check_items, check_real, check_snr,
+                    check_type)
 
 __all__ = [
     "check_reals",
@@ -72,7 +73,7 @@ def q_function(x):
 
 # The (a_k, b_k) pairs of the two-term exponential fit
 # Q(x) ~= sum_k a_k exp(-b_k x^2), x >= 0 (Loskot & Beaulieu 2009).
-DEFAULT_PRONY = ((0.208, 0.971), (0.147, 0.525))
+DEFAULT_PRONY = check_fit("prony", ((0.208, 0.971), (0.147, 0.525)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +213,7 @@ def _bands(u):
 
 
 def _check_thresholds(config: ProtocolConfig) -> tuple[float, ...]:
-    if config.retransmissions < 1:
+    if check_type("config", config, ProtocolConfig).retransmissions < 1:
         raise InvalidParameterError("need at least one retransmission")
     if config.thresholds is None:
         raise InvalidParameterError("config.thresholds must be set")
@@ -268,8 +269,9 @@ def _prony_ber(snr, us: Sequence, prony=DEFAULT_PRONY):
 
 
 def ber_approx(snr, us: Sequence, prony=DEFAULT_PRONY):
-    """Closed-form counterpart of :func:`ber_exact` (no quadrature), on the
-    exponential fit ``prony`` of the Gaussian tail; capped at 0.5."""
+    """Closed-form counterpart of :func:`ber_exact` (no quadrature), on the exponential fit
+    ``prony`` of the Gaussian tail (by the rule of ``Technology.ber_fit``); capped at 0.5."""
+    prony = prony if prony is DEFAULT_PRONY else check_fit("prony", prony)  # the default is checked at import
     return np.minimum(_prony_ber(snr, us, prony), 0.5)[()]  # no BER exceeds 0.5
 
 
@@ -361,7 +363,7 @@ def _fading_tail(d: int, v: float, mean_snr: float) -> float:
 
 
 def _require_fading(link: LinkModel) -> float:
-    if link.fading is None:
+    if check_type("link", link, LinkModel).fading is None:
         raise InvalidParameterError("link must carry a slow chi-square fading descriptor")
     return link.fading.mean_snr
 

@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidParameterError, SearchExhaustedError
-from .model import (MAX_SEARCH_SUBSETS, check_integer, check_real, check_search, check_subset,
+from .model import (MAX_SEARCH_SUBSETS, check_integer, check_real, check_search, check_subset, check_type,
                     feedback_bit_width, optimal_c1)
 
 __all__ = [
@@ -106,9 +106,7 @@ def pack_bits(value: int, width: int) -> bytes:
 
 def unpack_bits(data: bytes, width: int) -> int:
     width = check_integer("width", width, 0)
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise InvalidParameterError(f"the payload must be bytes, got {type(data).__name__}")
-    data = bytes(data)  # a memoryview's len counts items, not bytes
+    data = bytes(check_type("data", data, (bytes, bytearray, memoryview)))  # a view's len counts items
     if len(data) != (width + 7) // 8:
         raise InvalidParameterError("payload length does not match the width")
     return int.from_bytes(data, "big") >> (8 * len(data) - width)
@@ -139,7 +137,7 @@ def combinadic_encode(positions: Iterable[int], n: int) -> CombinadicMessage:
 def combinadic_decode(message: CombinadicMessage, n: int, w: int) -> tuple[int, ...]:
     """Invert :func:`combinadic_encode`; returns sorted 0-based positions."""
     n, w, total = check_subset(n, w, 0)
-    if message.rank >= total:
+    if check_type("message", message, CombinadicMessage).rank >= total:
         raise InvalidParameterError(f"rank {message.rank} >= C({n}, {w}) = {total}")
     rank = message.rank
     out = []
@@ -247,7 +245,7 @@ def permutation_search(
 
 def permutation_recover(message: PermutationMessage, n: int, w: int, rng_seed: int) -> tuple[int, ...]:
     """Sender side: jump to the reported stream entry and unrank its subset."""
-    if message.stream_index < 1:
+    if check_type("message", message, PermutationMessage).stream_index < 1:
         raise InvalidParameterError("stream indexes are 1-based: the message decodes to 0")
     return subset_at(rng_seed, message.stream_index - 1, n, w)
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import SCHEMES, LinkModel, ProtocolConfig, check_integer, check_whole_packets
+from .model import SCHEMES, LinkModel, ProtocolConfig, check_integer, check_type, check_whole_packets
 
 __all__ = ["SCHEMES", "TrialReport", "simulate", "compare_schemes"]
 
@@ -179,9 +179,9 @@ def simulate(
     n_jobs = check_integer("n_jobs", n_jobs, 1)
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
-    n, d = config.packet_bits, config.retransmissions
+    n, d = check_type("config", config, ProtocolConfig).packet_bits, config.retransmissions
     check_whole_packets(bits, n)
-    m = math.sqrt(2.0 * link.awgn_snr())
+    m = math.sqrt(2.0 * check_type("link", link, LinkModel).awgn_snr())
     combine = _combiner(config, scheme, m)
     full, rest = divmod(bits // n, BLOCK_PACKETS)
     plan = [BLOCK_PACKETS] * full + [rest] * (rest > 0)
@@ -223,7 +223,7 @@ def compare_schemes(
     ``simulate`` with the scheme and seed.  Both schemes decide on the
     threshold ladder; defined for two retransmissions.
     """
-    if config.retransmissions != 2:
+    if check_type("config", config, ProtocolConfig).retransmissions != 2:
         raise ConfigurationError("scheme comparison is defined for two retransmissions")
     if config.thresholds is None:
         raise ConfigurationError("scheme comparison needs the threshold ladder")

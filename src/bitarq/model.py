@@ -42,6 +42,8 @@ __all__ = [
     "check_integer",
     "check_real",
     "check_items",
+    "check_type",
+    "check_fit",
     "check_subset",
     "check_snr",
     "check_whole_packets",
@@ -204,10 +206,7 @@ class LinkModel:
 
     def __post_init__(self):
         check_snr("snr_per_symbol", self.snr_per_symbol)
-        if not isinstance(self.fading, (SlowChiSquareFading, type(None))):
-            raise InvalidParameterError(
-                f"fading must be a SlowChiSquareFading or None, got {self.fading!r}"
-            )
+        check_type("fading", self.fading, (SlowChiSquareFading, type(None)))
 
     def awgn_snr(self) -> float:
         """``snr_per_symbol`` for the AWGN-only design model and Monte Carlo;
@@ -243,6 +242,23 @@ def check_items(name: str, values, convert) -> tuple:
         raise
     except (TypeError, ValueError):
         raise InvalidParameterError(f"{name} must be a sequence of numbers, got {values!r}") from None
+
+
+def check_type(name: str, value, types):
+    """``value`` if it is a ``types`` (a class or a tuple of them), else ``InvalidParameterError``."""
+    if not isinstance(value, types):
+        names = " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
+        raise InvalidParameterError(f"{name} must be a {names.replace('NoneType', 'None')}, got {value!r}")
+    return value
+
+
+def check_fit(name: str, pairs) -> tuple[tuple[float, float], ...]:
+    """``pairs`` as one or more (coefficient, rate) pairs of reals in (0, inf) of a fit sum(c exp(-k x))."""
+    fit = check_items(name, pairs, lambda pair: check_items(
+        name, pair, lambda v: check_real(f"a {name} coefficient or rate", v, 0.0, math.inf)))
+    if not fit or any(len(pair) != 2 for pair in fit):
+        raise InvalidParameterError(f"{name} must hold one or more (coefficient, rate) pairs")
+    return fit
 
 
 @dataclass(frozen=True)
@@ -310,6 +326,8 @@ def scheme_protocol(
     if scheme not in SCHEMES:
         raise InvalidParameterError(f"unknown scheme {scheme!r}")
     n, d = check_integer("n", n, 1), check_integer("d", d, 0)
+    if not (flag is None or isinstance(flag, tuple) and len(flag) == 2):
+        raise InvalidParameterError(f"flag must be None or one (kind, value) pair, got {flag!r}")
     if (flag is None) != (scheme == "full_repetition" or d == 0):
         raise InvalidParameterError("full repetition and D = 0 take no strategy; every other scheme "
                                     "takes exactly one rate, window or threshold")

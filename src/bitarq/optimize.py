@@ -23,8 +23,8 @@ from scipy.special import ndtri
 
 from .analytic import ber_approx, ber_exact, check_reals, retx_rung, shared_threshold_fractions
 from .errors import InvalidParameterError, NumericFailureError
-from .model import (STRATEGIES, LinkModel, check_integer, check_real, check_snr, rate_range,
-                    round_half_away, window_rate, window_size)
+from .model import (STRATEGIES, LinkModel, check_integer, check_items, check_real, check_snr, check_type,
+                    rate_range, round_half_away, window_rate, window_size)
 
 __all__ = [
     "SweepResult",
@@ -102,6 +102,8 @@ def golden_section(f, a: float, b: float):
     returned (x, f(x)) are those of the one-probe-per-call search, provided
     ``f`` values each element as it would alone.
     """
+    if not callable(f):
+        raise InvalidParameterError(f"f must be callable, got {f!r}")
     a, b = check_real("a", a, -math.inf, math.inf), check_real("b", b, a, math.inf)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -122,12 +124,14 @@ def golden_section(f, a: float, b: float):
 
 
 def is_unimodal(values, atol: float = 0.0) -> bool:
-    """True if the sequence decreases then increases (one sign change).
+    """True if the sequence of reals decreases then increases (one sign change).
 
     Differences with magnitude at most ``atol`` count as flat and are
-    ignored.
+    ignored.  A Python float skips :func:`check_real` (0.5 us a value).
     """
     atol = check_real("atol", atol, 0.0, math.inf, "[]")
+    values = check_items("values", values, lambda v: v if type(v) is float and v == v
+                         else check_real("values", v, -math.inf, math.inf, "[]"))
     diffs = (b - a for a, b in zip(values, values[1:]))
     rising = [diff > 0 for diff in diffs if not abs(diff) <= atol]
     return rising == sorted(rising)
@@ -250,7 +254,8 @@ def equal_probability_thresholds(d: int, p: float, link: LinkModel) -> tuple[flo
     the round-(j+1) fraction equation given the earlier thresholds, so the
     expected window is N*p in every round.
     """
-    return tuple(float(u) for u in _ladder_thresholds(d, check_real("p", p, 0.0, 1.0, "(]"), link.awgn_snr()))
+    p = check_real("p", p, 0.0, 1.0, "(]")
+    return tuple(float(u) for u in _ladder_thresholds(d, p, check_type("link", link, LinkModel).awgn_snr()))
 
 
 def fixed_threshold_windows(n: int, d: int, u: float, snr: float) -> tuple[int, ...]:
@@ -405,7 +410,7 @@ def _refine(objective, grid, j: int, uni: bool):
 def _optimize(kind: str, n: int, d: int, link: LinkModel, points: int) -> SweepResult:
     """Sweep, refine and package one strategy (see :func:`sweep_blocks` and
     :func:`resolve_strategy`)."""
-    base = link.awgn_snr()
+    base = check_type("link", link, LinkModel).awgn_snr()
     # (values, thresholds, rates, SNRs) of every grid block and probe
     resolved = list(sweep_blocks(kind, points, n, d, base))
 

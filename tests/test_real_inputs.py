@@ -5,7 +5,11 @@ real belongs with ``InvalidParameterError``; none crashes with a raw
 
 Scalars go through :func:`bitarq.model.check_real`, arrays through
 :func:`bitarq.analytic.check_reals` and sequences through
-:func:`bitarq.model.check_items`.
+:func:`bitarq.model.check_items`.  Likewise every entry that takes a package
+object (a link, config, technology, design, plan or feedback message) rejects
+anything else through :func:`bitarq.model.check_type`, not with a raw
+``AttributeError``, and an exponential fit goes through
+:func:`bitarq.model.check_fit`.
 """
 
 import math
@@ -16,15 +20,20 @@ import numpy as np
 import pytest
 
 from bitarq import InvalidParameterError
-from bitarq.analytic import (appendix_integral, appendix_integral_quadrature, ber_approx, ber_exact,
-                             check_reals, q_function, retx_rung, shared_threshold_fractions)
-from bitarq.feedback import throughput_one_retx
-from bitarq.fusion import ZIGBEE, SegmentedDesign, Technology, ber_curve, required_snr
+from bitarq.analytic import (DEFAULT_PRONY, appendix_integral, appendix_integral_quadrature, ber_approx,
+                             ber_exact, ber_fading, ber_fading_quadrature, check_reals, q_function,
+                             retx_rung, shared_threshold_fractions)
+from bitarq.feedback import (CombinadicMessage, PermutationMessage, combinadic_decode,
+                             permutation_recover, throughput_one_retx)
+from bitarq.fusion import (ZIGBEE, SegmentedDesign, Technology, ber_curve, feasible, required_snr,
+                           segment_feasibility, serialize_plan)
+from bitarq.mc import compare_schemes, simulate
 from bitarq.model import (LinkModel, ProtocolConfig, SlowChiSquareFading, check_real, check_snr,
-                          scheme_protocol, window_size)
+                          check_type, scheme_protocol, window_size)
 from bitarq.optimize import (equal_probability_thresholds, fixed_threshold_rate,
-                             fixed_threshold_windows, golden_section, is_unimodal,
-                             resolve_strategy, sweep_blocks, threshold_u_max)
+                             fixed_threshold_windows, golden_section, is_unimodal, optimize_rate,
+                             optimize_threshold, optimize_window, resolve_strategy, sweep_blocks,
+                             threshold_u_max)
 
 # entries that take one real number
 SCALAR_ENTRIES = {
@@ -124,6 +133,92 @@ def test_sequence_entries_reject_what_is_not_a_sequence_of_reals(entry, value):
         SEQUENCE_ENTRIES[entry](NOT_A_SEQUENCE[value])
 
 
+CONFIG = ProtocolConfig(64, 2, thresholds=(0.5, 1.0))
+LINK = LinkModel(2.0)
+FADED = LinkModel(2.0, fading=SlowChiSquareFading(2.0))
+DESIGN = SegmentedDesign(ZIGBEE, 1e-3, 1e-5, 2, 3)
+
+# entries that take a package object: (call, argument name, an object of another package type)
+OBJECT_ENTRIES = {
+    "simulate-config": (lambda v: simulate(v, LINK, "sequential", 64, 0), "config", LINK),
+    "simulate-link": (lambda v: simulate(CONFIG, v, "sequential", 64, 0), "link", CONFIG),
+    "compare_schemes-config": (lambda v: compare_schemes(v, LINK, 64), "config", LINK),
+    "compare_schemes-link": (lambda v: compare_schemes(CONFIG, v, 64), "link", CONFIG),
+    "optimize_rate": (lambda v: optimize_rate(64, 1, v), "link", CONFIG),
+    "optimize_window": (lambda v: optimize_window(64, 1, v), "link", CONFIG),
+    "optimize_threshold": (lambda v: optimize_threshold(64, 1, v), "link", CONFIG),
+    "equal_probability_thresholds": (lambda v: equal_probability_thresholds(1, 0.2, v), "link", CONFIG),
+    "ber_fading-config": (lambda v: ber_fading(v, FADED), "config", FADED),
+    "ber_fading-link": (lambda v: ber_fading(CONFIG, v), "link", CONFIG),
+    "ber_fading_quadrature-config": (lambda v: ber_fading_quadrature(v, FADED), "config", FADED),
+    "ber_fading_quadrature-link": (lambda v: ber_fading_quadrature(CONFIG, v), "link", CONFIG),
+    "ber_curve": (lambda v: ber_curve(v, 1.0), "tech", DESIGN),
+    "required_snr": (lambda v: required_snr(v, 1e-3), "tech", DESIGN),
+    "SegmentedDesign": (lambda v: SegmentedDesign(v, 1e-3, 1e-5, 1, 2), "tech", LINK),
+    "segment_feasibility": (segment_feasibility, "design", ZIGBEE),
+    "feasible": (feasible, "design", ZIGBEE),
+    "serialize_plan": (serialize_plan, "plan", DESIGN),
+    "combinadic_decode": (lambda v: combinadic_decode(v, 4, 2), "message", PermutationMessage(1, 0, 2)),
+    "permutation_recover": (lambda v: permutation_recover(v, 4, 2, 1), "message", CombinadicMessage(1, 3)),
+}
+NOT_AN_OBJECT = {"None": None, "float": 2.0, "str": "x"}
+
+
+@pytest.mark.parametrize("entry, value", [(entry, value) for entry in OBJECT_ENTRIES
+                                          for value in (*NOT_AN_OBJECT, "other package type")])
+def test_object_entries_reject_what_is_not_their_type(entry, value):
+    # each raised a raw AttributeError, e.g. "'float' object has no attribute 'awgn_snr'"
+    call, name, other = OBJECT_ENTRIES[entry]
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be a [A-Z]"):
+        call(other if value == "other package type" else NOT_AN_OBJECT[value])
+
+
+# the BER fit of ber_approx, the strategy flag of scheme_protocol, the function of
+# golden_section and the values of is_unimodal: (call, argument name)
+SHAPE_ENTRIES = {
+    "ber_approx-prony-str": (lambda: ber_approx(1.0, (0.5,), prony="ab"), "prony"),
+    "ber_approx-prony-empty": (lambda: ber_approx(1.0, (0.5,), prony=()), "prony"),
+    "ber_approx-prony-bool": (lambda: ber_approx(1.0, (0.5,), prony=((True, 1.0),)), "prony"),
+    "ber_approx-prony-negative": (lambda: ber_approx(1.0, (0.5,), prony=((-1.0, 1.0),)), "prony"),
+    "ber_approx-prony-zero-rate": (lambda: ber_approx(1.0, (0.5,), prony=((1.0, 0.0),)), "prony"),
+    "scheme_protocol-bare-kind": (lambda: scheme_protocol("sequential", "rate", 64, 1, 2.0), "flag"),
+    "scheme_protocol-1-tuple": (lambda: scheme_protocol("sequential", ("rate",), 64, 1, 2.0), "flag"),
+    "scheme_protocol-3-tuple": (lambda: scheme_protocol("sequential", ("rate", 0.8, 1), 64, 1, 2.0), "flag"),
+    "golden_section-None": (lambda: golden_section(None, 0.0, 1.0), "f"),
+    "golden_section-float": (lambda: golden_section(1.0, 0.0, 1.0), "f"),
+    "is_unimodal-str": (lambda: is_unimodal("12"), "values"),
+    "is_unimodal-None": (lambda: is_unimodal(None), "values"),
+    "is_unimodal-float": (lambda: is_unimodal(1.0), "values"),
+    "is_unimodal-None-element": (lambda: is_unimodal([1.0, None]), "values"),
+    "is_unimodal-str-elements": (lambda: is_unimodal(["1", "2"]), "values"),
+    "is_unimodal-bool-element": (lambda: is_unimodal([True, 2.0]), "values"),
+    "is_unimodal-nan-element": (lambda: is_unimodal([1.0, math.nan, 2.0]), "values"),
+}
+
+
+@pytest.mark.parametrize("entry", SHAPE_ENTRIES)
+def test_fits_flags_functions_and_value_sequences_are_checked(entry):
+    call, name = SHAPE_ENTRIES[entry]
+    with pytest.raises(InvalidParameterError, match=rf"\b{name}\b"):
+        call()
+
+
+def test_a_valid_prony_fit_is_read_as_the_default_is():
+    # any fit but DEFAULT_PRONY goes through check_fit; the values it returns are the same floats
+    default = ber_approx(np.array([0.5, 2.0]), (0.5, 1.0))
+    same = [[0.208, 0.971], [np.float64(0.147), 0.525]]
+    assert np.array_equal(ber_approx(np.array([0.5, 2.0]), (0.5, 1.0), prony=same), default)
+    assert np.array_equal(ber_approx(np.array([0.5, 2.0]), (0.5, 1.0), prony=DEFAULT_PRONY), default)
+
+
+def test_check_type_names_the_argument_the_classes_and_the_value():
+    assert check_type("link", LINK, LinkModel) is LINK
+    assert check_type("fading", None, (SlowChiSquareFading, type(None))) is None
+    with pytest.raises(InvalidParameterError) as error:
+        check_type("data", "ab", (bytes, bytearray, memoryview))
+    assert str(error.value) == "data must be a bytes or bytearray or memoryview, got 'ab'"
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: LinkModel("1"), "snr_per_symbol '1' outside (0, 100 dB]"),
     (lambda: LinkModel(True), "snr_per_symbol True outside (0, 100 dB]"),  # was stored
@@ -135,12 +230,21 @@ def test_sequence_entries_reject_what_is_not_a_sequence_of_reals(entry, value):
     (lambda: ProtocolConfig(8, 2, thresholds="12"), "thresholds must be a sequence of numbers, got '12'"),
     (lambda: ProtocolConfig(8, 1, thresholds=(-0.5,)), "threshold -0.5 outside [0, inf]"),
     (lambda: ber_exact(1.0, (np.array([0.5, -0.1]),)), "threshold -0.1 outside [0, inf]"),
+    (lambda: optimize_rate(64, 1, 2.0), "link must be a LinkModel, got 2.0"),
+    (lambda: LinkModel(1.0, fading=3.0), "fading must be a SlowChiSquareFading or None, got 3.0"),
+    (lambda: ber_approx(1.0, (0.5,), prony=()), "prony must hold one or more (coefficient, rate) pairs"),
+    (lambda: ber_approx(1.0, (0.5,), prony=((-1.0, 1.0),)),
+     "a prony coefficient or rate -1.0 outside (0, inf)"),
+    (lambda: scheme_protocol("sequential", "rate", 64, 1, 2.0),
+     "flag must be None or one (kind, value) pair, got 'rate'"),
 ], ids=["LinkModel-str", "LinkModel-bool", "window_size-str", "required_snr-str",
         "resolve_strategy-str", "ber_exact-bytes", "ProtocolConfig-str", "ProtocolConfig-negative",
-        "ber_exact-negative-element"])
+        "ber_exact-negative-element", "optimize_rate-float-link", "LinkModel-float-fading",
+        "ber_approx-empty-prony", "ber_approx-negative-prony", "scheme_protocol-bare-kind"])
 def test_messages_name_the_parameter_the_value_and_the_interval(call, message):
-    # each of these raised a raw TypeError or ValueError, or (bool, bytes, str ladder)
-    # returned a value computed from a coerced input
+    # each of these raised a raw TypeError, ValueError or AttributeError, or (bool, bytes, str
+    # ladder, negative prony) returned a value computed from a coerced input; the fading
+    # message is the one LinkModel gave before check_type owned it
     with pytest.raises(InvalidParameterError) as error:
         call()
     assert str(error.value) == message
