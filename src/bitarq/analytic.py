@@ -73,7 +73,7 @@ def q_function(x):
 
 # The (a_k, b_k) pairs of the two-term exponential fit
 # Q(x) ~= sum_k a_k exp(-b_k x^2), x >= 0 (Loskot & Beaulieu 2009).
-DEFAULT_PRONY = check_fit("prony", ((0.208, 0.971), (0.147, 0.525)))
+DEFAULT_PRONY = ((0.208, 0.971), (0.147, 0.525))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,8 @@ def _bands(u):
 
 
 def _check_thresholds(config: ProtocolConfig) -> tuple[float, ...]:
-    if check_type("config", config, ProtocolConfig).retransmissions < 1:
+    config = check_type("config", config, ProtocolConfig)
+    if config.retransmissions < 1:
         raise InvalidParameterError("need at least one retransmission")
     if config.thresholds is None:
         raise InvalidParameterError("config.thresholds must be set")
@@ -271,7 +272,7 @@ def _prony_ber(snr, us: Sequence, prony=DEFAULT_PRONY):
 def ber_approx(snr, us: Sequence, prony=DEFAULT_PRONY):
     """Closed-form counterpart of :func:`ber_exact` (no quadrature), on the exponential fit
     ``prony`` of the Gaussian tail (by the rule of ``Technology.ber_fit``); capped at 0.5."""
-    prony = prony if prony is DEFAULT_PRONY else check_fit("prony", prony)  # the default is checked at import
+    prony = check_fit("prony", prony)
     return np.minimum(_prony_ber(snr, us, prony), 0.5)[()]  # no BER exceeds 0.5
 
 
@@ -363,7 +364,8 @@ def _fading_tail(d: int, v: float, mean_snr: float) -> float:
 
 
 def _require_fading(link: LinkModel) -> float:
-    if check_type("link", link, LinkModel).fading is None:
+    link = check_type("link", link, LinkModel)
+    if link.fading is None:
         raise InvalidParameterError("link must carry a slow chi-square fading descriptor")
     return link.fading.mean_snr
 

@@ -137,7 +137,8 @@ def combinadic_encode(positions: Iterable[int], n: int) -> CombinadicMessage:
 def combinadic_decode(message: CombinadicMessage, n: int, w: int) -> tuple[int, ...]:
     """Invert :func:`combinadic_encode`; returns sorted 0-based positions."""
     n, w, total = check_subset(n, w, 0)
-    if check_type("message", message, CombinadicMessage).rank >= total:
+    message = check_type("message", message, CombinadicMessage)
+    if message.rank >= total:
         raise InvalidParameterError(f"rank {message.rank} >= C({n}, {w}) = {total}")
     rank = message.rank
     out = []
@@ -245,7 +246,8 @@ def permutation_search(
 
 def permutation_recover(message: PermutationMessage, n: int, w: int, rng_seed: int) -> tuple[int, ...]:
     """Sender side: jump to the reported stream entry and unrank its subset."""
-    if check_type("message", message, PermutationMessage).stream_index < 1:
+    message = check_type("message", message, PermutationMessage)
+    if message.stream_index < 1:
         raise InvalidParameterError("stream indexes are 1-based: the message decodes to 0")
     return subset_at(rng_seed, message.stream_index - 1, n, w)
 

@@ -51,7 +51,7 @@ class Technology:
     packet_bits: int
 
     def __post_init__(self):
-        check_fit("ber_fit", self.ber_fit)
+        object.__setattr__(self, "ber_fit", check_fit("ber_fit", self.ber_fit))  # hashable, as checked
         check_integer("packet_bits", self.packet_bits, 1)
 
 
@@ -69,7 +69,8 @@ _FIT_BER_RANGE = (1e-6, 1e-2)
 def ber_curve(tech: Technology, snr: float) -> float:
     """Fitted link BER at a linear SNR."""
     snr = check_real("snr", snr, 0.0, math.inf, "[]")
-    return sum(c * math.exp(-k * snr) for c, k in check_type("tech", tech, Technology).ber_fit)
+    tech = check_type("tech", tech, Technology)
+    return sum(c * math.exp(-k * snr) for c, k in tech.ber_fit)
 
 
 def required_snr(tech: Technology, target_ber: float) -> float:
@@ -114,7 +115,8 @@ class SegmentedDesign:
     c_tot: int = field(init=False)
 
     def __post_init__(self):
-        if check_type("tech", self.tech, Technology).packet_bits % check_integer("n_seg", self.n_seg, 1) != 0:
+        check_type("tech", self.tech, Technology)
+        if self.tech.packet_bits % check_integer("n_seg", self.n_seg, 1) != 0:
             raise InvalidParameterError("packet size must divide into n_seg >= 1 equal segments")
         for name in ("p_f", "p_r"):
             check_real(name, getattr(self, name), 0.0, 1.0, "[)")
@@ -152,7 +154,8 @@ def segment_feasibility(design: SegmentedDesign) -> tuple[float, float]:
     window can then cover them all).  Reverse: probability that at least
     one of the c_tot feedback bits is hit.
     """
-    ppf = _binomial_cdf(check_type("design", design, SegmentedDesign).w_seg, design.segment_bits, design.p_f)
+    design = check_type("design", design, SegmentedDesign)
+    ppf = _binomial_cdf(design.w_seg, design.segment_bits, design.p_f)
     ppr = -math.expm1(design.c_tot * math.log1p(-design.p_r)) if design.p_r > 0 else 0.0
     return ppf, ppr
 
@@ -271,7 +274,8 @@ def serialize_plan(plan: FusionPlan) -> str:
     ``R<block>,<round>(<bits>)``, comma separated.
     """
     lines = []
-    for packet in check_type("plan", plan, FusionPlan).packets:
+    plan = check_type("plan", plan, FusionPlan)
+    for packet in plan.packets:
         parts = []
         for span in packet:
             if isinstance(span, DataSpan):

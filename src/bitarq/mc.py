@@ -179,9 +179,11 @@ def simulate(
     n_jobs = check_integer("n_jobs", n_jobs, 1)
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
-    n, d = check_type("config", config, ProtocolConfig).packet_bits, config.retransmissions
+    config = check_type("config", config, ProtocolConfig)
+    link = check_type("link", link, LinkModel)
+    n, d = config.packet_bits, config.retransmissions
     check_whole_packets(bits, n)
-    m = math.sqrt(2.0 * check_type("link", link, LinkModel).awgn_snr())
+    m = math.sqrt(2.0 * link.awgn_snr())
     combine = _combiner(config, scheme, m)
     full, rest = divmod(bits // n, BLOCK_PACKETS)
     plan = [BLOCK_PACKETS] * full + [rest] * (rest > 0)
@@ -223,7 +225,8 @@ def compare_schemes(
     ``simulate`` with the scheme and seed.  Both schemes decide on the
     threshold ladder; defined for two retransmissions.
     """
-    if check_type("config", config, ProtocolConfig).retransmissions != 2:
+    config = check_type("config", config, ProtocolConfig)
+    if config.retransmissions != 2:
         raise ConfigurationError("scheme comparison is defined for two retransmissions")
     if config.thresholds is None:
         raise ConfigurationError("scheme comparison needs the threshold ladder")

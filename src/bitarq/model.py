@@ -326,8 +326,11 @@ def scheme_protocol(
     if scheme not in SCHEMES:
         raise InvalidParameterError(f"unknown scheme {scheme!r}")
     n, d = check_integer("n", n, 1), check_integer("d", d, 0)
-    if not (flag is None or isinstance(flag, tuple) and len(flag) == 2):
-        raise InvalidParameterError(f"flag must be None or one (kind, value) pair, got {flag!r}")
+    try:  # any pair, a list too; a str, a number or another length is no (kind, value)
+        if flag is not None and (isinstance(flag, (str, bytes)) or len(flag) != 2):
+            raise TypeError
+    except TypeError:
+        raise InvalidParameterError(f"flag must be None or one (kind, value) pair, got {flag!r}") from None
     if (flag is None) != (scheme == "full_repetition" or d == 0):
         raise InvalidParameterError("full repetition and D = 0 take no strategy; every other scheme "
                                     "takes exactly one rate, window or threshold")

@@ -127,11 +127,10 @@ def is_unimodal(values, atol: float = 0.0) -> bool:
     """True if the sequence of reals decreases then increases (one sign change).
 
     Differences with magnitude at most ``atol`` count as flat and are
-    ignored.  A Python float skips :func:`check_real` (0.5 us a value).
+    ignored.
     """
     atol = check_real("atol", atol, 0.0, math.inf, "[]")
-    values = check_items("values", values, lambda v: v if type(v) is float and v == v
-                         else check_real("values", v, -math.inf, math.inf, "[]"))
+    values = check_items("values", values, lambda v: check_real("values", v, -math.inf, math.inf, "[]"))
     diffs = (b - a for a, b in zip(values, values[1:]))
     rising = [diff > 0 for diff in diffs if not abs(diff) <= atol]
     return rising == sorted(rising)
@@ -255,7 +254,8 @@ def equal_probability_thresholds(d: int, p: float, link: LinkModel) -> tuple[flo
     expected window is N*p in every round.
     """
     p = check_real("p", p, 0.0, 1.0, "(]")
-    return tuple(float(u) for u in _ladder_thresholds(d, p, check_type("link", link, LinkModel).awgn_snr()))
+    link = check_type("link", link, LinkModel)
+    return tuple(float(u) for u in _ladder_thresholds(d, p, link.awgn_snr()))
 
 
 def fixed_threshold_windows(n: int, d: int, u: float, snr: float) -> tuple[int, ...]:
@@ -410,7 +410,8 @@ def _refine(objective, grid, j: int, uni: bool):
 def _optimize(kind: str, n: int, d: int, link: LinkModel, points: int) -> SweepResult:
     """Sweep, refine and package one strategy (see :func:`sweep_blocks` and
     :func:`resolve_strategy`)."""
-    base = check_type("link", link, LinkModel).awgn_snr()
+    link = check_type("link", link, LinkModel)
+    base = link.awgn_snr()
     # (values, thresholds, rates, SNRs) of every grid block and probe
     resolved = list(sweep_blocks(kind, points, n, d, base))
 

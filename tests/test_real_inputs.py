@@ -204,11 +204,23 @@ def test_fits_flags_functions_and_value_sequences_are_checked(entry):
 
 
 def test_a_valid_prony_fit_is_read_as_the_default_is():
-    # any fit but DEFAULT_PRONY goes through check_fit; the values it returns are the same floats
+    # every fit goes through check_fit; the values it returns are the same floats
     default = ber_approx(np.array([0.5, 2.0]), (0.5, 1.0))
     same = [[0.208, 0.971], [np.float64(0.147), 0.525]]
     assert np.array_equal(ber_approx(np.array([0.5, 2.0]), (0.5, 1.0), prony=same), default)
     assert np.array_equal(ber_approx(np.array([0.5, 2.0]), (0.5, 1.0), prony=DEFAULT_PRONY), default)
+
+
+def test_a_technology_stores_its_fit_as_checked():
+    # a list-form fit was stored as given, so hash() of the frozen dataclass raised a raw TypeError
+    tech = Technology("zigbee", [[1.5203, 9.5611]], 1064)
+    assert tech.ber_fit == ((1.5203, 9.5611),)
+    assert tech == ZIGBEE and hash(tech) == hash(ZIGBEE)
+
+
+def test_a_strategy_flag_may_be_any_pair():
+    assert scheme_protocol("sequential", ["rate", 0.8], 64, 1, 2.0) == \
+        scheme_protocol("sequential", ("rate", 0.8), 64, 1, 2.0)
 
 
 def test_check_type_names_the_argument_the_classes_and_the_value():
